@@ -287,74 +287,60 @@ func BenchmarkKernelProcessSwitch(b *testing.B) {
 
 // BenchmarkManyTasks is the timed-queue stress: thousands of processes on
 // dense periodic timers (co-prime-ish periods, so wakeups rarely coincide and
-// the queue stays deep). It is the scenario the timing-wheel backend exists
-// for — schedule and pop are O(1) against the heap's O(log n) — so it runs on
-// both backends for a direct comparison. The timeout variant layers on
-// cancellation traffic (a WaitTimeout whose event always wins), where the
-// wheel's O(1) unlink avoids the heap's dead-entry marking and compaction
-// sweeps entirely.
+// the queue stays deep). It is the scenario the timing wheel exists for —
+// schedule and pop are O(1). The timeout variant layers on cancellation
+// traffic (a WaitTimeout whose event always wins), where the wheel unlinks a
+// cancelled entry in O(1). The sub-benchmark names keep their backend=wheel
+// suffix so results stay comparable with earlier runs.
 func BenchmarkManyTasks(b *testing.B) {
-	backends := []struct {
-		name string
-		b    sim.TimedQueueBackend
-	}{
-		{"wheel", sim.TimedQueueWheel},
-		{"heap", sim.TimedQueueHeap},
-	}
-	for _, backend := range backends {
-		b.Run("periodic/backend="+backend.name, func(b *testing.B) {
-			b.ReportAllocs()
-			k := sim.New()
-			k.SetTimedQueue(backend.b)
-			const tasks = 4096
-			for i := 0; i < tasks; i++ {
-				period := sim.Time(2000+13*(i%401)) * sim.Ns // densely packed wakeups
-				k.Spawn("t", func(p *sim.Proc) {
-					for {
-						p.Wait(period)
-					}
-				})
-			}
-			k.RunFor(100 * sim.Us) // reach steady state
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				k.RunFor(sim.Us)
-			}
-			b.StopTimer()
-			k.Shutdown()
-		})
-	}
-	for _, backend := range backends {
-		b.Run("timeouts/backend="+backend.name, func(b *testing.B) {
-			b.ReportAllocs()
-			k := sim.New()
-			k.SetTimedQueue(backend.b)
-			ev := k.NewEvent("pulse")
-			const waiters = 2048
-			for i := 0; i < waiters; i++ {
-				// Far-future timeout, always cancelled by the event: every
-				// wakeup schedules and then kills one timed entry.
-				k.Spawn("w", func(p *sim.Proc) {
-					for {
-						p.WaitTimeout(sim.Ms, ev)
-					}
-				})
-			}
-			k.Spawn("pulser", func(p *sim.Proc) {
+	b.Run("periodic/backend=wheel", func(b *testing.B) {
+		b.ReportAllocs()
+		k := sim.New()
+		const tasks = 4096
+		for i := 0; i < tasks; i++ {
+			period := sim.Time(2000+13*(i%401)) * sim.Ns // densely packed wakeups
+			k.Spawn("t", func(p *sim.Proc) {
 				for {
-					p.Wait(sim.Us)
-					ev.Notify()
+					p.Wait(period)
 				}
 			})
-			k.RunFor(100 * sim.Us)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				k.RunFor(sim.Us)
+		}
+		k.RunFor(100 * sim.Us) // reach steady state
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			k.RunFor(sim.Us)
+		}
+		b.StopTimer()
+		k.Shutdown()
+	})
+	b.Run("timeouts/backend=wheel", func(b *testing.B) {
+		b.ReportAllocs()
+		k := sim.New()
+		ev := k.NewEvent("pulse")
+		const waiters = 2048
+		for i := 0; i < waiters; i++ {
+			// Far-future timeout, always cancelled by the event: every
+			// wakeup schedules and then kills one timed entry.
+			k.Spawn("w", func(p *sim.Proc) {
+				for {
+					p.WaitTimeout(sim.Ms, ev)
+				}
+			})
+		}
+		k.Spawn("pulser", func(p *sim.Proc) {
+			for {
+				p.Wait(sim.Us)
+				ev.Notify()
 			}
-			b.StopTimer()
-			k.Shutdown()
 		})
-	}
+		k.RunFor(100 * sim.Us)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			k.RunFor(sim.Us)
+		}
+		b.StopTimer()
+		k.Shutdown()
+	})
 }
 
 // BenchmarkManyTaskBodies compares the two task body forms on a dense

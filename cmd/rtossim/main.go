@@ -41,7 +41,7 @@ func main() {
 		until       = flag.String("until", "", "override the scenario horizon (e.g. 2ms)")
 		engine      = flag.String("engine", "", "override every processor's engine: procedural or threaded")
 		taskEngine  = flag.String("taskengine", "", "override every software task's body form: goroutine or continuation")
-		shards      = flag.Int("shards", 0, "run the sharded parallel engine on up to N kernels (0 = sequential unless the scenario carries shard labels)")
+		shards      = flag.Int("shards", 0, "run the sharded parallel engine on up to N kernels (0 = sequential unless the scenario carries shard labels; a plan of one group runs sequentially)")
 		timeline    = flag.Bool("timeline", false, "print the ASCII TimeLine chart")
 		width       = flag.Int("width", 100, "timeline width in columns")
 		accesses    = flag.Bool("accesses", false, "show communication accesses on the timeline")

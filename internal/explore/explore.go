@@ -279,11 +279,14 @@ func (e *Engine) runOne(prefix []Decision, engine string) *RunResult {
 		return res
 	}
 	// Exploration enumerates the goroutine engine's decision space; automatic
-	// continuation lowering would change which choice points exist, so force
-	// the opt-out for every run (replay traces must decode against the same
-	// space they were recorded in).
-	optOut := false
-	desc.AutoEngine = &optOut
+	// engine selection would change which choice points exist, so pin every
+	// task that leaves its engine unset to goroutine bodies (replay traces
+	// must decode against the same space they were recorded in).
+	for i := range desc.Tasks {
+		if desc.Tasks[i].Engine == "" {
+			desc.Tasks[i].Engine = "goroutine"
+		}
+	}
 	if engine != "" {
 		for i := range desc.Processors {
 			desc.Processors[i].Engine = engine

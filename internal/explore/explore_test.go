@@ -3,6 +3,7 @@ package explore
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -20,10 +21,10 @@ func readScenario(t *testing.T, name string) []byte {
 	return data
 }
 
-// runScenario simulates one scenario on the given engine and timed-queue
-// backend, optionally with an identity chooser installed at both choice
-// points, and returns the chronology and the equivalence signature.
-func runScenario(t *testing.T, base []byte, engine, backend string, withChooser bool) (string, string) {
+// runScenario simulates one scenario on the given engine, optionally with an
+// identity chooser installed at both choice points, and returns the
+// chronology and the equivalence signature.
+func runScenario(t *testing.T, base []byte, engine string, withChooser bool) (string, string) {
 	t.Helper()
 	desc, err := scenario.Parse(base)
 	if err != nil {
@@ -34,7 +35,6 @@ func runScenario(t *testing.T, base []byte, engine, backend string, withChooser 
 			desc.Processors[i].Engine = engine
 		}
 	}
-	desc.TimedQueue = backend
 	built, err := desc.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -53,22 +53,19 @@ func runScenario(t *testing.T, base []byte, engine, backend string, withChooser 
 // TestIdentityChooserMatchesSeedRuns is the identity-permutation
 // differential: with the chooser installed but every decision at its
 // default, the run must be byte-identical (chronology and signature) to the
-// plain seed run — on both engines and both timed-queue backends, over the
-// golden-pinned scenarios.
+// plain seed run — on both engines, over the golden-pinned scenarios.
 func TestIdentityChooserMatchesSeedRuns(t *testing.T) {
 	scenarios := []string{"figure6.json", "figure7.json", "smp.json", "faults.json"}
 	for _, name := range scenarios {
 		base := readScenario(t, name)
 		for _, engine := range []string{"procedural", "threaded"} {
-			for _, backend := range []string{"wheel", "heap"} {
-				chron, sig := runScenario(t, base, engine, backend, false)
-				chronC, sigC := runScenario(t, base, engine, backend, true)
-				if chron != chronC {
-					t.Errorf("%s/%s/%s: identity chooser changed the chronology", name, engine, backend)
-				}
-				if sig != sigC {
-					t.Errorf("%s/%s/%s: identity chooser changed the signature", name, engine, backend)
-				}
+			chron, sig := runScenario(t, base, engine, false)
+			chronC, sigC := runScenario(t, base, engine, true)
+			if chron != chronC {
+				t.Errorf("%s/%s: identity chooser changed the chronology", name, engine)
+			}
+			if sig != sigC {
+				t.Errorf("%s/%s: identity chooser changed the signature", name, engine)
 			}
 		}
 	}
@@ -122,6 +119,73 @@ func TestExploreFindsSeededWatchdogViolation(t *testing.T) {
 	}
 	if r1.Sig != r2.Sig {
 		t.Fatal("two replays produced different trace signatures")
+	}
+}
+
+// TestReplayRecordedTraces replays counterexample traces recorded by an
+// earlier build. Replay decodes a trace against the current decision space,
+// so a change to which engine exploration runs tasks on would break stored
+// traces: each must still reproduce the same violation with the same detail.
+func TestReplayRecordedTraces(t *testing.T) {
+	for _, c := range []struct {
+		scenario, trace, kind, detail string
+	}{
+		{"faults.json",
+			"xt1:DgKm4PiWBQAB7enLnQIAAqfYlcoNAAGNlYyJDAACpPC-sAQAAaCw-6MHAAGanOrqBgACpejb4wwAAZnrxeQJAAGfgNeKCQACos7AiwgAAaaIj48EAAHs78CeAgACo8bdPgJ5XzmF",
+			"watchdog", "watchdog wd fired 2 time(s), baseline 1"},
+		{"inversion.json", "xt1:AQLGvMP8CAGgp2lL",
+			"inversion", "task hi endured a 663us priority inversion (bound 500us)"},
+	} {
+		eng, err := New(readScenario(t, c.scenario))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := Decode(c.trace)
+		if err != nil {
+			t.Fatalf("%s: recorded trace does not decode: %v", c.scenario, err)
+		}
+		_, v, err := eng.Replay(tr)
+		if err != nil {
+			t.Fatalf("%s: %v", c.scenario, err)
+		}
+		if v == nil || v.Kind != c.kind || v.Detail != c.detail {
+			t.Errorf("%s: replay gave %+v, want %s violation %q", c.scenario, v, c.kind, c.detail)
+		}
+	}
+}
+
+// TestExploreSpaceIsGoroutineEngine pins which decision space exploration
+// enumerates: a task that leaves its engine unset is explored exactly as if
+// it said "engine": "goroutine", even where the simulator would otherwise
+// compile its body to a continuation. smp.json has such tasks, and on the
+// continuation engine their schedule space differs.
+func TestExploreSpaceIsGoroutineEngine(t *testing.T) {
+	base := readScenario(t, "smp.json")
+	desc, err := scenario.Parse(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range desc.Tasks {
+		desc.Tasks[i].Engine = "goroutine"
+	}
+	pinned, err := desc.CanonicalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(data []byte) *Summary {
+		eng, err := New(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.Cfg.MaxRuns = 16
+		sum, err := eng.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sum
+	}
+	if got, want := run(base), run(pinned); !reflect.DeepEqual(got, want) {
+		t.Errorf("unset engines explore differently from explicit goroutine:\n got %+v\nwant %+v", got, want)
 	}
 }
 

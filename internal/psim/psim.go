@@ -115,14 +115,15 @@ type Result struct {
 
 // Run simulates a scenario under a shard plan, one kernel per shard group,
 // each on its own goroutine, conservatively synchronized by channel
-// lookahead. A single-group plan runs the full sequential elaboration on one
-// driver goroutine — byte-identical to Built.RunChecked.
+// lookahead. It refuses a plan with fewer than two groups: one group is the
+// whole model on one kernel, which the sequential engine (Built.RunChecked)
+// runs directly.
 func Run(desc *scenario.System, plan *scenario.ShardPlan) (*Result, error) {
 	n := len(plan.Groups)
-	horizon := plan.Horizon
-	if horizon <= 0 {
-		horizon = sim.TimeMax // single-group only; Partition enforces it
+	if n < 2 {
+		return nil, fmt.Errorf("psim: plan has %d group(s), want at least 2; run a one-group plan on the sequential engine", n)
 	}
+	horizon := plan.Horizon // finite: Partition requires it for multi-group plans
 	// Null-message rounds advance a shard by at least its inbound lookahead,
 	// so chunking mainly paces source-like shards (no inbound bound): they
 	// publish bound advances every chunk instead of running to the horizon
@@ -384,11 +385,7 @@ func collect(res *Result, shards []*shardRun) {
 		res.Finish = sim.FinishStopped
 	case len(blocked) > 0:
 		res.Finish = sim.FinishDeadlock
-		if len(shards) == 1 {
-			res.Err = shards[0].lastErr // the kernel's own diagnosis, verbatim
-		} else {
-			res.Err = &sim.SimError{At: res.End, Blocked: blocked, Context: context}
-		}
+		res.Err = &sim.SimError{At: res.End, Blocked: blocked, Context: context}
 		return
 	default:
 		res.Finish = sim.FinishQuiescent

@@ -125,7 +125,10 @@ func TestTwoShardPipelineMatchesSequential(t *testing.T) {
 	diffSignatures(t, signature(built.Sys.Rec), signature(merged))
 }
 
-func TestSingleShardPlanIsSequentialBuild(t *testing.T) {
+// A one-group plan is the whole model on one kernel: Run refuses it (the
+// runner sends such plans to the sequential engine) instead of spinning up
+// the shard machinery for nothing.
+func TestRunRefusesSingleGroupPlan(t *testing.T) {
 	desc := parse(t, pipelineJSON)
 	plan, err := desc.Partition(1)
 	if err != nil {
@@ -134,28 +137,9 @@ func TestSingleShardPlanIsSequentialBuild(t *testing.T) {
 	if len(plan.Groups) != 1 {
 		t.Fatalf("want 1 group, got %d", len(plan.Groups))
 	}
-	res, err := Run(desc, plan)
-	if err != nil {
-		t.Fatalf("parallel run: %v", err)
+	if res, err := Run(desc, plan); err == nil {
+		t.Fatalf("one-group plan accepted: %+v", res)
 	}
-	if res.Err != nil {
-		t.Fatalf("simulation: %v", res.Err)
-	}
-
-	seqDesc := parse(t, pipelineJSON)
-	built, _, runErr := runSequential(t, seqDesc)
-	if runErr != nil {
-		t.Fatalf("sequential run: %v", runErr)
-	}
-	if res.End != built.Sys.Now() || res.Finish != built.Sys.FinishReason() {
-		t.Fatalf("single-shard parallel (%v, %v) differs from sequential (%v, %v)",
-			res.End, res.Finish, built.Sys.Now(), built.Sys.FinishReason())
-	}
-	if res.Activations != built.Sys.K.Activations() || res.DeltaCycles != built.Sys.K.DeltaCount() {
-		t.Fatalf("effort counters differ: parallel %d/%d, sequential %d/%d",
-			res.Activations, res.DeltaCycles, built.Sys.K.Activations(), built.Sys.K.DeltaCount())
-	}
-	diffSignatures(t, signature(built.Sys.Rec), signature(res.Builts[0].Sys.Rec))
 }
 
 // A blocked receiver with no inbound traffic must terminate as a deadlock

@@ -30,11 +30,75 @@ func (f bodyForm) String() string {
 	return "goroutine"
 }
 
-// periodicContWorkload builds a three-task periodic system whose bodies are
-// all statically lowerable (Execute, Delay, Yield, preemption toggles) in
-// either body form. The goroutine form passes the closures to
-// NewPeriodicTask; the continuation form passes the very same closures to
-// NewLoweredPeriodicTask, so both simulations interpret one source of truth.
+// cycleOp is one step of a test periodic body. A cycleBody is the single
+// source of truth for both body forms of a differential workload: run
+// interprets it against a goroutine task's TaskCtx, program compiles it to
+// the continuation Program, op for op.
+type cycleOp struct {
+	kind cycleKind
+	d    sim.Time
+}
+
+type cycleKind uint8
+
+const (
+	opExecute cycleKind = iota
+	opDelay
+	opYield
+	opNoPreempt
+	opPreempt
+)
+
+type cycleBody []cycleOp
+
+func (b cycleBody) run(c *rtos.TaskCtx, _ int) {
+	for _, op := range b {
+		switch op.kind {
+		case opExecute:
+			c.Execute(op.d)
+		case opDelay:
+			c.Delay(op.d)
+		case opYield:
+			c.Yield()
+		case opNoPreempt:
+			c.DisablePreemption()
+		case opPreempt:
+			c.EnablePreemption()
+		}
+	}
+}
+
+func (b cycleBody) program() *rtos.Program {
+	pb := rtos.BuildProgram()
+	for _, op := range b {
+		switch op.kind {
+		case opExecute:
+			pb.Compute(op.d)
+		case opDelay:
+			pb.WaitFor(op.d)
+		case opYield:
+			pb.Yield()
+		case opNoPreempt:
+			pb.Do(func(c *rtos.TaskCtx) { c.DisablePreemption() })
+		case opPreempt:
+			pb.Do(func(c *rtos.TaskCtx) { c.EnablePreemption() })
+		}
+	}
+	return pb.Build()
+}
+
+// newPeriodicForm creates a periodic task running body in the given form.
+func newPeriodicForm(cpu *rtos.Processor, form bodyForm, name string, cfg rtos.TaskConfig, body cycleBody) *rtos.Task {
+	if form == bodyContinuation {
+		return cpu.NewPeriodicContTask(name, cfg, body.program())
+	}
+	return cpu.NewPeriodicTask(name, cfg, body.run)
+}
+
+// periodicContWorkload builds a three-task periodic system over Execute,
+// Delay, Yield and the preemption toggles in either body form. Both forms
+// come from the same cycleBody, so both simulations interpret one source of
+// truth.
 func periodicContWorkload(form bodyForm, eng rtos.EngineKind, horizon sim.Time) (string, string, *trace.Recorder) {
 	sys := rtos.NewSystem()
 	cpu := sys.NewProcessor("cpu0", rtos.Config{
@@ -44,34 +108,17 @@ func periodicContWorkload(form bodyForm, eng rtos.EngineKind, horizon sim.Time) 
 	specs := []struct {
 		name string
 		cfg  rtos.TaskConfig
-		body func(*rtos.TaskCtx, int)
+		body cycleBody
 	}{
 		{"video", rtos.TaskConfig{Period: 120 * sim.Us, Priority: 8, OnMiss: rtos.MissAbortJob},
-			func(c *rtos.TaskCtx, cycle int) {
-				c.Execute(30 * sim.Us)
-				c.Delay(10 * sim.Us)
-				c.Execute(15 * sim.Us)
-			}},
+			cycleBody{{opExecute, 30 * sim.Us}, {opDelay, 10 * sim.Us}, {opExecute, 15 * sim.Us}}},
 		{"audio", rtos.TaskConfig{Period: 90 * sim.Us, Priority: 5, Jitter: 7 * sim.Us, OnMiss: rtos.MissSkipNextRelease},
-			func(c *rtos.TaskCtx, cycle int) {
-				c.DisablePreemption()
-				c.Execute(12 * sim.Us)
-				c.EnablePreemption()
-				c.Execute(20 * sim.Us)
-			}},
+			cycleBody{{opNoPreempt, 0}, {opExecute, 12 * sim.Us}, {opPreempt, 0}, {opExecute, 20 * sim.Us}}},
 		{"log", rtos.TaskConfig{Period: 300 * sim.Us, Priority: 2, StartAt: 40 * sim.Us},
-			func(c *rtos.TaskCtx, cycle int) {
-				c.Execute(25 * sim.Us)
-				c.Yield()
-				c.Execute(25 * sim.Us)
-			}},
+			cycleBody{{opExecute, 25 * sim.Us}, {opYield, 0}, {opExecute, 25 * sim.Us}}},
 	}
 	for _, s := range specs {
-		if form == bodyContinuation {
-			cpu.NewLoweredPeriodicTask(s.name, s.cfg, s.body)
-		} else {
-			cpu.NewPeriodicTask(s.name, s.cfg, s.body)
-		}
+		newPeriodicForm(cpu, form, s.name, s.cfg, s.body)
 	}
 	sys.RunUntil(horizon)
 	sys.Shutdown()
@@ -79,7 +126,7 @@ func periodicContWorkload(form bodyForm, eng rtos.EngineKind, horizon sim.Time) 
 }
 
 // TestContEquivalencePeriodic is the continuation engine's core differential
-// golden: a lowerable periodic workload must produce a byte-identical trace
+// golden: a periodic workload must produce a byte-identical trace
 // whether its bodies run as goroutines or as kernel-driven continuations, on
 // both RTOS engine implementations.
 func TestContEquivalencePeriodic(t *testing.T) {
@@ -263,17 +310,17 @@ func TestContEquivalenceComm(t *testing.T) {
 
 // buildContFaultMatrix is buildFaultMatrix with continuation bodies: the same
 // directed fault scenarios (one injector, one miss policy) with the periodic
-// bodies lowered to programs. Its signature must match the goroutine-bodied
+// bodies compiled to programs. Its signature must match the goroutine-bodied
 // buildFaultMatrix run on the same engine.
 func buildContFaultMatrix(eng rtos.EngineKind, injector string, policy rtos.MissPolicy, horizon sim.Time) (string, *trace.Recorder) {
 	sys := rtos.NewSystem()
 	cpu := sys.NewProcessor("cpu0", rtos.Config{Engine: eng, Overheads: rtos.UniformOverheads(sim.Us)})
-	load := cpu.NewLoweredPeriodicTask("load", rtos.TaskConfig{
+	load := newPeriodicForm(cpu, bodyContinuation, "load", rtos.TaskConfig{
 		Period: 100 * sim.Us, Priority: 5, OnMiss: policy,
-	}, func(c *rtos.TaskCtx, cycle int) { c.Execute(60 * sim.Us) })
-	cpu.NewLoweredPeriodicTask("rival", rtos.TaskConfig{
+	}, cycleBody{{opExecute, 60 * sim.Us}})
+	newPeriodicForm(cpu, bodyContinuation, "rival", rtos.TaskConfig{
 		Period: 130 * sim.Us, Priority: 7,
-	}, func(c *rtos.TaskCtx, cycle int) { c.Execute(30 * sim.Us) })
+	}, cycleBody{{opExecute, 30 * sim.Us}})
 	switch injector {
 	case "wcet":
 		load.InjectWCETOverrun(rtos.WCETOverrun{Factor: 2, Probability: 0.5, Seed: 11})
@@ -344,15 +391,8 @@ func multicoreContWorkload(form bodyForm, domain rtos.SchedDomain, horizon sim.T
 		if domain == rtos.DomainPartitioned {
 			cfg.Affinity = i % 2
 		}
-		body := func(c *rtos.TaskCtx, cycle int) {
-			c.Execute(sim.Time(25+5*i) * sim.Us)
-		}
-		name := fmt.Sprintf("t%d", i)
-		if form == bodyContinuation {
-			cpu.NewLoweredPeriodicTask(name, cfg, body)
-		} else {
-			cpu.NewPeriodicTask(name, cfg, body)
-		}
+		newPeriodicForm(cpu, form, fmt.Sprintf("t%d", i), cfg,
+			cycleBody{{opExecute, sim.Time(25+5*i) * sim.Us}})
 	}
 	sys.RunUntil(horizon)
 	sys.Shutdown()
@@ -480,53 +520,6 @@ func TestContResumeCounter(t *testing.T) {
 	sys2.Shutdown()
 }
 
-// TestLowerBody checks the static-lowering classifier: pure
-// compute/sleep/yield/priority bodies lower; bodies that observe simulation
-// state or call the blocking comm API do not.
-func TestLowerBody(t *testing.T) {
-	if _, ok := rtos.LowerBody(func(c *rtos.TaskCtx) {
-		c.Execute(5 * sim.Us)
-		c.Delay(3 * sim.Us)
-		c.Yield()
-		c.SetPriority(4)
-		c.DisablePreemption()
-		c.Execute(sim.Us)
-		c.EnablePreemption()
-		c.SetDeadlineIn(100 * sim.Us)
-	}); !ok {
-		t.Error("pure op body did not lower")
-	}
-	if _, ok := rtos.LowerBody(func(c *rtos.TaskCtx) {
-		c.Execute(c.Now()) // observes the clock: input-dependent
-	}); ok {
-		t.Error("clock-observing body lowered; it must be rejected")
-	}
-	if _, ok := rtos.LowerBody(func(c *rtos.TaskCtx) {
-		_ = c.Name()
-	}); ok {
-		t.Error("name-observing body lowered; it must be rejected")
-	}
-}
-
-// TestLowerPeriodicBody checks the cycle-invariance requirement: a periodic
-// body lowers only when cycles 0 and 1 record the same op sequence.
-func TestLowerPeriodicBody(t *testing.T) {
-	if _, ok := rtos.LowerPeriodicBody(func(c *rtos.TaskCtx, cycle int) {
-		c.Execute(10 * sim.Us)
-	}); !ok {
-		t.Error("cycle-invariant periodic body did not lower")
-	}
-	if _, ok := rtos.LowerPeriodicBody(func(c *rtos.TaskCtx, cycle int) {
-		if cycle == 0 {
-			c.Execute(10 * sim.Us)
-		} else {
-			c.Delay(10 * sim.Us)
-		}
-	}); ok {
-		t.Error("cycle-varying periodic body lowered; it must be rejected")
-	}
-}
-
 // TestProgramLoops checks the program interpreter's loop semantics directly:
 // counted loops, nesting, zero-iteration skips and builder validation.
 func TestProgramLoops(t *testing.T) {
@@ -639,13 +632,8 @@ func TestContFewerActivations(t *testing.T) {
 		cpu := sys.NewProcessor("cpu0", rtos.Config{Overheads: rtos.UniformOverheads(sim.Us)})
 		for i := 0; i < 4; i++ {
 			cfg := rtos.TaskConfig{Period: sim.Time(100+30*i) * sim.Us, Priority: i + 1}
-			body := func(c *rtos.TaskCtx, cycle int) { c.Execute(sim.Time(20+5*i) * sim.Us) }
-			name := fmt.Sprintf("t%d", i)
-			if form == bodyContinuation {
-				cpu.NewLoweredPeriodicTask(name, cfg, body)
-			} else {
-				cpu.NewPeriodicTask(name, cfg, body)
-			}
+			newPeriodicForm(cpu, form, fmt.Sprintf("t%d", i), cfg,
+				cycleBody{{opExecute, sim.Time(20+5*i) * sim.Us}})
 		}
 		sys.RunUntil(2 * sim.Ms)
 		acts := sys.K.Activations()

@@ -9,10 +9,9 @@ import (
 
 // Program is the list-of-ops form of a Continuation: a flat sequence of
 // yield ops, inline steps and counted loops, interpreted without allocating.
-// Build one with BuildProgram (or let LowerBody derive one from an ordinary
-// task function). A Program implements Continuation and may be shared
-// between tasks only if none of its Do closures capture per-task state;
-// sharing one instance between two tasks of the same processor is safe
+// Build one with BuildProgram. A Program implements Continuation and may be
+// shared between tasks only if none of its Do closures capture per-task
+// state; sharing one instance between two tasks of the same processor is safe
 // because the engine resumes at most one task per processor at any instant
 // on a single core — to stay safe under multi-core, give each task its own
 // Program.

@@ -361,11 +361,6 @@ func (t *Task) runBehaviour() {
 // the communication relations of package comm.
 type TaskCtx struct {
 	t *Task
-	// lower, when non-nil, puts the context in recording mode (lower.go):
-	// the recordable primitives append ops instead of simulating, and any
-	// call that observes the simulation aborts the recording. Only the
-	// throwaway contexts of LowerBody set it.
-	lower *lowerRec
 }
 
 // requireThread guards the blocking primitives against continuation tasks,
@@ -379,49 +374,31 @@ func (c *TaskCtx) requireThread(call string) {
 
 // Task returns the underlying task.
 func (c *TaskCtx) Task() *Task {
-	if c.lower != nil {
-		panic(lowerAbort{})
-	}
 	return c.t
 }
 
 // Name returns the task name (also the comm.Actor name).
 func (c *TaskCtx) Name() string {
-	if c.lower != nil {
-		panic(lowerAbort{})
-	}
 	return c.t.name
 }
 
 // Priority returns the task's effective priority (comm.Actor contract).
 func (c *TaskCtx) Priority() int {
-	if c.lower != nil {
-		panic(lowerAbort{})
-	}
 	return c.t.EffectivePriority()
 }
 
 // Now returns the current simulated time.
 func (c *TaskCtx) Now() sim.Time {
-	if c.lower != nil {
-		panic(lowerAbort{})
-	}
 	return c.t.cpu.k.Now()
 }
 
 // Kernel returns the simulation kernel.
 func (c *TaskCtx) Kernel() *sim.Kernel {
-	if c.lower != nil {
-		panic(lowerAbort{})
-	}
 	return c.t.cpu.k
 }
 
 // Recorder returns the trace recorder (comm.Actor contract).
 func (c *TaskCtx) Recorder() *trace.Recorder {
-	if c.lower != nil {
-		panic(lowerAbort{})
-	}
 	return c.t.cpu.rec
 }
 
@@ -432,10 +409,6 @@ func (c *TaskCtx) Recorder() *trace.Recorder {
 // section 4.2), so the model's preemption accuracy does not depend on any
 // clock resolution.
 func (c *TaskCtx) Execute(d sim.Time) {
-	if c.lower != nil {
-		c.lower.add(recOp{kind: recCompute, d: d})
-		return
-	}
 	c.requireThread("Execute")
 	if d < 0 {
 		panic("rtos: Execute with negative duration")
@@ -486,10 +459,6 @@ func (c *TaskCtx) Execute(d sim.Time) {
 // Delay suspends the task for duration d (Waiting state): the task does not
 // use the processor and becomes ready again when the delay expires.
 func (c *TaskCtx) Delay(d sim.Time) {
-	if c.lower != nil {
-		c.lower.add(recOp{kind: recSleep, d: d})
-		return
-	}
 	c.requireThread("Delay")
 	if d < 0 {
 		panic("rtos: Delay with negative duration")
@@ -534,29 +503,17 @@ func (c *TaskCtx) DelayUntil(at sim.Time) {
 // Yield voluntarily releases the processor: the task returns to the ready
 // queue and the scheduler elects the next task (possibly this one again).
 func (c *TaskCtx) Yield() {
-	if c.lower != nil {
-		c.lower.add(recOp{kind: recYield})
-		return
-	}
 	c.requireThread("Yield")
 	c.t.cpu.eng.taskYield(c.t)
 }
 
 // SetPriority changes the task's base priority at run time.
 func (c *TaskCtx) SetPriority(p int) {
-	if c.lower != nil {
-		c.lower.add(recOp{kind: recSetPrio, p: p})
-		return
-	}
 	c.t.SetBasePriority(p)
 }
 
 // SetDeadline sets the task's absolute deadline (for the EDF policy).
 func (c *TaskCtx) SetDeadline(at sim.Time) {
-	if c.lower != nil {
-		c.lower.add(recOp{kind: recSetDeadlineAt, d: at})
-		return
-	}
 	c.t.deadline = at
 	c.t.cpu.invalidateReadyBest()
 	c.t.cpu.eng.reevaluate()
@@ -564,10 +521,6 @@ func (c *TaskCtx) SetDeadline(at sim.Time) {
 
 // SetDeadlineIn sets the task's deadline relative to the current time.
 func (c *TaskCtx) SetDeadlineIn(d sim.Time) {
-	if c.lower != nil {
-		c.lower.add(recOp{kind: recSetDeadlineIn, d: d})
-		return
-	}
 	c.SetDeadline(c.Now() + d)
 }
 
@@ -576,10 +529,6 @@ func (c *TaskCtx) SetDeadlineIn(d sim.Time) {
 // be changed during the simulation. This enables to model critical regions
 // during which task preemption is not allowed"). Calls nest.
 func (c *TaskCtx) DisablePreemption() {
-	if c.lower != nil {
-		c.lower.add(recOp{kind: recNoPreemptOn})
-		return
-	}
 	c.t.noPreemptDepth++
 }
 
@@ -587,10 +536,6 @@ func (c *TaskCtx) DisablePreemption() {
 // If a preemption request arrived meanwhile it takes effect at the task's
 // next preemption point.
 func (c *TaskCtx) EnablePreemption() {
-	if c.lower != nil {
-		c.lower.add(recOp{kind: recNoPreemptOff})
-		return
-	}
 	t := c.t
 	if t.noPreemptDepth == 0 {
 		panic("rtos: EnablePreemption without matching DisablePreemption")
@@ -606,9 +551,6 @@ func (c *TaskCtx) EnablePreemption() {
 // plain Waiting state. The call returns when some actor calls Resume and the
 // scheduler elects the task again.
 func (c *TaskCtx) Suspend(resource bool, object string) {
-	if c.lower != nil {
-		panic(lowerAbort{})
-	}
 	c.requireThread("Suspend")
 	s := trace.StateWaiting
 	if resource {
@@ -622,18 +564,12 @@ func (c *TaskCtx) Suspend(resource bool, object string) {
 // safe to call from any simulation context (another task, a hardware
 // process, a sim.Method) and never consumes the caller's simulated time.
 func (c *TaskCtx) Resume() {
-	if c.lower != nil {
-		panic(lowerAbort{})
-	}
 	c.t.cpu.eng.taskIsReady(c.t)
 }
 
 // BoostPriority raises the task's effective priority to at least p
 // (priority-inheritance support for comm.Mutex).
 func (c *TaskCtx) BoostPriority(p int) {
-	if c.lower != nil {
-		panic(lowerAbort{})
-	}
 	c.t.boosts = append(c.t.boosts, p)
 	c.t.cpu.invalidateReadyBest()
 	c.t.cpu.eng.reevaluate()
@@ -641,9 +577,6 @@ func (c *TaskCtx) BoostPriority(p int) {
 
 // UnboostPriority undoes the most recent BoostPriority.
 func (c *TaskCtx) UnboostPriority() {
-	if c.lower != nil {
-		panic(lowerAbort{})
-	}
 	n := len(c.t.boosts)
 	if n == 0 {
 		panic("rtos: UnboostPriority without matching BoostPriority")

@@ -40,15 +40,16 @@ type Options struct {
 	// "continuation".
 	TaskEngine string `json:"taskEngine,omitempty"`
 	// Shards selects the sharded multi-kernel parallel engine: 0 (the
-	// default) runs sequentially unless the scenario carries shard labels, 1
-	// runs the parallel driver on a single shard (byte-identical to the
-	// sequential engine), and N > 1 partitions the processors onto at most N
-	// shards synchronized by channel lookahead.
+	// default) runs sequentially unless the scenario carries shard labels,
+	// and N > 0 partitions the processors onto at most N shards synchronized
+	// by channel lookahead. A partition that yields one group (N == 1, or
+	// shard labels that all name one shard) runs on the sequential engine.
 	Shards int `json:"shards,omitempty"`
 	// Analyze prepends the schedulability analysis for periodic tasks.
 	Analyze bool `json:"analyze,omitempty"`
 	// Timeline includes the ASCII TimeLine chart; Width is its column count
-	// (default 100) and Accesses shows communication accesses on it.
+	// (default 100, at most MaxTimelineWidth) and Accesses shows
+	// communication accesses on it.
 	Timeline bool `json:"timeline,omitempty"`
 	Width    int  `json:"width,omitempty"`
 	Accesses bool `json:"accesses,omitempty"`
@@ -65,6 +66,11 @@ type Options struct {
 	// (registry Prometheus text).
 	Artifacts []string `json:"artifacts,omitempty"`
 }
+
+// MaxTimelineWidth bounds Options.Width. The timeline renderer allocates
+// width bytes per task row, and the width arrives unchecked from daemon job
+// bodies, so Prepare refuses anything wider.
+const MaxTimelineWidth = 4096
 
 // KnownArtifacts are the artifact names Options.Artifacts accepts.
 var KnownArtifacts = []string{"csv", "vcd", "json", "svg", "perfetto", "metrics", "prom"}
@@ -147,6 +153,9 @@ func Prepare(data []byte, opts Options) (*scenario.System, error) {
 		}
 	default:
 		return nil, fmt.Errorf("unknown task engine %q (want goroutine or continuation)", opts.TaskEngine)
+	}
+	if opts.Width < 0 || opts.Width > MaxTimelineWidth {
+		return nil, fmt.Errorf("timeline width %d out of range (want 0 to %d columns; 0 means 100)", opts.Width, MaxTimelineWidth)
 	}
 	for _, a := range opts.Artifacts {
 		known := false
@@ -287,9 +296,8 @@ func RunPrepared(desc *scenario.System, opts Options, fallbackName string) (*Res
 
 // runView is the engine-independent material the report and every artifact
 // are composed from. The sequential engine fills it straight from the one
-// system; the parallel engine fills it from per-shard systems, merged. Both
-// report paths below are the same code, which is what makes a single-shard
-// parallel run byte-identical to a sequential one.
+// system; the parallel engine fills it from per-shard systems, merged. One
+// report path serves both.
 type runView struct {
 	end         sim.Time
 	finish      sim.FinishReason
@@ -310,7 +318,9 @@ type runView struct {
 
 // execute runs the scenario on the engine the options select: the in-process
 // sequential kernel by default, the sharded parallel engine when -shards is
-// given or the scenario carries shard labels.
+// given or the scenario carries shard labels. A plan that comes out as one
+// group runs sequentially too — it is the whole model on one kernel — after
+// Partition has had its say, so its errors still surface.
 func execute(desc *scenario.System, opts Options) (*runView, error) {
 	if opts.Shards == 0 && !desc.HasShardLabels() {
 		return executeSequential(desc)
@@ -318,6 +328,9 @@ func execute(desc *scenario.System, opts Options) (*runView, error) {
 	plan, err := desc.Partition(opts.Shards)
 	if err != nil {
 		return nil, err
+	}
+	if len(plan.Groups) == 1 {
+		return executeSequential(desc)
 	}
 	return executeParallel(desc, plan)
 }
@@ -357,20 +370,6 @@ func executeParallel(desc *scenario.System, plan *scenario.ShardPlan) (*runView,
 		activations: pres.Activations,
 		deltaCycles: pres.DeltaCycles,
 		runErr:      pres.Err,
-	}
-	if len(pres.Builts) == 1 {
-		// Single shard: expose the one system's recorder, constraints and
-		// registry directly — no merge step that could perturb the bytes.
-		built := pres.Builts[0]
-		sys := built.Sys
-		v.blocked = sys.BlockedTasks()
-		v.rec = sys.Rec
-		v.constraints = sys.Constraints
-		v.reg = sys.Metrics
-		v.multiCore = multiCore(sys)
-		v.autoLowered = append([]string(nil), built.AutoLowered...)
-		countJobs(v, built)
-		return v, nil
 	}
 	recs := make([]*trace.Recorder, len(pres.Builts))
 	sets := make([]*rtos.ConstraintSet, len(pres.Builts))

@@ -102,6 +102,16 @@ func TestRunOptionOverrides(t *testing.T) {
 	if _, err := Run(data, Options{Artifacts: []string{"pdf"}}, "f"); err == nil {
 		t.Error("unknown artifact accepted")
 	}
+	// The timeline renderer allocates width bytes per task row: a negative
+	// or huge width is an option error, not an allocation.
+	for _, w := range []int{-1, MaxTimelineWidth + 1, 1 << 20} {
+		if _, err := Prepare(data, Options{Timeline: true, Width: w}); err == nil {
+			t.Errorf("timeline width %d accepted", w)
+		}
+	}
+	if _, err := Prepare(data, Options{Timeline: true, Width: MaxTimelineWidth}); err != nil {
+		t.Errorf("timeline width %d rejected: %v", MaxTimelineWidth, err)
+	}
 	if _, err := Run([]byte("{"), Options{}, "f"); err == nil {
 		t.Error("malformed scenario accepted")
 	}

@@ -4,97 +4,62 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"repro/internal/scenario"
 )
 
-// The partition-of-one configuration must reproduce the sequential engine
-// byte-identically: same report bytes, same artifact bytes, same outcome —
-// across both processor engines, both task-body engines, both timed-queue
-// backends, and fault injection. The parallel driver runs the very same
-// elaboration (BuildShard with one group falls through to the sequential
-// build), so any divergence here is a bug in the engine or the runner's
-// shared composition path.
+// A plan of one group — Shards: 1, or shard labels that all name one shard —
+// runs on the sequential engine, so it must give the sequential run's bytes:
+// same report, same artifacts, same outcome.
 func TestSingleShardByteIdenticalToSequential(t *testing.T) {
-	scenarios := []string{
-		"figure6.json", "periodic_rm.json", "soc_bus.json",
-		"producer_consumer.json", "faults.json", "interrupt.json",
-		"continuation.json", "smp.json", "inversion.json",
-	}
-	variants := []struct {
-		label string
-		opts  Options
-	}{
-		{"default", Options{}},
-		{"full-report", Options{Timeline: true, Chronology: true, Analyze: true,
-			Artifacts: []string{"csv", "vcd", "json", "svg", "perfetto", "metrics", "prom"}}},
-		{"threaded", Options{Engine: "threaded", Artifacts: []string{"csv", "metrics"}}},
-		{"continuation", Options{TaskEngine: "continuation", Chronology: true}},
-	}
-	for _, name := range scenarios {
+	opts := Options{Timeline: true, Chronology: true, Analyze: true, Artifacts: KnownArtifacts}
+	for _, name := range []string{"figure6.json", "soc_bus.json"} {
 		data := readScenario(t, name)
-		for _, v := range variants {
-			if v.opts.TaskEngine == "continuation" {
-				// Bus send/recv bodies have no continuation form; skip the
-				// scenarios the override cannot validate on.
-				if _, err := Prepare(data, v.opts); err != nil {
-					continue
-				}
-			}
-			seqOpts, parOpts := v.opts, v.opts
-			parOpts.Shards = 1
-			seq, err := Run(data, seqOpts, name)
-			if err != nil {
-				t.Fatalf("%s/%s sequential: %v", name, v.label, err)
-			}
-			par, err := Run(data, parOpts, name)
-			if err != nil {
-				t.Fatalf("%s/%s shards=1: %v", name, v.label, err)
-			}
-			if !bytes.Equal(seq.Report, par.Report) {
-				t.Errorf("%s/%s: report bytes differ\n--- sequential ---\n%s\n--- shards=1 ---\n%s",
-					name, v.label, seq.Report, par.Report)
-			}
-			for _, a := range v.opts.Artifacts {
-				if !bytes.Equal(seq.Artifacts[a], par.Artifacts[a]) {
-					t.Errorf("%s/%s: artifact %s differs (%d vs %d bytes)",
-						name, v.label, a, len(seq.Artifacts[a]), len(par.Artifacts[a]))
-				}
-			}
-			if seq.SimError != par.SimError || seq.Finish != par.Finish || seq.End != par.End {
-				t.Errorf("%s/%s: outcome differs: sequential (%v, %s, %q), shards=1 (%v, %s, %q)",
-					name, v.label, seq.End, seq.Finish, seq.SimError, par.End, par.Finish, par.SimError)
-			}
-			if seq.Activations != par.Activations || seq.DeltaCycles != par.DeltaCycles {
-				t.Errorf("%s/%s: effort differs: %d/%d vs %d/%d", name, v.label,
-					seq.Activations, seq.DeltaCycles, par.Activations, par.DeltaCycles)
-			}
+		desc, err := scenario.Parse(data)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-}
-
-// The heap timed-queue backend must also be byte-identical under shards=1.
-func TestSingleShardByteIdenticalHeapBackend(t *testing.T) {
-	data := readScenario(t, "figure6.json")
-	heap := bytes.Replace(data, []byte(`"name": "figure6",`),
-		[]byte(`"name": "figure6", "timedQueue": "heap",`), 1)
-	if bytes.Equal(heap, data) {
-		t.Fatal("fixture edit did not apply")
-	}
-	opts := Options{Timeline: true, Artifacts: []string{"csv", "perfetto", "metrics"}}
-	seq, err := Run(heap, opts, "figure6-heap")
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.Shards = 1
-	par, err := Run(heap, opts, "figure6-heap")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(seq.Report, par.Report) {
-		t.Errorf("heap backend: report bytes differ")
-	}
-	for a := range seq.Artifacts {
-		if !bytes.Equal(seq.Artifacts[a], par.Artifacts[a]) {
-			t.Errorf("heap backend: artifact %s differs", a)
+		for i := range desc.Processors {
+			desc.Processors[i].Shard = "only"
+		}
+		if plan, err := desc.Partition(0); err != nil || len(plan.Groups) != 1 {
+			t.Fatalf("%s: single-label plan is not one group (err %v)", name, err)
+		}
+		labeled, err := desc.CanonicalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		seq, err := Run(data, opts, name)
+		if err != nil {
+			t.Fatalf("%s sequential: %v", name, err)
+		}
+		oneShard := opts
+		oneShard.Shards = 1
+		for _, c := range []struct {
+			label string
+			data  []byte
+			opts  Options
+		}{
+			{"shards=1", data, oneShard},
+			{"single label", labeled, opts},
+		} {
+			got, err := Run(c.data, c.opts, name)
+			if err != nil {
+				t.Fatalf("%s %s: %v", name, c.label, err)
+			}
+			if !bytes.Equal(seq.Report, got.Report) {
+				t.Errorf("%s %s: report bytes differ\n--- sequential ---\n%s\n--- %s ---\n%s",
+					name, c.label, seq.Report, c.label, got.Report)
+			}
+			for _, a := range opts.Artifacts {
+				if !bytes.Equal(seq.Artifacts[a], got.Artifacts[a]) {
+					t.Errorf("%s %s: artifact %s differs", name, c.label, a)
+				}
+			}
+			if seq.SimError != got.SimError || seq.Finish != got.Finish || seq.End != got.End {
+				t.Errorf("%s %s: outcome differs: sequential (%v, %s, %q), got (%v, %s, %q)",
+					name, c.label, seq.End, seq.Finish, seq.SimError, got.End, got.Finish, got.SimError)
+			}
 		}
 	}
 }

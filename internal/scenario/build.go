@@ -29,8 +29,8 @@ type Built struct {
 	Watchdogs   map[string]*rtos.Watchdog
 
 	// AutoLowered names the tasks (sorted) whose unset engine field was
-	// auto-selected onto the continuation engine because their body lowered
-	// cleanly via rtos.LowerBody; see System.AutoEngine.
+	// auto-selected onto the continuation engine because every op of their
+	// body is in the autoLowerable subset.
 	AutoLowered []string
 
 	// traceCursors tracks each named duration trace's position; a trace has
@@ -79,14 +79,9 @@ func (s *System) Build() (*Built, error) { return s.build(nil) }
 
 // BuildShard elaborates exactly one shard of a partition plan: the shard's
 // processors, hardware tasks and the objects the plan assigns to it. Cross-
-// shard channels elaborate as half-objects wired to the hooks. A plan with a
-// single group builds the full system (hooks unused), which is what makes
-// the partition-of-one configuration byte-identical to the sequential
-// engine: it runs the very same elaboration.
+// shard channels elaborate as half-objects wired to the hooks. A one-group
+// plan is not sharded at all: callers run it with Build.
 func (s *System) BuildShard(plan *ShardPlan, shard int, hooks *CrossHooks) (*Built, error) {
-	if len(plan.Groups) == 1 {
-		return s.build(nil)
-	}
 	f := &shardFilter{
 		procs:       map[string]bool{},
 		hardware:    map[string]bool{},
@@ -157,11 +152,6 @@ func (s *System) build(f *shardFilter) (*Built, error) {
 	if f != nil {
 		b.xsend = map[string]func(comm.Actor, int){}
 		b.xrecv = map[string]*comm.Queue[int]{}
-	}
-	// The timed-queue backend must be selected before elaboration: fault
-	// injection and server replenishment schedule timers during Build.
-	if s.TimedQueue == "heap" {
-		b.Sys.K.SetTimedQueue(sim.TimedQueueHeap)
 	}
 	for _, p := range s.Processors {
 		if f != nil && !f.procs[p.Name] {
@@ -329,26 +319,15 @@ func (s *System) build(f *shardFilter) (*Built, error) {
 		case "restart":
 			cfg.OnMiss = rtos.MissRestartTask
 		}
-		if t.Engine == "" && s.autoEngine() && !t.Loop && len(t.Body) > 0 && autoLowerable(t.Body) {
-			// The engine is unset and the body is made only of purely
-			// recordable ops, so probe it with the real lowering machinery:
-			// run the goroutine closure against a recording TaskCtx and, when
-			// it lowers cleanly, run the task on the continuation engine with
-			// the recorded Program. The autoLowerable pre-check is what makes
-			// the probe safe — recording interprets the body once at
-			// elaboration time, so ops with effects outside the TaskCtx
-			// (raise, signal, tryput, execute_trace) must never reach it.
-			if prog, ok := b.lowerTask(t); ok {
-				b.AutoLowered = append(b.AutoLowered, t.Name)
-				if t.Period > 0 {
-					b.Tasks[t.Name] = cpu.NewPeriodicContTask(t.Name, cfg, prog)
-				} else {
-					b.Tasks[t.Name] = cpu.NewContTask(t.Name, cfg, prog)
-				}
-				continue
-			}
+		engine := t.Engine
+		if engine == "" && !t.Loop && len(t.Body) > 0 && autoLowerable(t.Body) {
+			// Automatic engine selection: an unset engine over a non-loop body
+			// made only of the non-blocking, TaskCtx-local ops compiles to a
+			// continuation exactly as an explicit "continuation" would.
+			engine = "continuation"
+			b.AutoLowered = append(b.AutoLowered, t.Name)
 		}
-		if t.Engine == "continuation" {
+		if engine == "continuation" {
 			pb := rtos.BuildProgram()
 			if t.Period > 0 {
 				b.compileOps(pb, t.Body)
@@ -594,19 +573,12 @@ func (b *Built) runOps(a opActor, ops []Op) {
 	}
 }
 
-// autoEngine reports whether automatic task-engine selection is enabled for
-// the scenario: on unless the description says "autoEngine": false.
-func (s *System) autoEngine() bool {
-	return s.AutoEngine == nil || *s.AutoEngine
-}
-
-// autoLowerable reports whether every op in the body belongs to the purely
-// recordable subset of the behaviour language: ops that map one-to-one onto
-// the TaskCtx calls rtos.LowerBody records (execute, delay, yield, the
-// preemption toggles, setprio) plus bounded repeat over the same subset.
-// Anything else — comm relations, IRQ raises, traces, watchdog kicks — either
-// has effects outside the TaskCtx or depends on simulation state, so it must
-// never run against a recording context.
+// autoLowerable reports whether every op in the body belongs to the subset
+// automatic engine selection moves onto the continuation engine: ops that
+// touch only the task itself (execute, delay, yield, the preemption toggles,
+// setprio) plus bounded repeat over the same subset. Anything else — comm
+// relations, IRQ raises, traces, watchdog kicks — keeps the goroutine engine
+// unless the task asks for "continuation" explicitly.
 func autoLowerable(ops []Op) bool {
 	for _, op := range ops {
 		switch op.Op {
@@ -620,23 +592,6 @@ func autoLowerable(ops []Op) bool {
 		}
 	}
 	return true
-}
-
-// lowerTask probes one auto-lowerable task body with the rtos lowering
-// machinery and returns the recorded Program. Lowering can still fail here —
-// a deeply nested repeat can overflow the recording bound — in which case the
-// task keeps the goroutine engine.
-func (b *Built) lowerTask(t SWTask) (*rtos.Program, bool) {
-	if t.Period > 0 {
-		return rtos.LowerPeriodicBody(func(c *rtos.TaskCtx, cycle int) {
-			b.runOps(swOps(c), t.Body)
-		})
-	}
-	return rtos.LowerBody(func(c *rtos.TaskCtx) {
-		for i := 0; i < max(1, t.Repeat); i++ {
-			b.runOps(swOps(c), t.Body)
-		}
-	})
 }
 
 // compileOps translates a behaviour script into continuation program ops,

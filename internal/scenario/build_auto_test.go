@@ -5,21 +5,26 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 )
 
-// runForDiff parses, optionally opts out of auto-engine, builds, runs, and
-// returns the built system plus its full CSV trace and statistics report —
-// the observables the differential tests compare across engines.
-func runForDiff(t *testing.T, data []byte, auto bool) (*Built, string, string) {
+// runForDiff parses, sets engine on the named tasks (every task whose engine
+// is unset when names is nil), builds, runs, and returns the built system
+// plus its full CSV trace and statistics report — the observables the
+// differential tests compare across engines. An empty engine leaves the
+// description as written, so automatic engine selection applies.
+func runForDiff(t *testing.T, data []byte, engine string, names []string) (*Built, string, string) {
 	t.Helper()
 	desc, err := Parse(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !auto {
-		f := false
-		desc.AutoEngine = &f
+	for i := range desc.Tasks {
+		task := &desc.Tasks[i]
+		if engine != "" && (names == nil && task.Engine == "" || slices.Contains(names, task.Name)) {
+			task.Engine = engine
+		}
 	}
 	built, err := desc.Build()
 	if err != nil {
@@ -36,22 +41,27 @@ func runForDiff(t *testing.T, data []byte, auto bool) (*Built, string, string) {
 }
 
 // The auto-selected continuation engine must be an implementation detail: for
-// a scenario whose tasks auto-lower, the trace and statistics are
-// byte-identical to the same scenario forced onto the goroutine engine.
+// a scenario whose tasks are auto-selected, the trace and statistics are
+// byte-identical to the same scenario forced onto the goroutine engine, and
+// the trace is the one an explicit "engine": "continuation" produces.
 func TestAutoEngineDifferentialGolden(t *testing.T) {
 	data, err := os.ReadFile(filepath.Join("..", "..", "examples", "scenarios", "periodic_rm.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	autoBuilt, autoCSV, autoStats := runForDiff(t, data, true)
-	goBuilt, goCSV, goStats := runForDiff(t, data, false)
+	autoBuilt, autoCSV, autoStats := runForDiff(t, data, "", nil)
+	goBuilt, goCSV, goStats := runForDiff(t, data, "goroutine", nil)
 
 	want := []string{"audio", "control", "logger", "video"}
 	if !reflect.DeepEqual(autoBuilt.AutoLowered, want) {
 		t.Errorf("AutoLowered = %v, want %v", autoBuilt.AutoLowered, want)
 	}
 	if len(goBuilt.AutoLowered) != 0 {
-		t.Errorf("opted-out build still auto-lowered %v", goBuilt.AutoLowered)
+		t.Errorf("goroutine-pinned build still auto-selected %v", goBuilt.AutoLowered)
+	}
+	_, contCSV, _ := runForDiff(t, data, "continuation", autoBuilt.AutoLowered)
+	if autoCSV != contCSV {
+		t.Errorf("CSV traces differ between auto-selected and explicit continuation tasks\nauto:\n%s\ncontinuation:\n%s", autoCSV, contCSV)
 	}
 	if autoCSV != goCSV {
 		t.Errorf("CSV traces differ between auto-continuation and goroutine engines\nauto:\n%s\ngoroutine:\n%s", autoCSV, goCSV)
@@ -103,7 +113,7 @@ func TestAutoEngineSkipsUnlowerableBodies(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			built, _, _ := runForDiff(t, []byte(tc.json), true)
+			built, _, _ := runForDiff(t, []byte(tc.json), "", nil)
 			if len(built.AutoLowered) != 0 {
 				t.Errorf("auto-lowered %v, want none", built.AutoLowered)
 			}
@@ -112,9 +122,10 @@ func TestAutoEngineSkipsUnlowerableBodies(t *testing.T) {
 }
 
 func TestAutoEngineLowersMixedScenario(t *testing.T) {
-	// One lowerable periodic task, one one-shot with repeat, one blocked on
-	// an event (not lowerable): exactly the first two are auto-selected, and
-	// the trace matches the goroutine run.
+	// One whitelisted periodic task, one one-shot with repeat, one blocked on
+	// an event (not whitelisted): exactly the first two are auto-selected,
+	// and the trace matches both the goroutine run and the run with the two
+	// tasks set to "continuation" explicitly.
 	src := `{
 		"horizon": "1ms",
 		"processors": [{"name": "cpu0"}],
@@ -134,11 +145,14 @@ func TestAutoEngineLowersMixedScenario(t *testing.T) {
 			 "body": [{"op": "wait", "event": "go"}]}
 		]
 	}`
-	autoBuilt, autoCSV, _ := runForDiff(t, []byte(src), true)
-	_, goCSV, _ := runForDiff(t, []byte(src), false)
+	autoBuilt, autoCSV, _ := runForDiff(t, []byte(src), "", nil)
+	_, goCSV, _ := runForDiff(t, []byte(src), "goroutine", nil)
 	want := []string{"beat", "once"}
 	if !reflect.DeepEqual(autoBuilt.AutoLowered, want) {
 		t.Errorf("AutoLowered = %v, want %v", autoBuilt.AutoLowered, want)
+	}
+	if _, contCSV, _ := runForDiff(t, []byte(src), "continuation", want); autoCSV != contCSV {
+		t.Errorf("CSV traces differ between auto-selected and explicit continuation tasks\nauto:\n%s\ncontinuation:\n%s", autoCSV, contCSV)
 	}
 	if autoCSV != goCSV {
 		t.Errorf("CSV traces differ between auto-continuation and goroutine engines\nauto:\n%s\ngoroutine:\n%s", autoCSV, goCSV)
@@ -152,7 +166,7 @@ func TestAutoLowerablePredicate(t *testing.T) {
 		{Op: "repeat", Body: []Op{{Op: "execute"}}},
 	}
 	if !autoLowerable(ok) {
-		t.Error("recordable op list rejected")
+		t.Error("whitelisted op list rejected")
 	}
 	for _, bad := range []string{"wait", "signal", "put", "tryput", "get", "raise",
 		"send", "recv", "submit", "lock", "unlock", "read", "write",

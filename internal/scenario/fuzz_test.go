@@ -48,7 +48,7 @@ func FuzzParse(f *testing.F) {
 	f.Add(`{"processors":[{"name":"p"}],"tasks":[{"name":"t","processor":"p","period":"100us","body":[{"op":"execute","for":"10us"}]}],"explore":{"jitter":{"t":"100us"}}}`)
 	f.Add(`{"processors":[{"name":"p"}],"tasks":[{"name":"t","processor":"p","period":"100us","body":[{"op":"execute","for":"10us"}]}],"explore":{"expectedMiss":["ghost"]}}`)
 	f.Add(`{"processors":[{"name":"p"}],"tasks":[{"name":"t","processor":"p","body":[{"op":"execute","for":"1us"}]}],"explore":{"jitter":{"t":"1us"}}}`)
-	// Timed-queue backend selection: valid override plus a rejected value.
+	// The retired timedQueue knob: strict parsing rejects the field.
 	f.Add(`{"timedQueue":"heap","processors":[{"name":"p"}],"tasks":[{"name":"t","processor":"p","body":[{"op":"execute","for":"1us"}]}]}`)
 	f.Add(`{"timedQueue":"btree","processors":[{"name":"p"}],"tasks":[{"name":"t","processor":"p","body":[{"op":"execute","for":"1us"}]}]}`)
 	// Per-task body-form seeds: a continuation task over blocking comm ops, a
@@ -91,8 +91,8 @@ func FuzzCanonicalHash(f *testing.F) {
 	f.Add(figure6JSON)
 	f.Add(hashBase)
 	f.Add(`{"processors":[{"name":"p"}],"tasks":[{"name":"t","processor":"p","body":[{"op":"execute","for":"1us"}]}]}`)
-	// Duration spelling and field order must not move the hash; explicit
-	// autoEngine values exercise the tri-state normalization.
+	// Duration spelling and field order must not move the hash; the retired
+	// autoEngine knob is rejected by strict parsing.
 	f.Add(`{"horizon":1000000000,"processors":[{"name":"p"}],"tasks":[{"name":"t","processor":"p","body":[{"op":"execute","for":1000000}]}]}`)
 	f.Add(`{"tasks":[{"body":[{"for":"1us","op":"execute"}],"processor":"p","name":"t"}],"processors":[{"name":"p"}],"horizon":"1us"}`)
 	f.Add(`{"autoEngine":true,"processors":[{"name":"p"}],"tasks":[{"name":"t","processor":"p","body":[{"op":"execute","for":"1us"}]}]}`)

@@ -24,15 +24,9 @@ import (
 // semantic change moves the hash.
 
 // CanonicalJSON renders the parsed description in canonical form: the
-// encoding/json serialization of the System struct, with the autoEngine
-// tri-state normalized (explicit true is the default and hashes like an
-// absent knob). The result re-parses to an identical System.
+// encoding/json serialization of the System struct. The result re-parses to
+// an identical System.
 func (s *System) CanonicalJSON() ([]byte, error) {
-	if s.AutoEngine != nil && *s.AutoEngine {
-		c := *s
-		c.AutoEngine = nil
-		return json.Marshal(&c)
-	}
 	return json.Marshal(s)
 }
 

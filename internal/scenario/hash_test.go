@@ -101,16 +101,6 @@ func TestHashOmittedDefaultInvariance(t *testing.T) {
 	if got := hashOf(t, src); got != want {
 		t.Errorf("explicit zero defaults hash %s, want %s", got, want)
 	}
-	// autoEngine true is the default and hashes like an absent knob; false
-	// is a semantic opt-out and must not.
-	if got := hashOf(t, strings.Replace(hashBase, `"name": "hashtest",`,
-		`"name": "hashtest", "autoEngine": true,`, 1)); got != want {
-		t.Errorf("autoEngine:true hashes %s, want %s", got, want)
-	}
-	if got := hashOf(t, strings.Replace(hashBase, `"name": "hashtest",`,
-		`"name": "hashtest", "autoEngine": false,`, 1)); got == want {
-		t.Error("autoEngine:false must change the hash")
-	}
 }
 
 func TestHashChangesOnSemanticFields(t *testing.T) {

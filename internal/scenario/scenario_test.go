@@ -209,6 +209,9 @@ func TestValidationErrors(t *testing.T) {
 		"bad duration":       `{"processors":[{"name":"p"}],"tasks":[{"name":"t","processor":"p","body":[{"op":"execute","for":"5 parsecs"}]}]}`,
 		"jitter sans period": `{"processors":[{"name":"p"}],"tasks":[{"name":"t","processor":"p","jitter":"1us","body":[{"op":"execute","for":"1us"}]}]}`,
 		"jitter over period": `{"processors":[{"name":"p"}],"tasks":[{"name":"t","processor":"p","period":"1us","jitter":"1us","body":[{"op":"execute","for":"1us"}]}]}`,
+		// Retired knobs: strict parsing rejects them like any unknown field.
+		"retired autoEngine": `{"autoEngine":false,"processors":[{"name":"p"}],"tasks":[{"name":"t","processor":"p","body":[{"op":"execute","for":"1us"}]}]}`,
+		"retired timedQueue": `{"timedQueue":"wheel","processors":[{"name":"p"}],"tasks":[{"name":"t","processor":"p","body":[{"op":"execute","for":"1us"}]}]}`,
 	}
 	for name, src := range cases {
 		if _, err := Parse([]byte(src)); err == nil {

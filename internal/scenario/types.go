@@ -84,18 +84,6 @@ type System struct {
 	Name string `json:"name"`
 	// Horizon bounds the simulation; zero runs to event starvation.
 	Horizon Duration `json:"horizon"`
-	// TimedQueue selects the kernel's timed-queue backend: "wheel" (the
-	// default) or "heap". The backends are behaviorally equivalent; the knob
-	// exists for differential testing and for tiny models where the heap's
-	// footprint wins.
-	TimedQueue string `json:"timedQueue,omitempty"`
-	// AutoEngine, when explicitly false, opts the scenario out of automatic
-	// task-engine selection: tasks whose engine field is unset then always
-	// run goroutine bodies. Absent (or true), Build probes each unset task
-	// with rtos.LowerBody and runs it on the continuation engine when the
-	// body lowers cleanly; both forms produce identical simulated behaviour
-	// (see the engine field of SWTask).
-	AutoEngine *bool `json:"autoEngine,omitempty"`
 
 	Processors  []Processor  `json:"processors"`
 	Events      []Event      `json:"events"`
@@ -338,12 +326,14 @@ type SWTask struct {
 	// OnMiss selects the deadline-miss recovery policy of a periodic task:
 	// "continue" (default), "abort", "skip_next" or "restart".
 	OnMiss string `json:"onMiss"`
-	// Engine selects the task-body execution form: "goroutine" (the
-	// default; the body runs on its own simulation thread) or
-	// "continuation" (the body is compiled to a yield-op program resumed
-	// inline by the kernel, with no thread and no per-switch parking).
-	// Both forms produce identical simulated behaviour; continuation
-	// bodies cannot use the send/recv bus ops.
+	// Engine selects the task-body execution form: "goroutine" (the body
+	// runs on its own simulation thread) or "continuation" (the body is
+	// compiled to a yield-op program resumed inline by the kernel, with no
+	// thread and no per-switch parking). Unset, Build chooses: a non-loop
+	// body made only of execute, delay, yield, nopreempt_begin/end, setprio
+	// and repeat compiles to a continuation, any other body runs as a
+	// goroutine. Both forms produce identical simulated behaviour;
+	// continuation bodies cannot use the send/recv bus ops.
 	Engine string `json:"engine"`
 	Body   []Op   `json:"body"`
 }

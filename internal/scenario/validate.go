@@ -5,11 +5,6 @@ import "fmt"
 // validate checks cross-references and enum values before elaboration so
 // description errors surface as errors, not mid-simulation panics.
 func (s *System) validate() error {
-	switch s.TimedQueue {
-	case "", "wheel", "heap":
-	default:
-		return fmt.Errorf("scenario: timedQueue must be \"wheel\" or \"heap\", not %q", s.TimedQueue)
-	}
 	cpus := map[string]bool{}
 	cpuDefs := map[string]Processor{}
 	for _, p := range s.Processors {

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -302,4 +303,33 @@ func optionsVariant(i int) (o runner.Options) {
 	o.Width = 100 + i
 	o.Timeline = true
 	return o
+}
+
+// TestJournalDropsRetiredKnobJob: a job journaled with a scenario field the
+// parser no longer knows (here the retired autoEngine knob) fails
+// revalidation on replay; the daemon drops it with a log line instead of
+// refusing to start.
+func TestJournalDropsRetiredKnobJob(t *testing.T) {
+	dir := t.TempDir()
+	j, _, err := openJournal(dir, func(string, ...any) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := []byte(`{"autoEngine": false, "processors": [{"name": "p"}], "tasks": [{"name": "t", "processor": "p", "body": [{"op": "execute", "for": "1us"}]}]}`)
+	if err := j.append(&journalRecord{Op: "submit", ID: "j000001", Time: time.Now(), Kind: KindSimulate, Req: &Request{Scenario: doc}}); err != nil {
+		t.Fatal(err)
+	}
+	j.close()
+
+	var logs []string
+	_, ts := newTestServer(t, Config{Journal: dir, Logf: func(format string, args ...any) {
+		logs = append(logs, fmt.Sprintf(format, args...))
+	}})
+	all := strings.Join(logs, "\n")
+	if !strings.Contains(all, "journal: dropping job j000001") || !strings.Contains(all, `unknown field "autoEngine"`) {
+		t.Errorf("no drop log line for the retired-knob job; logs:\n%s", all)
+	}
+	if _, code := getBytes(t, ts, "/v1/jobs/j000001"); code != http.StatusNotFound {
+		t.Errorf("retired-knob job restored: status %d", code)
+	}
 }

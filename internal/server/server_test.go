@@ -596,6 +596,14 @@ func TestBadRequests(t *testing.T) {
 	if code := post(`{"kind": "sweep", "scenario": {"processors": [{"name": "c"}]}}`); code != http.StatusBadRequest {
 		t.Errorf("sweep without spec: %d", code)
 	}
+	// The timeline width sizes the renderer's per-row buffers, so an
+	// out-of-range width is refused at submission.
+	for _, w := range []int{runner.MaxTimelineWidth + 1, -5} {
+		body := fmt.Sprintf(`{"scenario": {"processors": [{"name": "c"}], "tasks": [{"name": "t", "processor": "c", "body": [{"op": "execute", "for": "1us"}]}]}, "options": {"timeline": true, "width": %d}}`, w)
+		if code := post(body); code != http.StatusBadRequest {
+			t.Errorf("timeline width %d: %d", w, code)
+		}
+	}
 	if _, code := getBytes(t, ts, "/v1/jobs/j999999"); code != http.StatusNotFound {
 		t.Errorf("unknown job: %d", code)
 	}

@@ -153,7 +153,18 @@ func BenchmarkManyWaiters(b *testing.B) {
 	k.Shutdown()
 }
 
-// BenchmarkTimedQueueOps isolates the timed-queue backends from the process
+// timedQueue is the operation set the timing wheel shares with its overflow
+// heap, so the microbenchmarks below drive both structures through one loop.
+type timedQueue interface {
+	alloc(at Time, seq uint64, e *Event, p *Proc) *timedEntry
+	release(e *timedEntry)
+	push(e *timedEntry)
+	pop() *timedEntry
+	peek() *timedEntry
+	kill(e *timedEntry)
+}
+
+// BenchmarkTimedQueueOps isolates the timed-queue structures from the process
 // machinery: a steady population of n timers where each operation replaces
 // the popped minimum with a new deadline (the steady state of n periodic
 // tasks). No goroutines, no events — this is the pure data-structure cost

@@ -14,16 +14,18 @@ type timedEntry struct {
 
 	// Wheel location (wheel.go): the slot list links and where the entry
 	// lives (levelNone when not queued, levelHeap in the wheel's overflow
-	// heap). Unused by a standalone timedHeap backend.
+	// heap).
 	next, prev *timedEntry
 	level      int8
 	slot       uint8
 }
 
-// timedHeap is a binary min-heap of timedEntry ordered by (at, seq). It is
-// hand-rolled rather than using container/heap to avoid interface boxing on
-// the simulation hot path, and it owns a free list so the steady-state
-// schedule/fire cycle allocates no entries at all.
+// timedHeap is a binary min-heap of timedEntry ordered by (at, seq): the
+// timing wheel's overflow storage for entries beyond its span, and the
+// pop-order reference its tests compare against. It is hand-rolled rather
+// than using container/heap to avoid interface boxing on the simulation hot
+// path, and it owns a free list so the steady-state schedule/fire cycle
+// allocates no entries at all.
 type timedHeap struct {
 	entries []*timedEntry
 	free    []*timedEntry // recycled entries for alloc
@@ -65,13 +67,6 @@ func (h *timedHeap) release(e *timedEntry) {
 // surfaces or the next compaction; the caller must drop its pointer.
 func (h *timedHeap) kill(e *timedEntry) {
 	if e.dead {
-		return
-	}
-	if e.level == levelBatch {
-		// Drained into the kernel's same-instant firing batch (permute.go):
-		// not in the heap, so only the dead mark matters and the lazy-dead
-		// counter must not move.
-		e.dead = true
 		return
 	}
 	e.dead = true

@@ -13,21 +13,6 @@ type deltaTimeout struct {
 // applied in the update phase, after the evaluate phase of a delta cycle.
 type updater interface{ update() }
 
-// timedQueue is the contract between the kernel and its timed-notification
-// backend. Two implementations exist: timedWheel (the default, a hierarchical
-// timing wheel with O(1) schedule/cancel) and timedHeap (a binary heap, the
-// fallback for far-future entries and available as an explicit backend).
-// Both pool entries through alloc/release and order pops by (at, seq).
-type timedQueue interface {
-	alloc(at Time, seq uint64, e *Event, p *Proc) *timedEntry
-	release(e *timedEntry)
-	push(e *timedEntry)
-	pop() *timedEntry
-	peek() *timedEntry
-	kill(e *timedEntry)
-	len() int
-}
-
 // Kernel is the discrete-event simulation scheduler. Create one with New,
 // spawn processes with Spawn, create events with NewEvent, then call Run
 // (to exhaustion) or RunUntil/RunFor (bounded).
@@ -60,10 +45,9 @@ type Kernel struct {
 
 	updateQueue []updater
 
-	// timed is the active timed-queue backend; wheel is non-nil when it is
-	// the (default) timing wheel, letting hot paths call the concrete type
-	// directly so peek/push inline instead of going through the interface.
-	timed timedQueue
+	// wheel is the timed-notification queue: a hierarchical timing wheel
+	// with O(1) schedule/cancel that keeps far-future entries in an
+	// overflow heap (wheel.go).
 	wheel *timedWheel
 	seq   uint64
 
@@ -113,73 +97,20 @@ type Kernel struct {
 
 // New creates an empty simulation kernel at time zero.
 func New() *Kernel {
-	w := newTimedWheel()
-	return &Kernel{timed: w, wheel: w, mainPk: newParker()}
+	return &Kernel{wheel: newTimedWheel(), mainPk: newParker()}
 }
 
-// TimedQueueBackend selects the kernel's timed-notification data structure.
-type TimedQueueBackend uint8
-
-const (
-	// TimedQueueWheel is the default: a hierarchical timing wheel with O(1)
-	// schedule/cancel and O(1) pops on dense timer workloads, falling back
-	// to a heap for entries beyond its ~280 s span.
-	TimedQueueWheel TimedQueueBackend = iota
-	// TimedQueueHeap is the plain binary heap: O(log n) throughout,
-	// minimal constant footprint. Useful for tiny models and as the
-	// reference backend for differential testing.
-	TimedQueueHeap
-)
-
-// SetTimedQueue selects the timed-queue backend. It must be called before
-// any timer is scheduled (typically right after New); switching with timers
-// pending would strand them in the old structure.
-func (k *Kernel) SetTimedQueue(b TimedQueueBackend) {
-	if k.running || k.timed.len() != 0 || k.seq != 0 {
-		panic("sim: SetTimedQueue after timers were scheduled")
-	}
-	switch b {
-	case TimedQueueWheel:
-		k.wheel = newTimedWheel()
-		k.timed = k.wheel
-	case TimedQueueHeap:
-		k.timed = &timedHeap{}
-		k.wheel = nil
-	default:
-		panic("sim: unknown timed-queue backend")
-	}
-}
-
-// The timed* helpers route to the concrete wheel when it is active so the
-// per-iteration queue operations inline; the interface is only taken for the
-// explicitly selected heap backend.
-
+// timedPeek returns the earliest live timed entry, or nil. It answers from
+// the wheel's cached minimum without a call when it can.
 func (k *Kernel) timedPeek() *timedEntry {
-	if w := k.wheel; w != nil {
-		if w.min != nil {
-			return w.min
-		}
-		if w.count == 0 && len(w.overflow.entries) == 0 {
-			return nil
-		}
-		return w.peek()
+	w := k.wheel
+	if w.min != nil {
+		return w.min
 	}
-	return k.timed.peek()
-}
-
-func (k *Kernel) timedPop() *timedEntry {
-	if w := k.wheel; w != nil {
-		return w.pop()
+	if w.count == 0 && len(w.overflow.entries) == 0 {
+		return nil
 	}
-	return k.timed.pop()
-}
-
-func (k *Kernel) timedRelease(e *timedEntry) {
-	if w := k.wheel; w != nil {
-		w.release(e)
-		return
-	}
-	k.timed.release(e)
+	return w.peek()
 }
 
 // Now returns the current simulated time.
@@ -428,17 +359,17 @@ func (k *Kernel) schedule() (dispatched bool) {
 			continue
 		}
 		for h := head; ; {
-			k.timedPop()
+			k.wheel.pop()
 			k.mTimedPops.Inc()
 			switch {
 			case h.event != nil:
 				ev := h.event
 				ev.pendingTimed = nil
-				k.timedRelease(h)
+				k.wheel.release(h)
 				ev.fire()
 			case h.proc != nil:
 				pr := h.proc
-				k.timedRelease(h)
+				k.wheel.release(h)
 				pr.wakeFromTimeout()
 			}
 			if h = k.timedPeek(); h == nil || h.at != k.now {
@@ -467,25 +398,14 @@ func (k *Kernel) makeRunnable(p *Proc) {
 func (k *Kernel) scheduleTimed(at Time, e *Event, p *Proc) *timedEntry {
 	k.seq++
 	k.mTimedSched.Inc()
-	if w := k.wheel; w != nil {
-		entry := w.alloc(at, k.seq, e, p)
-		w.push(entry)
-		return entry
-	}
-	entry := k.timed.alloc(at, k.seq, e, p)
-	k.timed.push(entry)
+	entry := k.wheel.alloc(at, k.seq, e, p)
+	k.wheel.push(entry)
 	return entry
 }
 
 // cancelTimed cancels a scheduled entry (and forgets it for compaction
 // accounting). Callers must drop their pointer to it.
-func (k *Kernel) cancelTimed(entry *timedEntry) {
-	if w := k.wheel; w != nil {
-		w.kill(entry)
-		return
-	}
-	k.timed.kill(entry)
-}
+func (k *Kernel) cancelTimed(entry *timedEntry) { k.wheel.kill(entry) }
 
 // requestUpdate queues an updater for the update phase of the current delta
 // cycle. Deduplication is the caller's responsibility.

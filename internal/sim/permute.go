@@ -18,8 +18,8 @@ package sim
 // batch fires. The only mutation a firing can cause is *cancellation* of a
 // later entry in the same batch (an event wake cancels the woken process's
 // timeout via cancelTimed); drained entries carry the levelBatch sentinel so
-// both backends dead-mark them instead of unlinking/releasing an entry they
-// no longer own, and the firing loop skips and recycles them.
+// the wheel dead-marks them instead of unlinking/releasing an entry it no
+// longer owns, and the firing loop skips and recycles them.
 
 // TimedAction describes one entry of a same-instant timed batch, as shown to
 // a TimedPermuter: either a timed event notification (IsProc false, Name is
@@ -60,7 +60,7 @@ func (k *Kernel) fireTimedBatch() {
 		if h == nil || h.at != k.now {
 			break
 		}
-		k.timedPop()
+		k.wheel.pop()
 		k.mTimedPops.Inc()
 		h.level = levelBatch
 		batch = append(batch, h)
@@ -95,18 +95,18 @@ func (k *Kernel) fireTimedBatch() {
 			// Cancelled by an earlier firing of this batch (event wake
 			// cancelling the woken process's timeout).
 			e.dead = false
-			k.timedRelease(e)
+			k.wheel.release(e)
 			continue
 		}
 		switch {
 		case e.event != nil:
 			ev := e.event
 			ev.pendingTimed = nil
-			k.timedRelease(e)
+			k.wheel.release(e)
 			ev.fire()
 		case e.proc != nil:
 			pr := e.proc
-			k.timedRelease(e)
+			k.wheel.release(e)
 			pr.wakeFromTimeout()
 		}
 	}

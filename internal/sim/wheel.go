@@ -2,7 +2,7 @@ package sim
 
 import "math/bits"
 
-// timedWheel is the kernel's default timed-notification backend: a
+// timedWheel is the kernel's timed-notification queue: a
 // hierarchical timing wheel with one-picosecond resolution, six levels of
 // 256 slots, and the binary heap as overflow storage for entries beyond the
 // wheel's span (256^6 ps ≈ 280 s ahead of the cursor). Schedule and cancel
@@ -52,9 +52,9 @@ const (
 	levelHeap = int8(wheelLevels) // parked in the overflow heap
 
 	// levelBatch marks an entry drained into the kernel's same-instant
-	// firing batch (permute.go). The entry is out of both backends but still
-	// referenced by the batch, so kill must only dead-mark it — the batch
-	// loop skips and recycles dead entries itself.
+	// firing batch (permute.go). The entry is out of the wheel and the
+	// overflow heap but still referenced by the batch, so kill must only
+	// dead-mark it — the batch loop skips and recycles dead entries itself.
 	levelBatch = int8(-2)
 )
 
@@ -279,7 +279,7 @@ func (w *timedWheel) cascade(l, s int) {
 }
 
 // kill cancels a scheduled entry. Wheel entries unlink in O(1) and recycle
-// immediately (the caller drops its pointer, per the timedQueue contract);
+// immediately (the caller drops its pointer, as cancelTimed requires);
 // overflow entries are dead-marked for the heap to discard lazily.
 func (w *timedWheel) kill(e *timedEntry) {
 	switch e.level {

@@ -70,17 +70,6 @@ type (
 	// Method is a callback run inline by the kernel when its sensitivity
 	// events fire (sc_method analogue) — no goroutine, no stack.
 	Method = sim.Method
-	// TimedQueueBackend selects the kernel's timed-event queue
-	// implementation; see Kernel.SetTimedQueue.
-	TimedQueueBackend = sim.TimedQueueBackend
-)
-
-// Timed-queue backends (Kernel.SetTimedQueue). The timing wheel is the
-// default; the binary heap remains as a differential-testing reference and
-// for workloads with very sparse far-future timers.
-const (
-	TimedQueueWheel = sim.TimedQueueWheel
-	TimedQueueHeap  = sim.TimedQueueHeap
 )
 
 // Duration units.
@@ -318,17 +307,6 @@ func PutMsg[T any](q *Queue[T], v T) Yield { return rtos.PutMsg(q, v) }
 
 // GetMsg yields a blocking receive from q into dst (nil discards).
 func GetMsg[T any](q *Queue[T], dst *T) Yield { return rtos.GetMsg(q, dst) }
-
-// LowerBody statically lowers an ordinary task body to a Program by
-// recording; ok is false when the body observes the simulation (time, names,
-// message values) and must stay on the goroutine engine.
-func LowerBody(fn func(*TaskCtx)) (*Program, bool) { return rtos.LowerBody(fn) }
-
-// LowerPeriodicBody lowers a periodic body; legal only when every cycle
-// records the same ops (the recorder checks cycles 0 and 1).
-func LowerPeriodicBody(body func(*TaskCtx, int)) (*Program, bool) {
-	return rtos.LowerPeriodicBody(body)
-}
 
 // MCSE communication relations.
 type (

@@ -18,28 +18,35 @@ if [ $# -ne 2 ]; then
 fi
 THRESHOLD="${THRESHOLD_PCT:-15}"
 REPORT="$(mktemp)"
+BASE_COMMON="$(mktemp)"
 HEAD_COMMON="$(mktemp)"
-trap 'rm -f "$REPORT" "$HEAD_COMMON"' EXIT
+trap 'rm -f "$REPORT" "$BASE_COMMON" "$HEAD_COMMON"' EXIT
 
 # Only benchmarks present on both sides are comparable: one introduced by the
-# head commit has no baseline, and its one-sided rows would read as
-# missing-data regressions below. Filter the head file down to the base's
-# benchmark set (names compared without the -GOMAXPROCS suffix).
-awk '
-	NR == FNR {
-		if ($1 ~ /^Benchmark/) { n = $1; sub(/-[0-9]+$/, "", n); base[n] = 1 }
-		next
-	}
-	{
-		if ($1 ~ /^Benchmark/) {
-			n = $1; sub(/-[0-9]+$/, "", n)
-			if (!(n in base)) next
+# head commit has no baseline, and one the head commit deleted has no head
+# rows; either side's one-sided rows would read as missing-data regressions
+# below. Filter each file down to the other's benchmark set (names compared
+# without the -GOMAXPROCS suffix): the head-only filter skips new benchmarks,
+# the base-only filter skips deleted ones.
+common() { # common <reference.txt> <file.txt>: <file.txt> minus rows absent from <reference.txt>
+	awk '
+		NR == FNR {
+			if ($1 ~ /^Benchmark/) { n = $1; sub(/-[0-9]+$/, "", n); ref[n] = 1 }
+			next
 		}
-		print
-	}
-' "$1" "$2" >"$HEAD_COMMON"
+		{
+			if ($1 ~ /^Benchmark/) {
+				n = $1; sub(/-[0-9]+$/, "", n)
+				if (!(n in ref)) next
+			}
+			print
+		}
+	' "$1" "$2"
+}
+common "$1" "$2" >"$HEAD_COMMON"
+common "$2" "$1" >"$BASE_COMMON"
 
-benchstat "$1" "$HEAD_COMMON" | tee "$REPORT"
+benchstat "$BASE_COMMON" "$HEAD_COMMON" | tee "$REPORT"
 
 awk -v thr="$THRESHOLD" '
 	# Unit headers precede each table; remember which metric the rows carry.
