@@ -32,9 +32,8 @@ type Spec struct {
 	// Engines lists RTOS engine overrides: "procedural" or "threaded".
 	Engines []string `json:"engines"`
 	// TaskEngines lists task body-form overrides: "goroutine" or
-	// "continuation" (applied to every software task). Bodies using bus
-	// send/recv have no continuation form; such a variant fails validation
-	// and reports the error as its result.
+	// "continuation" (applied to every software task). Both forms simulate
+	// identically; only the kernel activation count differs.
 	TaskEngines []string `json:"taskEngines"`
 	// Policies lists scheduling-policy overrides: "priority", "fifo", "rr"
 	// or "edf".

@@ -3,7 +3,6 @@ package batch
 import (
 	"context"
 	"reflect"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -200,30 +199,43 @@ func TestTaskEngineAxis(t *testing.T) {
 	}
 }
 
-// TestTaskEngineAxisRevalidates checks that an override which invalidates the
-// base scenario (bus ops have no continuation form) surfaces as a per-variant
-// validation error, not a panic.
+// TestTaskEngineAxisRevalidates checks that the task-engine axis applies to
+// every body, bus send/recv included: the continuation variant of a bus
+// scenario runs and reports the goroutine variant's metrics, save for the
+// kernel activation count.
 func TestTaskEngineAxisRevalidates(t *testing.T) {
 	const busScenario = `{
 		"horizon": "1ms",
 		"processors": [{"name": "cpu0"}],
-		"buses": [{"name": "b"}],
+		"buses": [{"name": "b", "perByte": "2us", "arbitration": "1us"}],
 		"channels": [{"name": "ch", "bus": "b", "capacity": 1}],
 		"tasks": [
-			{"name": "tx", "processor": "cpu0", "priority": 2,
-			 "body": [{"op": "send", "channel": "ch", "value": 1}]},
-			{"name": "rx", "processor": "cpu0", "priority": 1,
-			 "body": [{"op": "recv", "channel": "ch"}]}
+			{"name": "tx", "processor": "cpu0", "priority": 2, "repeat": 3,
+			 "body": [{"op": "execute", "for": "5us"}, {"op": "send", "channel": "ch", "value": 1}]},
+			{"name": "rx", "processor": "cpu0", "priority": 1, "repeat": 3,
+			 "body": [{"op": "recv", "channel": "ch"}, {"op": "execute", "for": "7us"}]}
 		]
 	}`
-	spec := &Spec{TaskEngines: []string{"continuation"}}
+	spec := &Spec{TaskEngines: []string{"goroutine", "continuation"}}
 	results, err := spec.Sweep([]byte(busScenario), Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != 1 || results[0].Err == "" ||
-		!strings.Contains(results[0].Err, "bus channel ops need a goroutine body") {
-		t.Fatalf("expected a validation failure, got %+v", results)
+	if len(results) != 2 {
+		t.Fatalf("got %d results, want 2", len(results))
+	}
+	for _, r := range results {
+		if r.Err != "" {
+			t.Fatalf("variant %s failed: %s", r.Variant.Label(), r.Err)
+		}
+	}
+	g, c := results[0].Metrics, results[1].Metrics
+	if g.Dispatches == 0 || g.Finish != "quiescent" {
+		t.Fatalf("goroutine variant did not run the pipeline: %+v", g)
+	}
+	g.Activations, c.Activations = 0, 0
+	if g != c {
+		t.Errorf("body forms disagree:\n  goroutine    %+v\n  continuation %+v", g, c)
 	}
 }
 

@@ -203,14 +203,6 @@ func (s *Spec) runOne(base []byte, v Variant) Result {
 		return res
 	}
 	s.apply(desc, v)
-	if v.TaskEngine != "" {
-		// Re-validate: some bodies (bus send/recv) have no continuation form,
-		// so a task-engine override can invalidate an otherwise-good scenario.
-		if err := desc.Validate(); err != nil {
-			res.Err = err.Error()
-			return res
-		}
-	}
 	built, err := desc.Build()
 	if err != nil {
 		res.Err = err.Error()

@@ -82,17 +82,38 @@ func (b *Bus) TransferTime(n int) sim.Time {
 // transfer duration. The actor must implement Sleeper; it does not consume
 // its processor during the transfer (DMA-style).
 func (b *Bus) Transfer(a comm.Actor, n int) {
-	if n < 0 {
-		panic("bus: negative transfer size")
-	}
 	s, ok := a.(Sleeper)
 	if !ok {
 		panic(fmt.Sprintf("bus: actor %q cannot sleep for a transfer (no SleepFor)", a.Name()))
 	}
 	b.mu.Lock(a)
-	if d := b.TransferTime(n); d > 0 {
-		b.rec.Depth(b.name, 1, 1)
+	if d := b.BeginTransfer(n); d > 0 {
 		s.SleepFor(d)
+	}
+	b.EndTransfer(a, n)
+}
+
+// Arbiter returns the bus mutex. Callers that cannot block inside Transfer
+// (continuation task bodies) lock it, then call BeginTransfer and EndTransfer.
+func (b *Bus) Arbiter() *comm.Mutex { return b.mu }
+
+// BeginTransfer opens a transfer of n bytes by the holder of the arbiter and
+// returns the occupancy the holder must wait out before EndTransfer.
+func (b *Bus) BeginTransfer(n int) sim.Time {
+	if n < 0 {
+		panic("bus: negative transfer size")
+	}
+	d := b.TransferTime(n)
+	if d > 0 {
+		b.rec.Depth(b.name, 1, 1)
+	}
+	return d
+}
+
+// EndTransfer closes actor a's transfer of n bytes: it books the transfer
+// and releases the arbiter.
+func (b *Bus) EndTransfer(a comm.Actor, n int) {
+	if d := b.TransferTime(n); d > 0 {
 		b.rec.Depth(b.name, 0, 1)
 		b.busyTime += d
 	}

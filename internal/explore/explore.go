@@ -278,10 +278,10 @@ func (e *Engine) runOne(prefix []Decision, engine string) *RunResult {
 		res.Err = err.Error()
 		return res
 	}
-	// Exploration enumerates the goroutine engine's decision space; automatic
-	// engine selection would change which choice points exist, so pin every
-	// task that leaves its engine unset to goroutine bodies (replay traces
-	// must decode against the same space they were recorded in).
+	// Exploration enumerates the goroutine engine's decision space; compiled
+	// bodies would change which choice points exist, so pin every task that
+	// leaves its engine unset to goroutine bodies (replay traces must decode
+	// against the same space they were recorded in).
 	for i := range desc.Tasks {
 		if desc.Tasks[i].Engine == "" {
 			desc.Tasks[i].Engine = "goroutine"

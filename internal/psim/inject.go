@@ -28,9 +28,9 @@ type injectorActor struct {
 	inj  *injector
 }
 
-func (a *injectorActor) Name() string     { return a.name }
-func (a *injectorActor) Priority() int    { return 0 }
-func (a *injectorActor) Resume()          { a.inj.strand.Run() }
+func (a *injectorActor) Name() string  { return a.name }
+func (a *injectorActor) Priority() int { return 0 }
+func (a *injectorActor) Resume()       { a.inj.strand.Run() }
 func (a *injectorActor) Suspend(bool, string) {
 	panic("psim: injector must not suspend (delivery uses PutAttempt)")
 }
@@ -39,6 +39,9 @@ func newInjector(k *sim.Kernel, channel string, q *comm.Queue[int]) *injector {
 	inj := &injector{q: q}
 	inj.actor.inj = inj
 	inj.strand = k.NewStrand("psim:"+channel, inj.step, false)
+	// Like a daemon process, an injector idles forever once its feed dries
+	// up; that is not a deadlock.
+	inj.strand.Finish()
 	return inj
 }
 

@@ -280,7 +280,7 @@ func (e *engine) drive(s *shardRun) {
 		}
 		if len(s.out) > 0 {
 			if next, ok := s.built.Sys.K.NextActivity(); ok {
-				if c := satAdd(next, e.chunk); c < limit {
+				if c := sim.AddSat(next, e.chunk); c < limit {
 					limit = c
 				}
 			}
@@ -325,7 +325,7 @@ func (s *shardRun) post(b sim.Time) {
 		effNow = now
 	}
 	for _, l := range s.out {
-		p := satAdd(effNow, l.lookahead)
+		p := sim.AddSat(effNow, l.lookahead)
 		if f, ok := l.minFloor(); ok && f < p {
 			p = f
 		}
@@ -393,11 +393,4 @@ func collect(res *Result, shards []*shardRun) {
 	for _, s := range shards {
 		s.built.Sys.Shutdown()
 	}
-}
-
-func satAdd(a, b sim.Time) sim.Time {
-	if c := a + b; c >= a {
-		return c
-	}
-	return sim.TimeMax
 }

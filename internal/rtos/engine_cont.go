@@ -710,6 +710,7 @@ func (d *contDriver) outElect() {
 func (d *contDriver) finishOut() {
 	if d.outFinal == dcDone {
 		d.state = dcDone
+		d.s.Finish()
 		return
 	}
 	d.state = dcParked

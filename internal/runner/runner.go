@@ -37,7 +37,8 @@ type Options struct {
 	// Engine overrides every processor's engine: "procedural" or "threaded".
 	Engine string `json:"engine,omitempty"`
 	// TaskEngine overrides every software task's body form: "goroutine" or
-	// "continuation".
+	// "continuation" (the default for tasks that leave it unset). The
+	// simulated outcome is the same either way.
 	TaskEngine string `json:"taskEngine,omitempty"`
 	// Shards selects the sharded multi-kernel parallel engine: 0 (the
 	// default) runs sequentially unless the scenario carries shard labels,
@@ -92,9 +93,6 @@ type Result struct {
 	SimError string `json:"simError,omitempty"`
 	// ConstraintsOK reports whether every timing constraint held.
 	ConstraintsOK bool `json:"constraintsOK"`
-	// AutoLowered names the tasks the build layer auto-selected onto the
-	// continuation engine (sorted; empty when none).
-	AutoLowered []string `json:"autoLowered,omitempty"`
 	// ElapsedMS is the wall-clock cost of the run pipeline in milliseconds.
 	// It feeds the daemon's per-shard service-time estimate (and thus the
 	// Retry-After advice under backpressure); a cached result reports the
@@ -146,10 +144,6 @@ func Prepare(data []byte, opts Options) (*scenario.System, error) {
 	case "goroutine", "continuation":
 		for i := range desc.Tasks {
 			desc.Tasks[i].Engine = opts.TaskEngine
-		}
-		// Re-validate: some bodies (bus send/recv) have no continuation form.
-		if err := desc.Validate(); err != nil {
-			return nil, err
 		}
 	default:
 		return nil, fmt.Errorf("unknown task engine %q (want goroutine or continuation)", opts.TaskEngine)
@@ -206,7 +200,6 @@ func RunPrepared(desc *scenario.System, opts Options, fallbackName string) (*Res
 		Activations:   v.activations,
 		DeltaCycles:   v.deltaCycles,
 		ConstraintsOK: v.constraints.OK(),
-		AutoLowered:   v.autoLowered,
 	}
 	if v.runErr != nil {
 		res.SimError = v.runErr.Error()
@@ -309,7 +302,6 @@ type runView struct {
 	constraints *rtos.ConstraintSet
 	reg         *metrics.Registry
 	multiCore   bool
-	autoLowered []string
 	// jobs/abortedJobs pre-aggregate the per-task cycle counters the fault
 	// report needs.
 	jobs        int
@@ -353,7 +345,6 @@ func executeSequential(desc *scenario.System) (*runView, error) {
 		constraints: sys.Constraints,
 		reg:         sys.Metrics,
 		multiCore:   multiCore(sys),
-		autoLowered: append([]string(nil), built.AutoLowered...),
 	}
 	countJobs(v, built)
 	return v, nil
@@ -374,7 +365,6 @@ func executeParallel(desc *scenario.System, plan *scenario.ShardPlan) (*runView,
 	recs := make([]*trace.Recorder, len(pres.Builts))
 	sets := make([]*rtos.ConstraintSet, len(pres.Builts))
 	v.reg = metrics.NewRegistry()
-	lowered := map[string]bool{}
 	for i, built := range pres.Builts {
 		sys := built.Sys
 		recs[i] = sys.Rec
@@ -382,9 +372,6 @@ func executeParallel(desc *scenario.System, plan *scenario.ShardPlan) (*runView,
 		v.reg.Merge(sys.Metrics)
 		v.blocked = append(v.blocked, sys.BlockedTasks()...)
 		v.multiCore = v.multiCore || multiCore(sys)
-		for _, name := range built.AutoLowered {
-			lowered[name] = true
-		}
 		countJobs(v, built)
 	}
 	v.rec = trace.MergeRecorders(recs, pres.End)
@@ -393,10 +380,6 @@ func executeParallel(desc *scenario.System, plan *scenario.ShardPlan) (*runView,
 		nameOrder[i] = c.Name
 	}
 	v.constraints = rtos.MergeConstraintSets(sets, nameOrder)
-	for name := range lowered {
-		v.autoLowered = append(v.autoLowered, name)
-	}
-	sort.Strings(v.autoLowered)
 	return v, nil
 }
 

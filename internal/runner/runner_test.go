@@ -117,6 +117,33 @@ func TestRunOptionOverrides(t *testing.T) {
 	}
 }
 
+// A model whose two tasks wait forever on an event nobody signals is the
+// same deadlock whatever the task engine: identical failure text, finish
+// verdict and exit code.
+func TestStuckScenarioSameVerdictBothEngines(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("..", "scenario", "testdata", "stuck.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first *Result
+	for _, engine := range []string{"goroutine", "continuation", ""} {
+		res, err := Run(data, Options{TaskEngine: engine}, "stuck")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Finish != "deadlock" || res.ExitCode() != 1 ||
+			!strings.Contains(res.SimError, "2 process(es) blocked forever") {
+			t.Fatalf("task engine %q: finish %s, exit %d, error %q; want a two-task deadlock",
+				engine, res.Finish, res.ExitCode(), res.SimError)
+		}
+		if first == nil {
+			first = res
+		} else if res.SimError != first.SimError {
+			t.Errorf("task engine %q error %q, goroutine engine %q", engine, res.SimError, first.SimError)
+		}
+	}
+}
+
 func TestRunEngineEquivalence(t *testing.T) {
 	data := readScenario(t, "figure6.json")
 	proc, err := Run(data, Options{Engine: "procedural"}, "f")

@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/bus"
 	"repro/internal/comm"
@@ -28,23 +27,38 @@ type Built struct {
 	Tasks       map[string]*rtos.Task
 	Watchdogs   map[string]*rtos.Watchdog
 
-	// AutoLowered names the tasks (sorted) whose unset engine field was
-	// auto-selected onto the continuation engine because every op of their
-	// body is in the autoLowerable subset.
-	AutoLowered []string
-
 	// traceCursors tracks each named duration trace's position; a trace has
 	// one global cursor shared by all its execute_trace sites, advancing
 	// deterministically with the simulation.
 	traceCursors map[string]int
 
-	// xsend/xrecv hold the cross-shard halves of channels cut by a shard
-	// filter: xsend maps a channel whose senders are local (receivers
-	// remote) to its split-phase publish function, xrecv maps a channel
-	// whose receivers are local (senders remote) to the bare delivery
-	// queue the parallel engine's injector feeds. Nil for full builds.
-	xsend map[string]func(comm.Actor, int)
-	xrecv map[string]*comm.Queue[int]
+	// links routes the send and recv ops of every channel this build
+	// elaborated.
+	links map[string]*link
+}
+
+// link is the local end of a channel. A send charges the bus its usual
+// contention and transfer time, then puts the value on queue or, on a
+// channel cut by a shard filter (hooks set), sends it off the shard as a
+// timestamped message; there the floor bracket (hold, then publish) keeps
+// the engine's outbound promise below the publish instant while the
+// transfer is in flight. A recv takes from queue: the channel's own, or the
+// bare delivery queue the parallel engine's injector feeds.
+type link struct {
+	name  string
+	bus   *bus.Bus
+	size  int
+	queue *comm.Queue[int]
+	hooks *CrossHooks
+}
+
+func (x *link) hold(now sim.Time) int {
+	return x.hooks.FloorHold(x.name, sim.AddSat(now, x.bus.TransferTime(x.size)))
+}
+
+func (x *link) publish(a comm.Actor, v, id int) {
+	x.hooks.Publish(x.name, a.Name(), v)
+	x.hooks.FloorRelease(x.name, id)
 }
 
 // CrossHooks connects a shard build to the parallel engine. The build calls
@@ -68,10 +82,10 @@ type CrossHooks struct {
 
 // shardFilter restricts elaboration to one shard of a partition plan.
 type shardFilter struct {
-	procs, hardware                                                  map[string]bool
+	procs, hardware                                                      map[string]bool
 	events, queues, shared, constraints, servers, irqs, watchdogs, buses map[string]bool
-	chanLocal, chanOut, chanIn                                       map[string]bool
-	hooks                                                            *CrossHooks
+	chanLocal, chanOut, chanIn                                           map[string]bool
+	hooks                                                                *CrossHooks
 }
 
 // Build elaborates the description into a simulation-ready system.
@@ -148,10 +162,6 @@ func (s *System) build(f *shardFilter) (*Built, error) {
 		Tasks:        map[string]*rtos.Task{},
 		Watchdogs:    map[string]*rtos.Watchdog{},
 		traceCursors: map[string]int{},
-	}
-	if f != nil {
-		b.xsend = map[string]func(comm.Actor, int){}
-		b.xrecv = map[string]*comm.Queue[int]{}
 	}
 	for _, p := range s.Processors {
 		if f != nil && !f.procs[p.Name] {
@@ -231,40 +241,32 @@ func (s *System) build(f *shardFilter) (*Built, error) {
 			Arbitration: def.Arbitration.Time(),
 		})
 	}
+	if len(s.Channels) > 0 {
+		b.links = make(map[string]*link, len(s.Channels))
+	}
 	for _, def := range s.Channels {
-		size := def.MessageBytes
-		if size == 0 {
-			size = 1
-		}
+		x := &link{name: def.Name, bus: b.Buses[def.Bus], size: max(1, def.MessageBytes)}
 		switch {
-		case f != nil && f.chanLocal[def.Name] && b.Buses[def.Bus] == nil:
+		case f != nil && f.chanLocal[def.Name] && x.bus == nil:
 			// A senderless channel routes to its receivers' shard while its
 			// (never contended) bus elaborated elsewhere. A bare queue models
 			// it exactly: receivers block, nothing ever sends.
-			b.xrecv[def.Name] = comm.NewQueue[int](b.Sys.Rec, def.Name, def.Capacity)
+			x.queue = comm.NewQueue[int](b.Sys.Rec, def.Name, def.Capacity)
 		case f == nil || f.chanLocal[def.Name]:
-			b.Channels[def.Name] = bus.NewChannel(b.Buses[def.Bus], def.Name, def.Capacity,
-				func(int) int { return size })
+			ch := bus.NewChannel(x.bus, def.Name, def.Capacity, func(int) int { return x.size })
+			b.Channels[def.Name] = ch
+			x.queue = ch.Queue()
 		case f.chanOut[def.Name]:
-			// Sender half of a cross-shard channel: the local bus charges its
-			// usual contention and transfer time, then the value leaves the
-			// shard as a timestamped message instead of entering a queue. The
-			// floor bracket keeps the engine's outbound promise below the
-			// publish instant while the transfer is in flight.
-			name, theBus, hooks := def.Name, b.Buses[def.Bus], f.hooks
-			b.xsend[name] = func(a comm.Actor, v int) {
-				id := hooks.FloorHold(name, addTimeSat(b.Sys.Now(), theBus.TransferTime(size)))
-				theBus.Transfer(a, size)
-				hooks.Publish(name, a.Name(), v)
-				hooks.FloorRelease(name, id)
-			}
+			x.hooks = f.hooks
 		case f.chanIn[def.Name]:
 			// Receiver half: a bare delivery queue fed by the engine's
 			// injector. Receivers block on it exactly as on a local channel.
-			q := comm.NewQueue[int](b.Sys.Rec, def.Name, def.Capacity)
-			b.xrecv[def.Name] = q
-			f.hooks.Inbound(def.Name, q)
+			x.queue = comm.NewQueue[int](b.Sys.Rec, def.Name, def.Capacity)
+			f.hooks.Inbound(def.Name, x.queue)
+		default:
+			continue
 		}
+		b.links[def.Name] = x
 	}
 	for _, def := range s.Servers {
 		if f != nil && !f.servers[def.Name] {
@@ -319,15 +321,7 @@ func (s *System) build(f *shardFilter) (*Built, error) {
 		case "restart":
 			cfg.OnMiss = rtos.MissRestartTask
 		}
-		engine := t.Engine
-		if engine == "" && !t.Loop && len(t.Body) > 0 && autoLowerable(t.Body) {
-			// Automatic engine selection: an unset engine over a non-loop body
-			// made only of the non-blocking, TaskCtx-local ops compiles to a
-			// continuation exactly as an explicit "continuation" would.
-			engine = "continuation"
-			b.AutoLowered = append(b.AutoLowered, t.Name)
-		}
-		if engine == "continuation" {
+		if t.Engine != "goroutine" {
 			pb := rtos.BuildProgram()
 			if t.Period > 0 {
 				b.compileOps(pb, t.Body)
@@ -351,33 +345,16 @@ func (s *System) build(f *shardFilter) (*Built, error) {
 			continue
 		}
 		b.Tasks[t.Name] = cpu.NewTask(t.Name, cfg, func(c *rtos.TaskCtx) {
-			ops := swOps(c)
-			if t.Loop {
-				for {
-					b.runOps(ops, t.Body)
-				}
-			}
-			for i := 0; i < max(1, t.Repeat); i++ {
-				b.runOps(ops, t.Body)
-			}
+			b.runRepeated(swOps(c), t.Body, t.Loop, t.Repeat)
 		})
 	}
-	sort.Strings(b.AutoLowered)
 	for _, h := range s.Hardware {
 		if f != nil && !f.hardware[h.Name] {
 			continue
 		}
 		h := h
 		b.Sys.NewHWTask(h.Name, rtos.HWConfig{Priority: h.Priority, StartAt: h.StartAt.Time()}, func(c *rtos.HWCtx) {
-			ops := hwOps(c)
-			if h.Loop {
-				for {
-					b.runOps(ops, h.Body)
-				}
-			}
-			for i := 0; i < max(1, h.Repeat); i++ {
-				b.runOps(ops, h.Body)
-			}
+			b.runRepeated(hwOps(c), h.Body, h.Loop, h.Repeat)
 		})
 	}
 
@@ -422,14 +399,6 @@ func (s *System) build(f *shardFilter) (*Built, error) {
 		}
 	}
 	return b, nil
-}
-
-// addTimeSat adds two times, saturating at sim.TimeMax.
-func addTimeSat(a, b sim.Time) sim.Time {
-	if c := a + b; c >= a {
-		return c
-	}
-	return sim.TimeMax
 }
 
 // Run simulates the built scenario to its horizon (or to event starvation)
@@ -494,6 +463,14 @@ func isrActor(c *rtos.ISRCtx) opActor {
 	return opActor{actor: c, execute: c.Execute}
 }
 
+// runRepeated runs a goroutine body forever for a loop task, else repeat
+// times (at least once).
+func (b *Built) runRepeated(a opActor, ops []Op, loop bool, repeat int) {
+	for i := 0; loop || i < max(1, repeat); i++ {
+		b.runOps(a, ops)
+	}
+}
+
 // runOps interprets a behaviour script. Validation guarantees the ops are
 // well-formed for the actor kind.
 func (b *Built) runOps(a opActor, ops []Op) {
@@ -521,19 +498,17 @@ func (b *Built) runOps(a opActor, ops []Op) {
 		case "raise":
 			b.IRQs[op.IRQ].Raise()
 		case "send":
-			if ch := b.Channels[op.Channel]; ch != nil {
-				ch.Send(a.actor, op.Value)
-			} else {
-				// Sender half of a cross-shard channel (see BuildShard).
-				b.xsend[op.Channel](a.actor, op.Value)
+			x := b.links[op.Channel]
+			if x.hooks == nil {
+				x.bus.Transfer(a.actor, x.size)
+				x.queue.Put(a.actor, op.Value)
+				break
 			}
+			id := x.hold(b.Sys.Now())
+			x.bus.Transfer(a.actor, x.size)
+			x.publish(a.actor, op.Value, id)
 		case "recv":
-			if ch := b.Channels[op.Channel]; ch != nil {
-				ch.Recv(a.actor)
-			} else {
-				// Receiver half: block on the injector-fed delivery queue.
-				b.xrecv[op.Channel].Get(a.actor)
-			}
+			b.links[op.Channel].queue.Get(a.actor)
 		case "submit":
 			job := rtos.AperiodicJob{Work: op.For.Time()}
 			if op.Constraint != "" {
@@ -573,31 +548,10 @@ func (b *Built) runOps(a opActor, ops []Op) {
 	}
 }
 
-// autoLowerable reports whether every op in the body belongs to the subset
-// automatic engine selection moves onto the continuation engine: ops that
-// touch only the task itself (execute, delay, yield, the preemption toggles,
-// setprio) plus bounded repeat over the same subset. Anything else — comm
-// relations, IRQ raises, traces, watchdog kicks — keeps the goroutine engine
-// unless the task asks for "continuation" explicitly.
-func autoLowerable(ops []Op) bool {
-	for _, op := range ops {
-		switch op.Op {
-		case "execute", "delay", "yield", "nopreempt_begin", "nopreempt_end", "setprio":
-		case "repeat":
-			if !autoLowerable(op.Body) {
-				return false
-			}
-		default:
-			return false
-		}
-	}
-	return true
-}
-
 // compileOps translates a behaviour script into continuation program ops,
 // mirroring runOps one for one: blocking ops become yield ops, non-blocking
-// ops become inline steps, repeat becomes a counted loop. Validation
-// guarantees the ops are continuation-expressible (no send/recv).
+// ops become inline steps, repeat becomes a counted loop. Every software-task
+// op has a compiled form.
 func (b *Built) compileOps(pb *rtos.ProgramBuilder, ops []Op) {
 	for _, op := range ops {
 		op := op
@@ -625,6 +579,29 @@ func (b *Built) compileOps(pb *rtos.ProgramBuilder, ops []Op) {
 			pb.Op(rtos.GetMsg(b.Queues[op.Queue], nil))
 		case "raise":
 			pb.Do(func(c *rtos.TaskCtx) { b.IRQs[op.IRQ].Raise() })
+		case "send":
+			// Bus.Transfer as program ops: arbitrate, hold the bus for the
+			// transfer time, book it and release the arbiter. On a cut
+			// channel the bracket token lives in the closure: a task runs one
+			// instance of a send op at a time.
+			x := b.links[op.Channel]
+			var id int
+			if x.hooks != nil {
+				pb.Do(func(c *rtos.TaskCtx) { id = x.hold(c.Now()) })
+			}
+			pb.Lock(x.bus.Arbiter())
+			pb.Do(func(*rtos.TaskCtx) { x.bus.BeginTransfer(x.size) })
+			if d := x.bus.TransferTime(x.size); d > 0 {
+				pb.WaitFor(d)
+			}
+			pb.Do(func(c *rtos.TaskCtx) { x.bus.EndTransfer(c, x.size) })
+			if x.hooks == nil {
+				pb.Op(rtos.PutMsg(x.queue, op.Value))
+			} else {
+				pb.Do(func(c *rtos.TaskCtx) { x.publish(c, op.Value, id) })
+			}
+		case "recv":
+			pb.Op(rtos.GetMsg(b.links[op.Channel].queue, nil))
 		case "submit":
 			pb.Do(func(c *rtos.TaskCtx) {
 				job := rtos.AperiodicJob{Work: op.For.Time()}
@@ -672,7 +649,7 @@ func (b *Built) compileOps(pb *rtos.ProgramBuilder, ops []Op) {
 			b.compileOps(pb, op.Body)
 			pb.End()
 		default:
-			panic(fmt.Sprintf("scenario: op %q is not continuation-expressible", op.Op))
+			panic(fmt.Sprintf("scenario: unvalidated op %q", op.Op))
 		}
 	}
 }

@@ -1,11 +1,12 @@
 package scenario
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"fmt"
-	"sort"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -82,59 +83,71 @@ const smpJitterJSON = `{
 	]
 }`
 
-// contGoldenScenarios are the four differential goldens of the continuation
-// engine at the scenario layer. Single-core goldens are held to raw
-// byte-identical trace exports; the multicore golden uses the canonical
-// signature instead, because two overhead charges completing at the same
-// instant on different cores are recorded in executor drain order, which
-// legitimately permutes between a goroutine (thread) and a continuation
-// (method) executor — same windows, same metrics, different record order.
+// busPipelineJSON is a two-processor bus pipeline fed by a hardware source:
+// the source and the first stage contend for one bus, each stage hands its
+// message on over a small channel, and a higher-priority periodic task
+// preempts the first stage mid-pipeline. Every send/recv of the software
+// tasks compiles; the hardware source keeps its goroutine.
+const busPipelineJSON = `{
+	"name": "bus-pipeline",
+	"horizon": "1ms",
+	"processors": [
+		{"name": "cpu0", "overheads": {"scheduling": "1us", "contextSave": "1us", "contextLoad": "1us"}},
+		{"name": "cpu1", "overheads": {"scheduling": "2us", "contextSave": "1us", "contextLoad": "1us"}}
+	],
+	"buses": [{"name": "noc", "perByte": "10ns", "arbitration": "1us"}],
+	"channels": [
+		{"name": "in", "bus": "noc", "capacity": 2, "messageBytes": 400},
+		{"name": "mid", "bus": "noc", "capacity": 1, "messageBytes": 900}
+	],
+	"constraints": [{"name": "e2e", "limit": "200us"}],
+	"tasks": [
+		{"name": "stage1", "processor": "cpu0", "priority": 3, "loop": true, "body": [
+			{"op": "recv", "channel": "in"},
+			{"op": "execute", "for": "18us"},
+			{"op": "send", "channel": "mid", "value": 2}
+		]},
+		{"name": "tick", "processor": "cpu0", "priority": 6, "period": "70us", "body": [
+			{"op": "execute", "for": "9us"}
+		]},
+		{"name": "stage2", "processor": "cpu1", "priority": 2, "loop": true, "body": [
+			{"op": "recv", "channel": "mid"},
+			{"op": "repeat", "count": 2, "body": [{"op": "execute", "for": "14us"}]},
+			{"op": "lat_stop", "constraint": "e2e"}
+		]}
+	],
+	"hardware": [
+		{"name": "source", "loop": true, "body": [
+			{"op": "delay", "for": "25us"},
+			{"op": "lat_start", "constraint": "e2e"},
+			{"op": "send", "channel": "in", "value": 1}
+		]}
+	]
+}`
+
+// contGoldenScenarios are the differential goldens of the continuation
+// engine at the scenario layer, held to byte-identical trace exports. The
+// multicore golden and soc_bus (whose sporadic server and hardware sensor stay
+// goroutines) also pin the same-instant order between strands and processes.
 var contGoldenScenarios = []struct {
-	name      string
-	src       string
-	multicore bool
+	name string
+	src  string
 }{
-	{"figure6", figure6JSON, false},
-	{"wcet-restart", faultScenarioJSON, false},
-	{"comm-rich", commRichJSON, false},
-	{"smp-jitter", smpJitterJSON, true},
+	{"figure6", figure6JSON},
+	{"wcet-restart", faultScenarioJSON},
+	{"comm-rich", commRichJSON},
+	{"smp-jitter", smpJitterJSON},
+	{"bus-pipeline", busPipelineJSON},
+	{"soc_bus", readCorpus("soc_bus.json")},
 }
 
-// canonicalTrace serializes every record kind of a trace order-insensitively
-// within one instant: per-task state changes in task-local order, all other
-// record kinds sorted. Two simulations with identical behaviour but
-// different same-instant record interleavings canonicalize identically.
-func canonicalTrace(rec *trace.Recorder) string {
-	var b strings.Builder
-	perTask := map[string][]string{}
-	for _, c := range rec.StateChanges() {
-		perTask[c.Task] = append(perTask[c.Task],
-			fmt.Sprintf("%v %s core%d %v", c.At, c.CPU, c.Core, c.State))
+// readCorpus returns a shipped example scenario's source.
+func readCorpus(name string) string {
+	data, err := os.ReadFile(filepath.Join("..", "..", "examples", "scenarios", name))
+	if err != nil {
+		panic(err)
 	}
-	tasks := make([]string, 0, len(perTask))
-	for task := range perTask {
-		tasks = append(tasks, task)
-	}
-	sort.Strings(tasks)
-	for _, task := range tasks {
-		fmt.Fprintf(&b, "task %s: %s\n", task, strings.Join(perTask[task], "; "))
-	}
-	var lines []string
-	for _, o := range rec.Overheads() {
-		lines = append(lines, fmt.Sprintf("ov %s %s core%d %s %v..%v", o.CPU, o.Task, o.Core, o.Kind, o.Start, o.End))
-	}
-	for _, a := range rec.Accesses() {
-		lines = append(lines, fmt.Sprintf("acc %v %s %s %v", a.At, a.Actor, a.Object, a.Kind))
-	}
-	for _, m := range rec.Migrations() {
-		lines = append(lines, fmt.Sprintf("mig %v %s %s %d->%d", m.At, m.Task, m.CPU, m.From, m.To))
-	}
-	for _, f := range rec.FaultEvents() {
-		lines = append(lines, fmt.Sprintf("fault %v %s %s %s", f.At, f.Kind, f.Task, f.Label))
-	}
-	sort.Strings(lines)
-	b.WriteString(strings.Join(lines, "\n"))
-	return b.String()
+	return string(data)
 }
 
 // withEngine returns the scenario with every software task's body form set
@@ -151,10 +164,9 @@ func withEngine(t *testing.T, src, engine string) *System {
 	return s
 }
 
-// runScenario elaborates and runs a description, returning the built system,
-// the SHA-256 of the raw trace export and the filtered rtos_* metrics
-// serialization.
-func runScenario(t *testing.T, s *System) (built *Built, traceHash, metricsKey string) {
+// runScenario elaborates and runs a description, returning the SHA-256 of
+// the raw trace export and the filtered rtos_* metrics serialization.
+func runScenario(t *testing.T, s *System) (traceHash, metricsKey string) {
 	t.Helper()
 	b, err := s.Build()
 	if err != nil {
@@ -180,11 +192,11 @@ func runScenario(t *testing.T, s *System) (built *Built, traceHash, metricsKey s
 	if err != nil {
 		t.Fatal(err)
 	}
-	return b, hex.EncodeToString(h.Sum(nil)), string(mk)
+	return hex.EncodeToString(h.Sum(nil)), string(mk)
 }
 
 // TestContinuationGoldens is the scenario-level differential golden of the
-// continuation engine: four canonical scenarios, each elaborated twice —
+// continuation engine: six canonical scenarios, each elaborated twice —
 // goroutine bodies and continuation bodies — on both RTOS engines, must
 // produce byte-identical trace exports and identical rtos_* metrics.
 func TestContinuationGoldens(t *testing.T) {
@@ -195,14 +207,9 @@ func TestContinuationGoldens(t *testing.T) {
 				if eng == "threaded" {
 					src = forceProcessorEngine(t, src, "threaded")
 				}
-				bG, hashG, metG := runScenario(t, withEngine(t, src, "goroutine"))
-				bC, hashC, metC := runScenario(t, withEngine(t, src, "continuation"))
-				if g.multicore {
-					if canonicalTrace(bG.Sys.Rec) != canonicalTrace(bC.Sys.Rec) {
-						t.Errorf("canonical traces differ between body forms")
-						diffScenarioTraces(t, src)
-					}
-				} else if hashG != hashC {
+				hashG, metG := runScenario(t, withEngine(t, src, "goroutine"))
+				hashC, metC := runScenario(t, withEngine(t, src, "continuation"))
+				if hashG != hashC {
 					t.Errorf("trace exports differ between body forms: %s vs %s", hashG, hashC)
 					diffScenarioTraces(t, src)
 				}
@@ -284,8 +291,8 @@ func TestContinuationResumesCounted(t *testing.T) {
 }
 
 // TestContinuationEngineValidation covers the per-task engine knob's
-// validation: unknown values are rejected, bus channel ops are rejected for
-// continuation bodies (also inside repeat), and valid combinations parse.
+// validation: unknown values are rejected, and every op, bus channel ops
+// included (also inside repeat), is accepted on either body form.
 func TestContinuationEngineValidation(t *testing.T) {
 	cases := []struct {
 		name, src, wantErr string
@@ -299,13 +306,13 @@ func TestContinuationEngineValidation(t *testing.T) {
 			"continuation with send",
 			`{"processors":[{"name":"p"}],"buses":[{"name":"bus"}],"channels":[{"name":"ch","bus":"bus","capacity":1}],
 			 "tasks":[{"name":"t","processor":"p","engine":"continuation","body":[{"op":"send","channel":"ch","value":1}]}]}`,
-			"bus channel ops need a goroutine body",
+			"",
 		},
 		{
 			"continuation with recv inside repeat",
 			`{"processors":[{"name":"p"}],"buses":[{"name":"bus"}],"channels":[{"name":"ch","bus":"bus","capacity":1}],
 			 "tasks":[{"name":"t","processor":"p","engine":"continuation","body":[{"op":"repeat","count":2,"body":[{"op":"recv","channel":"ch"}]}]}]}`,
-			"bus channel ops need a goroutine body",
+			"",
 		},
 		{
 			"goroutine body keeps send",
@@ -352,5 +359,48 @@ func TestContinuationActivationsLower(t *testing.T) {
 	g, c := run("goroutine"), run("continuation")
 	if c >= g {
 		t.Errorf("continuation form used %d activations, goroutine form %d; want fewer", c, g)
+	}
+}
+
+// TestUnsetEngineCompiles checks the default body form: every software task
+// that leaves engine unset, loop and bus bodies included, compiles to a
+// continuation, and the run's CSV trace and statistics are byte-identical to
+// the same scenario forced onto goroutine bodies.
+func TestUnsetEngineCompiles(t *testing.T) {
+	for _, name := range []string{"periodic_rm.json", "soc_bus.json", "producer_consumer.json"} {
+		t.Run(name, func(t *testing.T) {
+			src := readCorpus(name)
+			run := func(s *System) (*Built, string, string) {
+				b, err := s.Build()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := b.RunChecked(); err != nil {
+					t.Fatal(err)
+				}
+				var csv bytes.Buffer
+				if err := b.Sys.WriteCSV(&csv); err != nil {
+					t.Fatal(err)
+				}
+				return b, csv.String(), b.Sys.Stats(0).String()
+			}
+			def, err := Parse([]byte(src))
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, csvD, statsD := run(def)
+			for task, tk := range b.Tasks {
+				if !tk.IsContinuation() {
+					t.Errorf("task %q with unset engine did not compile", task)
+				}
+			}
+			_, csvG, statsG := run(withEngine(t, src, "goroutine"))
+			if csvD != csvG {
+				t.Errorf("CSV traces differ between the default and goroutine bodies")
+			}
+			if statsD != statsG {
+				t.Errorf("statistics differ between the default and goroutine bodies:\n%s\nvs\n%s", statsD, statsG)
+			}
+		})
 	}
 }

@@ -1,6 +1,8 @@
 package scenario
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -161,6 +163,39 @@ func TestScenarioDeadlockReportedByRunChecked(t *testing.T) {
 	}
 	if b.Sys.FinishReason() != sim.FinishDeadlock {
 		t.Fatalf("finish reason %v, want deadlock", b.Sys.FinishReason())
+	}
+}
+
+// A model mixing a goroutine task and a continuation task, both stuck on an
+// event nobody signals, is one deadlock that names both tasks.
+func TestScenarioDeadlockMixedEngines(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "stuck.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := Parse(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Tasks[0].Engine = "goroutine"
+	s.Tasks[1].Engine = "continuation"
+	b, err := s.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = b.RunChecked()
+	if err == nil {
+		t.Fatal("deadlocked scenario returned no error")
+	}
+	msg := err.Error()
+	for _, want := range []string{
+		"2 process(es) blocked forever",
+		"blocked: a waiting on a.TaskRun",
+		"blocked: b waiting on b.TaskRun",
+	} {
+		if !strings.Contains(msg, want) {
+			t.Errorf("error %q does not mention %q", msg, want)
+		}
 	}
 }
 

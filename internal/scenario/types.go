@@ -329,11 +329,9 @@ type SWTask struct {
 	// Engine selects the task-body execution form: "goroutine" (the body
 	// runs on its own simulation thread) or "continuation" (the body is
 	// compiled to a yield-op program resumed inline by the kernel, with no
-	// thread and no per-switch parking). Unset, Build chooses: a non-loop
-	// body made only of execute, delay, yield, nopreempt_begin/end, setprio
-	// and repeat compiles to a continuation, any other body runs as a
-	// goroutine. Both forms produce identical simulated behaviour;
-	// continuation bodies cannot use the send/recv bus ops.
+	// thread and no per-switch parking). Unset means "continuation". Both
+	// forms produce identical simulated behaviour; only the kernel
+	// activation count differs.
 	Engine string `json:"engine"`
 	Body   []Op   `json:"body"`
 }
@@ -393,10 +391,6 @@ type Op struct {
 	Count      int      `json:"count"`
 	Body       []Op     `json:"body"`
 }
-
-// Validate re-checks a description after programmatic edits (e.g. a CLI
-// override of every task's body form).
-func (s *System) Validate() error { return s.validate() }
 
 // Parse decodes and validates a scenario description.
 func Parse(data []byte) (*System, error) {

@@ -211,11 +211,7 @@ func (s *System) validate() error {
 			return fmt.Errorf("scenario: task %q has an empty body", t.Name)
 		}
 		switch t.Engine {
-		case "", "goroutine":
-		case "continuation":
-			if err := validateContOps(t.Name, t.Body); err != nil {
-				return err
-			}
+		case "", "goroutine", "continuation":
 		default:
 			return fmt.Errorf("scenario: task %q: unknown engine %q (want \"goroutine\" or \"continuation\")",
 				t.Name, t.Engine)
@@ -364,24 +360,6 @@ func (s *System) validateFaults(taskCPU map[string]string, irqs map[string]bool)
 			}
 		default:
 			return fail("unknown fault kind")
-		}
-	}
-	return nil
-}
-
-// validateContOps rejects the ops a continuation-bodied task cannot express:
-// bus channel transfers block in multiple stages (arbitration, then the
-// receiver queue) and have no split-phase yield form.
-func validateContOps(task string, ops []Op) error {
-	for i, op := range ops {
-		switch op.Op {
-		case "send", "recv":
-			return fmt.Errorf("scenario: task %q op %d (%s): bus channel ops need a goroutine body; drop engine \"continuation\"",
-				task, i, op.Op)
-		case "repeat":
-			if err := validateContOps(task, op.Body); err != nil {
-				return err
-			}
 		}
 	}
 	return nil

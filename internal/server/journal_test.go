@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -331,5 +332,64 @@ func TestJournalDropsRetiredKnobJob(t *testing.T) {
 	}
 	if _, code := getBytes(t, ts, "/v1/jobs/j000001"); code != http.StatusNotFound {
 		t.Errorf("retired-knob job restored: status %d", code)
+	}
+}
+
+// A result record journaled by an older daemon may carry result fields that
+// no longer exist (the retired "autoLowered" task list). Replay decodes
+// records non-strictly, so such a record still restores its job and serves
+// later submissions of the same scenario as cache hits.
+func TestJournalReplaysRetiredResultField(t *testing.T) {
+	dir := t.TempDir()
+	data := readScenario(t, "figure6.json")
+	s1, ts1 := newTestServer(t, Config{Journal: dir})
+	first := waitTerminal(t, ts1, postJob(t, ts1, Request{Scenario: data}).ID)
+	if first.State != StateDone {
+		t.Fatalf("first job: %s (%s)", first.State, first.Error)
+	}
+	report1, _ := getBytes(t, ts1, "/v1/jobs/"+first.ID+"/report")
+	ts1.Close()
+	s1.Close()
+
+	// Rewrite the end record as the older daemon wrote it.
+	var buf bytes.Buffer
+	patched := false
+	for _, line := range journalLines(t, dir) {
+		var rec map[string]json.RawMessage
+		if err := json.Unmarshal([]byte(line[9:]), &rec); err != nil {
+			t.Fatal(err)
+		}
+		if out, ok := rec["out"]; ok {
+			old := strings.Replace(string(out), `"meta":{`, `"meta":{"autoLowered":["a","b"],`, 1)
+			if old == string(out) {
+				t.Fatalf("end record has no result meta: %s", out)
+			}
+			rec["out"] = json.RawMessage(old)
+			patched = true
+		}
+		payload, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&buf, "%08x %s\n", crc32.ChecksumIEEE(payload), payload)
+	}
+	if !patched {
+		t.Fatal("journal holds no end record")
+	}
+	if err := os.WriteFile(filepath.Join(dir, journalFile), buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	_, ts2 := newTestServer(t, Config{Journal: dir})
+	got := getJob(t, ts2, first.ID)
+	if got.State != StateDone {
+		t.Fatalf("record with a retired field not restored: %+v", got)
+	}
+	report2, code := getBytes(t, ts2, "/v1/jobs/"+first.ID+"/report")
+	if code != http.StatusOK || !bytes.Equal(report1, report2) {
+		t.Errorf("restored report differs (status %d)", code)
+	}
+	if again := postJob(t, ts2, Request{Scenario: data}); !again.CacheHit {
+		t.Error("restored result did not serve a resubmission as a cache hit")
 	}
 }

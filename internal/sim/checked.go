@@ -131,19 +131,25 @@ func (k *Kernel) FinishReason() FinishReason { return k.finish }
 func (k *Kernel) SetDiagnostic(fn func() []string) { k.diagnostic = fn }
 
 // BlockedProcs returns every non-daemon process currently in the Waiting
-// state with the events it waits on. After a run finishing with
+// state with the events it waits on, plus every unfinished strand (waiting on
+// its first sensitivity event), in creation order. After a run finishing with
 // FinishDeadlock this names the deadlocked processes.
 func (k *Kernel) BlockedProcs() []BlockedProc {
 	var blocked []BlockedProc
-	for _, p := range k.procs {
-		if p.daemon || p.state != ProcWaiting {
-			continue
+	strands := k.strands
+	for i := 0; i <= len(k.procs); i++ {
+		// Strands created before process i come first.
+		for ; len(strands) > 0 && strands[0].procsBefore <= i; strands = strands[1:] {
+			if s := strands[0]; !s.finished {
+				blocked = append(blocked, BlockedProc{Name: s.name, WaitingOn: s.waitingOn, HasTimeout: s.WakePending()})
+			}
 		}
-		blocked = append(blocked, BlockedProc{
-			Name:       p.name,
-			WaitingOn:  p.WaitingOn(),
-			HasTimeout: p.timeout != nil,
-		})
+		if i == len(k.procs) {
+			break
+		}
+		if p := k.procs[i]; !p.daemon && p.state == ProcWaiting {
+			blocked = append(blocked, BlockedProc{Name: p.name, WaitingOn: p.WaitingOn(), HasTimeout: p.timeout != nil})
+		}
 	}
 	return blocked
 }

@@ -175,3 +175,41 @@ func TestRunCheckedQuiescent(t *testing.T) {
 	}
 	k.Shutdown()
 }
+
+// A strand is a continuation task body: until Finish it counts as blocked,
+// exactly like a waiting process, so a run that starves with an unfinished
+// strand is a deadlock naming it (in creation order among the processes),
+// while a finished strand leaves the model quiescent.
+func TestRunCheckedStrands(t *testing.T) {
+	k := New()
+	run := k.NewEvent("early.TaskRun")
+	k.NewStrand("early", func(s *Strand) {}, true, run)
+	k.Spawn("proc", func(p *Proc) { p.WaitEvent(k.NewEvent("never")) })
+	k.NewStrand("late", func(s *Strand) {}, true)
+	rep, err := k.RunChecked(TimeMax)
+	if rep.Reason != FinishDeadlock || err == nil {
+		t.Fatalf("reason = %v, err = %v; want a deadlock error", rep.Reason, err)
+	}
+	want := []string{
+		"early waiting on early.TaskRun",
+		"proc waiting on never",
+		"late waiting on late.strandTimer",
+	}
+	if len(rep.Blocked) != len(want) {
+		t.Fatalf("blocked = %v, want %v", rep.Blocked, want)
+	}
+	for i, b := range rep.Blocked {
+		if b.String() != want[i] {
+			t.Errorf("blocked[%d] = %q, want %q", i, b, want[i])
+		}
+	}
+	k.Shutdown()
+
+	k = New()
+	k.NewStrand("done", func(s *Strand) { s.Finish() }, true)
+	rep, err = k.RunChecked(TimeMax)
+	if err != nil || rep.Reason != FinishQuiescent || len(rep.Blocked) != 0 {
+		t.Fatalf("finished strand: reason = %v, blocked = %v, err = %v; want quiescent", rep.Reason, rep.Blocked, err)
+	}
+	k.Shutdown()
+}

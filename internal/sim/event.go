@@ -75,7 +75,7 @@ func (e *Event) NotifyIn(d Time) {
 		e.NotifyDelta()
 		return
 	}
-	e.NotifyAt(addSat(e.k.now, d))
+	e.NotifyAt(AddSat(e.k.now, d))
 }
 
 // NotifyAt schedules the event to fire at absolute time t, which must not be

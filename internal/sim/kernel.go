@@ -26,10 +26,11 @@ type Kernel struct {
 	now   Time
 	limit Time // horizon of the run in progress
 
-	procs []*Proc
+	procs   []*Proc
+	strands []*Strand
 
-	runQueue    ring[*Proc]   // processes runnable in the current evaluate phase
-	methodQueue ring[*Method] // methods triggered in the current evaluate phase
+	runQueue    ring[runnable] // processes and strands runnable in the current evaluate phase
+	methodQueue ring[*Method]  // plain methods triggered in the current evaluate phase
 
 	deltaQueue    []*Event // events with a pending delta notification
 	deltaProcs    []*Proc  // processes doing WaitDelta
@@ -93,6 +94,12 @@ type Kernel struct {
 	mTimedPops     *metrics.Counter
 	mTimedSched    *metrics.Counter
 	mStrandResumes *metrics.Counter
+}
+
+// runnable is a process to dispatch or a strand's method to run inline.
+type runnable struct {
+	p *Proc
+	m *Method
 }
 
 // New creates an empty simulation kernel at time zero.
@@ -187,7 +194,7 @@ func (k *Kernel) RunFor(d Time) {
 	if d < 0 {
 		panic("sim: RunFor with negative duration")
 	}
-	k.RunUntil(addSat(k.now, d))
+	k.RunUntil(AddSat(k.now, d))
 }
 
 // Shutdown unwinds every non-terminated process goroutine. It is idempotent.
@@ -260,6 +267,8 @@ func (k *Kernel) schedule() (dispatched bool) {
 		// Evaluate phase: run triggered methods and runnable processes until
 		// none are left. Methods are drained before each process dispatch so
 		// combinational reactions settle promptly; order is deterministic.
+		// Strands queue with the processes, so a continuation body resumes
+		// exactly where its goroutine form would have been dispatched.
 		for !k.stopRequested {
 			if k.methodQueue.len() > 0 {
 				m := k.methodQueue.pop()
@@ -269,7 +278,14 @@ func (k *Kernel) schedule() (dispatched bool) {
 				continue
 			}
 			if k.runQueue.len() > 0 {
-				p := k.runQueue.pop()
+				next := k.runQueue.pop()
+				if next.m != nil {
+					k.methodRuns++
+					k.mMethodRuns.Inc()
+					next.m.run()
+					continue
+				}
+				p := next.p
 				if p.state != ProcRunnable {
 					continue // terminated or rescheduled since queuing
 				}
@@ -389,7 +405,7 @@ func (k *Kernel) makeRunnable(p *Proc) {
 		return
 	}
 	p.state = ProcRunnable
-	k.runQueue.push(p)
+	k.runQueue.push(runnable{p: p})
 }
 
 // scheduleTimed inserts a future action into the timed queue. The entry comes

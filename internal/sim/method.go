@@ -12,6 +12,8 @@ type Method struct {
 	// lastTrigger is the event whose firing queued this method, nil when the
 	// method was queued by Trigger or at elaboration.
 	lastTrigger *Event
+	// strand marks a Strand's method, which queues with the processes.
+	strand bool
 }
 
 // NewMethod creates a method process sensitive to the given events. With
@@ -40,23 +42,22 @@ func (m *Method) LastTrigger() *Event { return m.lastTrigger }
 
 // Trigger queues the method to run in the current evaluate phase regardless
 // of its sensitivity list.
-func (m *Method) Trigger() {
-	if m.queued {
-		return
-	}
-	m.queued = true
-	m.lastTrigger = nil
-	m.k.methodQueue.push(m)
-}
+func (m *Method) Trigger() { m.trigger(nil) }
 
-// trigger is called by a firing event in the sensitivity list.
+// trigger queues the method on behalf of the firing event e (nil for
+// Trigger): a plain method ahead of the runnable processes, a strand's among
+// them.
 func (m *Method) trigger(e *Event) {
 	if m.queued {
 		return
 	}
 	m.queued = true
 	m.lastTrigger = e
-	m.k.methodQueue.push(m)
+	if m.strand {
+		m.k.runQueue.push(runnable{m: m})
+	} else {
+		m.k.methodQueue.push(m)
+	}
 }
 
 // run executes the method body once.

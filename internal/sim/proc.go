@@ -260,7 +260,7 @@ func (p *Proc) Wait(d Time) {
 		p.WaitDelta()
 		return
 	}
-	p.timeout = p.k.scheduleTimed(addSat(p.k.now, d), nil, p)
+	p.timeout = p.k.scheduleTimed(AddSat(p.k.now, d), nil, p)
 	p.park()
 }
 
@@ -354,7 +354,7 @@ func (p *Proc) WaitTimeout(d Time, events ...*Event) (woke *Event, timedOut bool
 		// generation guard discards the wake if an event got there first.
 		p.k.deltaTimeouts = append(p.k.deltaTimeouts, deltaTimeout{p, p.waitGen + 1})
 	} else {
-		p.timeout = p.k.scheduleTimed(addSat(p.k.now, d), nil, p)
+		p.timeout = p.k.scheduleTimed(AddSat(p.k.now, d), nil, p)
 	}
 	for _, e := range events {
 		e.addWaiter(p)

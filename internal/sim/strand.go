@@ -6,19 +6,30 @@ package sim
 // goroutine in Wait and pays a parker round-trip per activation, a Strand's
 // step function runs inline in the evaluate phase and simply returns after
 // advancing its state machine — control never leaves the kernel goroutine
-// and no stack is retained between resumes.
+// and no stack is retained between resumes. A triggered strand queues with
+// the runnable processes, so it resumes where a process woken by the same
+// event would run.
 //
 // The step function learns why it ran from Trigger() (the sensitivity event
 // that fired; TimedOut reports whether it was the private timer) and models
 // a timed sleep by arming the timer with WakeIn/WakeAt/WakeDelta and
 // returning. Strands follow Method rules: step must run to completion and
 // must not call the blocking Wait primitives.
+//
+// Until Finish, a strand counts as blocked like a waiting Proc, waiting on
+// its first sensitivity event: a run that starves with an unfinished strand
+// is a deadlock.
 type Strand struct {
 	k     *Kernel
 	name  string
 	m     *Method
 	timer *Event
 	fn    func(*Strand)
+	// waitingOn names the first sensitivity event, for BlockedProcs.
+	waitingOn []string
+	// procsBefore (len(k.procs) at creation) orders strands among processes.
+	procsBefore int
+	finished    bool
 }
 
 // NewStrand creates a continuation driver executing fn, sensitive to the
@@ -28,14 +39,24 @@ func (k *Kernel) NewStrand(name string, fn func(*Strand), initial bool, sensitiv
 	if fn == nil {
 		panic("sim: NewStrand with nil function")
 	}
-	s := &Strand{k: k, name: name, fn: fn}
+	s := &Strand{k: k, name: name, fn: fn, procsBefore: len(k.procs)}
 	s.timer = k.NewEvent(name + ".strandTimer")
 	sens := make([]*Event, 0, len(sensitivity)+1)
 	sens = append(sens, sensitivity...)
 	sens = append(sens, s.timer)
-	s.m = k.NewMethod(name, s.step, initial, sens...)
+	s.waitingOn = []string{sens[0].name}
+	s.m = k.NewMethod(name, s.step, false, sens...)
+	s.m.strand = true
+	if initial {
+		s.m.Trigger()
+	}
+	k.strands = append(k.strands, s)
 	return s
 }
+
+// Finish marks the strand terminated, or as infrastructure that may idle
+// forever (like a daemon process): it no longer counts as blocked.
+func (s *Strand) Finish() { s.finished = true }
 
 // step counts the resume and advances the state machine.
 func (s *Strand) step() {

@@ -82,10 +82,10 @@ func (t Time) Microseconds() float64 { return float64(t) / float64(Us) }
 // nearest picosecond. It is useful in user overhead formulas.
 func (t Time) Scale(f float64) Time { return Time(math.Round(float64(t) * f)) }
 
-// addSat returns a+b saturated at TimeMax; both operands must be
-// non-negative. The kernel uses it wherever "now + duration" could wrap past
-// TimeMax (RunFor, NotifyIn, timed waits).
-func addSat(a, b Time) Time {
+// AddSat returns a+b saturated at TimeMax; both operands must be
+// non-negative. It serves wherever "now + duration" could wrap past TimeMax
+// (RunFor, NotifyIn, timed waits, cross-shard promises).
+func AddSat(a, b Time) Time {
 	if s := a + b; s >= a {
 		return s
 	}

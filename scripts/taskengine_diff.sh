@@ -1,0 +1,130 @@
+#!/usr/bin/env bash
+# taskengine_diff.sh — check that a change to task-body engine selection
+# leaves every simulated outcome alone.
+#
+# Runs every non-sweep examples/scenarios/*.json three ways: the head
+# checkout's default, the base checkout's default, and the base checkout's
+# `-taskengine goroutine`. Each run produces the full artifact set (report
+# with -timeline -chronology, CSV, VCD, JSON, SVG, Perfetto, metrics JSON,
+# Prometheus text) plus the trace.Signature of a sequential run. The head run
+# is then compared with each base run.
+#
+# Must be identical (the script exits 1 otherwise): exit code, stderr, the
+# report's first line with the activation count masked (finish verdict, end
+# time, delta cycles), the lines of the statistics/constraint/fault sections,
+# the trace.Signature, the sorted CSV lines, and the metrics with the sim_*
+# counters and rtos_continuation_resumes_total dropped. Every other
+# difference is listed, not failed: the order of same-instant t=0
+# created/ready records may differ between body forms, and with it the row
+# order of the timeline and of the statistics tables (the "sections" entry)
+# and the raw chronology and trace exports.
+#
+# usage: scripts/taskengine_diff.sh BASE_DIR [HEAD_DIR] [OUT_DIR]
+#   BASE_DIR  a checkout of the base commit (git clone or git archive)
+#   HEAD_DIR  the checkout under test (default: this repository)
+#   OUT_DIR   where binaries and outputs go (default: a fresh temp dir)
+set -euo pipefail
+
+[ $# -ge 1 ] || { sed -n '2,25p' "$0" >&2; exit 2; }
+base=$(cd "$1" && pwd)
+head=$(cd "${2:-$(dirname "$0")/..}" && pwd)
+out=${3:-$(mktemp -d)}
+mkdir -p "$out"
+out=$(cd "$out" && pwd)
+
+# The signature helper is compiled inside each checkout's module (it needs
+# internal packages) through a build overlay, so no file is written there.
+mkdir -p "$out/src"
+cat > "$out/src/main.go" <<'EOF'
+package main
+
+import (
+	"fmt"
+	"os"
+
+	"repro/internal/runner"
+	"repro/internal/trace"
+)
+
+// usage: sig TASKENGINE SCENARIO — prints the finish verdict, the delta
+// cycle count and the trace signature of a sequential run.
+func main() {
+	data, err := os.ReadFile(os.Args[2])
+	if err != nil {
+		panic(err)
+	}
+	desc, err := runner.Prepare(data, runner.Options{TaskEngine: os.Args[1]})
+	if err != nil {
+		panic(err)
+	}
+	b, err := desc.Build()
+	if err != nil {
+		panic(err)
+	}
+	b.RunChecked()
+	fmt.Printf("finish %v, %d delta cycles\n%s\n", b.Sys.FinishReason(),
+		b.Sys.K.DeltaCount(), trace.Signature(b.Sys.Rec, b.Sys.Now()))
+}
+EOF
+
+build() { # label tree
+	mkdir -p "$out/bin/$1"
+	printf '{"Replace":{"%s/_taskengine_diff/main.go":"%s/src/main.go"}}' "$2" "$out" > "$out/bin/$1/overlay.json"
+	(cd "$2" && go build -o "$out/bin/$1/rtossim" ./cmd/rtossim &&
+		go build -overlay "$out/bin/$1/overlay.json" -o "$out/bin/$1/sig" ./_taskengine_diff)
+}
+build base "$base"
+build head "$head"
+
+run() { # label taskengine scenario
+	local bin=$out/bin/$1 dir=$out/$3/$1${2:+-$2}
+	mkdir -p "$dir"
+	"$bin/rtossim" ${2:+-taskengine "$2"} -timeline -chronology \
+		-csv "$dir/trace.csv" -vcd "$dir/trace.vcd" -json "$dir/trace.json" \
+		-svg "$dir/timeline.svg" -perfetto "$dir/perfetto.json" \
+		-metrics "$dir/metrics.json" -prom "$dir/metrics.prom" \
+		"$head/examples/scenarios/$3.json" > "$dir/stdout.txt" 2> "$dir/stderr.txt" && rc=0 || rc=$?
+	echo "$rc" > "$dir/exit"
+	grep -v '^wrote ' "$dir/stdout.txt" > "$dir/report.txt" || true
+	"$bin/sig" "$2" "$head/examples/scenarios/$3.json" > "$dir/signature"
+	sed -n '1{s/([0-9]* kernel activations/(N kernel activations/;p;}' "$dir/report.txt" > "$dir/verdict"
+	sed '1s/([0-9]* kernel activations/(N kernel activations/' "$dir/report.txt" > "$dir/report.masked"
+	sed -n '/^Statistics over/,$p' "$dir/report.txt" > "$dir/sections"
+	sort "$dir/sections" > "$dir/sections.sorted"
+	sort "$dir/trace.csv" > "$dir/csv.sorted"
+	grep -v -E '^(# [A-Z]+ )?(sim_|rtos_continuation_resumes_total)' "$dir/metrics.prom" > "$dir/prom.kept"
+	python3 - "$dir/metrics.json" > "$dir/metrics.kept" <<'EOF'
+import json, sys
+doc = json.load(open(sys.argv[1]))
+doc["metrics"] = [m for m in doc["metrics"] if not m["name"].startswith("sim_")
+                  and m["name"] != "rtos_continuation_resumes_total"]
+json.dump(doc, sys.stdout, indent=1, sort_keys=True)
+EOF
+}
+
+strict="exit stderr.txt verdict sections.sorted signature csv.sorted metrics.kept prom.kept"
+loose="sections report.masked trace.vcd trace.json timeline.svg perfetto.json"
+fail=0
+for f in "$head"/examples/scenarios/*.json; do
+	name=$(basename "$f" .json)
+	case "$name" in *sweep*) continue ;; esac
+	run head "" "$name"
+	run base "" "$name"
+	run base goroutine "$name"
+	for ref in base base-goroutine; do
+		bad="" other=""
+		for a in $strict; do
+			cmp -s "$out/$name/head/$a" "$out/$name/$ref/$a" || bad="$bad $a"
+		done
+		for a in $loose; do
+			cmp -s "$out/$name/head/$a" "$out/$name/$ref/$a" || other="$other $a"
+		done
+		printf '%-18s head vs %-15s %s\n' "$name" "$ref" \
+			"$([ -z "$bad" ] && echo ok || echo "DIFFER:$bad")${other:+ (also differ:$other)}"
+		[ -z "$bad" ] || fail=1
+	done
+	printf '%-18s activations: %s\n' "$name" "$(for r in base-goroutine base head; do
+		printf '%s=%s ' "$r" "$(grep -o '([0-9]* kernel' "$out/$name/$r/report.txt" | tr -dc 0-9)"; done)"
+done
+echo "outputs in $out"
+exit $fail
