@@ -12,6 +12,7 @@ package rtosmodel_test
 //	go test -bench=. -benchmem
 
 import (
+	"bytes"
 	"strconv"
 	"testing"
 
@@ -99,6 +100,44 @@ func BenchmarkStatistics(b *testing.B) {
 			b.Fatal("empty stats")
 		}
 	}
+}
+
+// mpeg2Trace simulates eight frames of the MPEG-2 SoC and returns its system,
+// whose recorded trace the artifact-rendering benchmarks render.
+func mpeg2Trace() *rtos.System {
+	soc := mpeg2.Build(mpeg2.Config{})
+	soc.Sys.RunUntil(8 * mpeg2.FramePeriod)
+	return soc.Sys
+}
+
+// BenchmarkStatisticsSoC computes the statistics view of the 18-task MPEG-2
+// SoC trace: a trace large enough that a per-task rescan of the transitions
+// shows in ns/op.
+func BenchmarkStatisticsSoC(b *testing.B) {
+	sys := mpeg2Trace()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if st := sys.Stats(0); len(st.Tasks) == 0 {
+			b.Fatal("empty stats")
+		}
+	}
+}
+
+// BenchmarkPerfettoExport renders the MPEG-2 SoC trace as a Perfetto
+// trace_event file, the artifact rtossim -perfetto and the daemon serve.
+func BenchmarkPerfettoExport(b *testing.B) {
+	sys := mpeg2Trace()
+	var buf bytes.Buffer
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf.Reset()
+		if err := sys.WritePerfetto(&buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(buf.Len()), "bytes/file")
 }
 
 // BenchmarkTimelineRender benchmarks the ASCII TimeLine renderer on the

@@ -68,7 +68,13 @@ func (r *Recorder) RenderTimeline(opts TimelineOptions) string {
 	}
 	fmt.Fprintf(&b, "%*s %s\n", nameWidth, "", string(axis))
 
-	for _, task := range r.Tasks() {
+	segs := r.segmentsByTask(end)
+	overheads := groupByTask(r, r.overheads, func(o *OverheadSegment) string { return o.Task })
+	var accesses [][]*Access
+	if opts.ShowAccesses {
+		accesses = groupByTask(r, r.accesses, func(a *Access) string { return a.Actor })
+	}
+	for ti, task := range r.Tasks() {
 		row := make([]byte, width)
 		for i := range row {
 			row[i] = '.'
@@ -76,7 +82,7 @@ func (r *Recorder) RenderTimeline(opts TimelineOptions) string {
 		// Paint state segments; the dominant state in a cell is the one
 		// covering the start of the cell (states are painted in order, later
 		// segments overwrite earlier cells they cover more of).
-		for _, seg := range r.Segments(task, end) {
+		for _, seg := range segs[ti] {
 			if seg.End <= start || seg.Start >= end {
 				continue
 			}
@@ -88,9 +94,8 @@ func (r *Recorder) RenderTimeline(opts TimelineOptions) string {
 			}
 		}
 		// Overlay overhead segments attributed to the task.
-		for i := range r.overheads {
-			o := &r.overheads[i]
-			if o.Task != task || o.End <= start || o.Start >= end {
+		for _, o := range overheads[ti] {
+			if o.End <= start || o.Start >= end {
 				continue
 			}
 			first := int((max(o.Start, start) - start) / cell)
@@ -106,9 +111,8 @@ func (r *Recorder) RenderTimeline(opts TimelineOptions) string {
 			for i := range marks {
 				marks[i] = ' '
 			}
-			for i := range r.accesses {
-				a := &r.accesses[i]
-				if a.Actor != task || a.At < start || a.At >= end {
+			for _, a := range accesses[ti] {
+				if a.At < start || a.At >= end {
 					continue
 				}
 				col := int((a.At - start) / cell)

@@ -50,12 +50,13 @@ func Diff(a, b *Recorder, end sim.Time, maxFindings int) string {
 		}
 	}
 
+	segsA, segsB := a.segmentsByTask(end), b.segmentsByTask(end)
 	for _, task := range aTasks {
 		if taskSet[task] != 3 {
 			continue
 		}
-		sa := nonZero(a.Segments(task, end))
-		sb := nonZero(b.Segments(task, end))
+		sa := nonZero(segsA[a.taskIndex[task]])
+		sb := nonZero(segsB[b.taskIndex[task]])
 		n := min(len(sa), len(sb))
 		for i := 0; i < n; i++ {
 			if sa[i] != sb[i] {

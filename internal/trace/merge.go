@@ -36,8 +36,9 @@ func MergeRecorders(recs []*Recorder, end sim.Time) *Recorder {
 	sort.SliceStable(out.faults, func(i, j int) bool { return out.faults[i].At < out.faults[j].At })
 	sort.SliceStable(out.migrations, func(i, j int) bool { return out.migrations[i].At < out.migrations[j].At })
 
-	for _, c := range out.changes {
-		out.noteTask(c.Task)
+	for i := range out.changes {
+		c := &out.changes[i]
+		c.task = int32(out.noteTask(c.Task))
 	}
 	// Objects are noted by both accesses and depth samples; walk the two
 	// merged streams in tandem so first-appearance order follows the trace
@@ -46,11 +47,13 @@ func MergeRecorders(recs []*Recorder, end sim.Time) *Recorder {
 	ai, di := 0, 0
 	for ai < len(out.accesses) || di < len(out.depths) {
 		if di < len(out.depths) && (ai >= len(out.accesses) || out.depths[di].At <= out.accesses[ai].At) {
-			out.noteObject(out.depths[di].Object)
+			d := &out.depths[di]
+			d.object = int32(out.noteObject(d.Object))
 			di++
 			continue
 		}
-		out.noteObject(out.accesses[ai].Object)
+		a := &out.accesses[ai]
+		a.object = int32(out.noteObject(a.Object))
 		ai++
 	}
 	return out

@@ -1,10 +1,12 @@
 package trace
 
 import (
-	"encoding/json"
-	"fmt"
+	"bufio"
 	"io"
-	"sort"
+	"math"
+	"slices"
+	"strconv"
+	"unicode/utf8"
 
 	"repro/internal/sim"
 )
@@ -25,8 +27,17 @@ import (
 //
 // Timestamps: trace_event wants microseconds, so ts = picoseconds / 1e6;
 // displayTimeUnit "ns" makes the UI show nanosecond precision. Construction
-// is fully deterministic (fixed pass order, stable sort), so identical runs
-// produce byte-identical files — the golden test pins this.
+// is fully deterministic (fixed pass order, ties in time broken by build
+// order), so identical runs produce byte-identical files — the golden test
+// pins this.
+//
+// The file is written by hand, one event at a time into a reused buffer,
+// in exactly the layout encoding/json's indented encoder gives the
+// equivalent struct: field order, one-space indent, omitted empty fields,
+// sorted args keys, its float and string escaping rules and the trailing
+// newline. writePerfettoReference (perfetto_ref_test.go) keeps the
+// encoding/json version of this exporter; the differential tests in
+// perfetto_test.go and perfetto_corpus_test.go hold the two byte-identical.
 
 // MissMark is one deadline miss to mark in the exported trace. Misses are
 // detected by the constraint monitor above the trace layer, so the exporter
@@ -43,23 +54,31 @@ type PerfettoOptions struct {
 	Misses []MissMark
 }
 
-// perfettoEvent is one trace_event entry. Field order is the JSON emission
-// order; Dur is a pointer so zero-length slices still carry "dur":0.
+// eventKind says which record a trace event renders.
+type eventKind uint8
+
+const (
+	eventTask      eventKind = iota // Running slice opened by r.changes[rec]
+	eventOverhead                   // overhead slice r.overheads[rec]
+	eventFault                      // instant for r.faults[rec]
+	eventMigration                  // instant for r.migrations[rec]
+	eventMiss                       // instant for opts.Misses[rec]
+)
+
+// perfettoEvent is one non-metadata trace event awaiting output. Its name
+// and args are formatted at write time from the record it points to, so
+// building an event allocates nothing.
 type perfettoEvent struct {
-	Name string         `json:"name"`
-	Cat  string         `json:"cat,omitempty"`
-	Ph   string         `json:"ph"`
-	Ts   float64        `json:"ts"`
-	Dur  *float64       `json:"dur,omitempty"`
-	Pid  int            `json:"pid"`
-	Tid  int            `json:"tid"`
-	S    string         `json:"s,omitempty"`
-	Args map[string]any `json:"args,omitempty"`
+	at, dur  sim.Time // dur is used by slices only
+	pid, tid int32
+	kind     eventKind
+	rec      int32
 }
 
-type perfettoFile struct {
-	DisplayTimeUnit string          `json:"displayTimeUnit"`
-	TraceEvents     []perfettoEvent `json:"traceEvents"`
+// perfettoThread is one named (pid, tid) thread.
+type perfettoThread struct {
+	pid, tid int
+	name     string
 }
 
 // usec converts a simulated instant or duration to trace_event microseconds.
@@ -69,19 +88,17 @@ func usec(t sim.Time) float64 { return float64(t) / 1e6 }
 type perfettoBuilder struct {
 	pids     map[string]int // CPU name -> pid ("" = hardware process)
 	pidOrder []string
-	tids     map[[2]int]bool   // (pid, tid) seen
-	tidName  map[[2]int]string // (pid, tid) -> thread name
-	tidOrder [][2]int
+	tids     map[[2]int]bool // (pid, tid) named
+	threads  []perfettoThread
 	hwTid    map[string]int // hardware task -> tid
 	events   []perfettoEvent
 }
 
 func newPerfettoBuilder() *perfettoBuilder {
 	return &perfettoBuilder{
-		pids:    map[string]int{},
-		tids:    map[[2]int]bool{},
-		tidName: map[[2]int]string{},
-		hwTid:   map[string]int{},
+		pids:  map[string]int{},
+		tids:  map[[2]int]bool{},
+		hwTid: map[string]int{},
 	}
 }
 
@@ -96,21 +113,23 @@ func (b *perfettoBuilder) pid(cpu string) int {
 	return p
 }
 
-// thread registers a (pid, tid) thread with a display name on first use.
-func (b *perfettoBuilder) thread(pid, tid int, name string) {
+// named reports whether (pid, tid) is already named, marking it named on
+// first use; the caller then adds the name.
+func (b *perfettoBuilder) named(pid, tid int) bool {
 	k := [2]int{pid, tid}
-	if !b.tids[k] {
-		b.tids[k] = true
-		b.tidName[k] = name
-		b.tidOrder = append(b.tidOrder, k)
+	if b.tids[k] {
+		return true
 	}
+	b.tids[k] = true
+	return false
 }
 
 // coreThread returns the tid for a core of a software processor.
 func (b *perfettoBuilder) coreThread(cpu string, core int) (pid, tid int) {
-	pid = b.pid(cpu)
-	tid = core + 1
-	b.thread(pid, tid, fmt.Sprintf("core%d", core))
+	pid, tid = b.pid(cpu), core+1
+	if !b.named(pid, tid) {
+		b.threads = append(b.threads, perfettoThread{pid, tid, "core" + strconv.Itoa(core)})
+	}
 	return pid, tid
 }
 
@@ -123,22 +142,16 @@ func (b *perfettoBuilder) hwThread(task string) (pid, tid int) {
 		t = len(b.hwTid) + 1
 		b.hwTid[task] = t
 	}
-	b.thread(pid, t, task)
+	if !b.named(pid, t) {
+		b.threads = append(b.threads, perfettoThread{pid, t, task})
+	}
 	return pid, t
 }
 
-// slice appends a complete (ph:"X") event.
-func (b *perfettoBuilder) slice(name, cat string, pid, tid int, start, end sim.Time) {
-	d := usec(end - start)
+// add appends one event of the given kind.
+func (b *perfettoBuilder) add(kind eventKind, rec, pid, tid int, at, dur sim.Time) {
 	b.events = append(b.events, perfettoEvent{
-		Name: name, Cat: cat, Ph: "X", Ts: usec(start), Dur: &d, Pid: pid, Tid: tid,
-	})
-}
-
-// instant appends a process-scoped instant (ph:"i") event.
-func (b *perfettoBuilder) instant(name, cat string, pid, tid int, at sim.Time, args map[string]any) {
-	b.events = append(b.events, perfettoEvent{
-		Name: name, Cat: cat, Ph: "i", Ts: usec(at), Pid: pid, Tid: tid, S: "p", Args: args,
+		at: at, dur: dur, pid: int32(pid), tid: int32(tid), kind: kind, rec: int32(rec),
 	})
 }
 
@@ -147,35 +160,47 @@ func (b *perfettoBuilder) instant(name, cat string, pid, tid int, at sim.Time, a
 func (r *Recorder) WritePerfetto(w io.Writer, opts PerfettoOptions) error {
 	b := newPerfettoBuilder()
 	var end sim.Time
-	var taskCPU map[string]lastPlace
+	var places []lastPlace // by task position
 	if r != nil {
 		end = r.End()
-		taskCPU = map[string]lastPlace{}
+		places = make([]lastPlace, len(r.tasks))
+		// Every transition closes at most one Running slice, so this bounds
+		// the event count.
+		b.events = make([]perfettoEvent, 0,
+			len(r.changes)+len(r.overheads)+len(r.faults)+len(r.migrations)+len(opts.Misses))
 
 		// Pass 1 — Running slices, scanning state changes chronologically and
 		// closing each task's open Running interval at the next transition (or
-		// at the trace end).
-		open := map[string]*StateChange{}
-		var openOrder []string
+		// at the trace end). open holds the index of each task's open Running
+		// transition, -1 when none; openOrder lists tasks in order of their
+		// first Running transition.
+		open := make([]int, len(r.tasks))
+		for i := range open {
+			open[i] = -1
+		}
+		var openOrder []int32
+		opened := make([]bool, len(r.tasks))
 		for i := range r.changes {
 			c := &r.changes[i]
-			taskCPU[c.Task] = lastPlace{cpu: c.CPU, core: c.Core}
-			if prev := open[c.Task]; prev != nil {
-				if c.At > prev.At {
-					b.runningSlice(prev, c.At)
+			ti := c.task
+			places[ti] = lastPlace{cpu: c.CPU, core: c.Core, seen: true}
+			if prev := open[ti]; prev >= 0 {
+				if c.At > r.changes[prev].At {
+					b.runningSlice(r, prev, c.At)
 				}
-				delete(open, c.Task)
+				open[ti] = -1
 			}
 			if c.State == StateRunning {
-				if open[c.Task] == nil {
-					openOrder = append(openOrder, c.Task)
+				if !opened[ti] {
+					opened[ti] = true
+					openOrder = append(openOrder, ti)
 				}
-				open[c.Task] = c
+				open[ti] = i
 			}
 		}
-		for _, task := range openOrder {
-			if prev := open[task]; prev != nil && end > prev.At {
-				b.runningSlice(prev, end)
+		for _, ti := range openOrder {
+			if prev := open[ti]; prev >= 0 && end > r.changes[prev].At {
+				b.runningSlice(r, prev, end)
 			}
 		}
 
@@ -183,86 +208,108 @@ func (r *Recorder) WritePerfetto(w io.Writer, opts PerfettoOptions) error {
 		for i := range r.overheads {
 			o := &r.overheads[i]
 			pid, tid := b.coreThread(o.CPU, o.Core)
-			name := o.Kind.String()
-			if o.Task != "" {
-				name += " " + o.Task
-			}
-			b.slice(name, "overhead", pid, tid, o.Start, o.End)
+			b.add(eventOverhead, i, pid, tid, o.Start, o.End-o.Start)
 		}
 
 		// Pass 3 — fault and migration instants.
 		for i := range r.faults {
 			f := &r.faults[i]
-			pid, tid := b.placeOf(taskCPU, f.Task)
-			b.instant(f.Kind.String()+" "+f.Label, "fault", pid, tid, f.At,
-				map[string]any{"task": f.Task, "detail": f.Detail})
+			pid, tid := b.placeOf(r, places, f.Task)
+			b.add(eventFault, i, pid, tid, f.At, 0)
 		}
 		for i := range r.migrations {
 			m := &r.migrations[i]
 			pid, tid := b.coreThread(m.CPU, m.To)
-			b.instant("migrate "+m.Task, "migration", pid, tid, m.At,
-				map[string]any{"task": m.Task, "from": m.From, "to": m.To})
+			b.add(eventMigration, i, pid, tid, m.At, 0)
 		}
 	}
 
 	// Pass 4 — deadline-miss instants from the options.
-	for _, m := range opts.Misses {
-		pid, tid := b.placeOf(taskCPU, m.Task)
-		b.instant("deadline-miss "+m.Task, "miss", pid, tid, m.At,
-			map[string]any{"task": m.Task})
+	for i, m := range opts.Misses {
+		pid, tid := b.placeOf(r, places, m.Task)
+		b.add(eventMiss, i, pid, tid, m.At, 0)
 	}
 
-	// Chronological order with a stable sort keeps the build-order tie-break
-	// deterministic.
-	sort.SliceStable(b.events, func(i, j int) bool { return b.events[i].Ts < b.events[j].Ts })
+	// Chronological order by the exported timestamp, ties kept in build
+	// order. Sorting 16-byte (ts, index) keys moves less memory than
+	// sorting the events, and the index tie-break makes the unstable sort
+	// give the stable order.
+	type sortKey struct {
+		ts float64
+		i  int32
+	}
+	keys := make([]sortKey, len(b.events))
+	for i := range b.events {
+		keys[i] = sortKey{usec(b.events[i].at), int32(i)}
+	}
+	slices.SortFunc(keys, func(x, y sortKey) int {
+		if x.ts != y.ts {
+			if x.ts < y.ts {
+				return -1
+			}
+			return 1
+		}
+		return int(x.i - y.i)
+	})
 
+	// bufio.Writer errors are sticky: the first write error surfaces from
+	// Flush, so the writes below need no checks of their own.
+	p := perfettoWriter{bw: bufio.NewWriterSize(w, 64<<10)}
+	_, _ = p.bw.WriteString("{\n \"displayTimeUnit\": \"ns\",\n \"traceEvents\": [")
 	// Metadata events (process and thread names) go first.
-	meta := make([]perfettoEvent, 0, len(b.pidOrder)+len(b.tidOrder))
 	for _, cpu := range b.pidOrder {
 		name := cpu
 		if name == "" {
 			name = "hardware"
 		}
-		meta = append(meta, perfettoEvent{
-			Name: "process_name", Ph: "M", Pid: b.pids[cpu], Args: map[string]any{"name": name},
-		})
+		p.open("", "M", 0, 0, b.pids[cpu], 0, "process_name")
+		p.argString("name", name)
+		p.close()
 	}
-	for _, k := range b.tidOrder {
-		meta = append(meta, perfettoEvent{
-			Name: "thread_name", Ph: "M", Pid: k[0], Tid: k[1], Args: map[string]any{"name": b.tidName[k]},
-		})
+	for _, t := range b.threads {
+		p.open("", "M", 0, 0, t.pid, t.tid, "thread_name")
+		p.argString("name", t.name)
+		p.close()
 	}
-
-	file := perfettoFile{
-		DisplayTimeUnit: "ns",
-		TraceEvents:     append(meta, b.events...),
+	for _, k := range keys {
+		p.event(r, opts, &b.events[k.i])
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(file)
+	if p.events > 0 {
+		_, _ = p.bw.WriteString("\n ")
+	}
+	_, _ = p.bw.WriteString("]\n}\n")
+	return p.bw.Flush()
 }
 
 // lastPlace remembers where a task was last seen scheduling-wise.
 type lastPlace struct {
 	cpu  string
 	core int
+	seen bool
 }
 
-// runningSlice emits one Running interval for the transition that opened it.
-func (b *perfettoBuilder) runningSlice(open *StateChange, until sim.Time) {
+// runningSlice emits the Running interval opened by r.changes[open].
+func (b *perfettoBuilder) runningSlice(r *Recorder, open int, until sim.Time) {
+	c := &r.changes[open]
 	var pid, tid int
-	if open.CPU == "" {
-		pid, tid = b.hwThread(open.Task)
+	if c.CPU == "" {
+		pid, tid = b.hwThread(c.Task)
 	} else {
-		pid, tid = b.coreThread(open.CPU, open.Core)
+		pid, tid = b.coreThread(c.CPU, c.Core)
 	}
-	b.slice(open.Task, "task", pid, tid, open.At, until)
+	b.add(eventTask, open, pid, tid, c.At, until-c.At)
 }
 
 // placeOf resolves the process/thread an instant for a task is shown on: the
 // task's last known core, or the first process when the task is unknown.
-func (b *perfettoBuilder) placeOf(taskCPU map[string]lastPlace, task string) (pid, tid int) {
-	if p, ok := taskCPU[task]; ok {
+func (b *perfettoBuilder) placeOf(r *Recorder, places []lastPlace, task string) (pid, tid int) {
+	var p lastPlace
+	if r != nil {
+		if ti, ok := r.taskIndex[task]; ok {
+			p = places[ti]
+		}
+	}
+	if p.seen {
 		if p.cpu == "" {
 			return b.hwThread(task)
 		}
@@ -272,4 +319,218 @@ func (b *perfettoBuilder) placeOf(taskCPU map[string]lastPlace, task string) (pi
 		return b.pids[b.pidOrder[0]], 1
 	}
 	return b.pid("unknown"), 1
+}
+
+// perfettoWriter formats trace events one at a time into buf and hands each
+// finished event to bw. The layout is encoding/json's indented one: events
+// sit at depth 2, their fields at depth 3 and args entries at depth 4, one
+// space per level.
+type perfettoWriter struct {
+	bw     *bufio.Writer
+	buf    []byte
+	events int // events written so far
+	args   int // args entries in the current event
+}
+
+// event writes one slice or instant with the name and args of its record.
+func (p *perfettoWriter) event(r *Recorder, opts PerfettoOptions, e *perfettoEvent) {
+	pid, tid := int(e.pid), int(e.tid)
+	switch e.kind {
+	case eventTask:
+		p.open("task", "X", e.at, e.dur, pid, tid, r.changes[e.rec].Task)
+	case eventOverhead:
+		o := &r.overheads[e.rec]
+		if o.Task == "" {
+			p.open("overhead", "X", e.at, e.dur, pid, tid, o.Kind.String())
+		} else {
+			p.open("overhead", "X", e.at, e.dur, pid, tid, o.Kind.String(), " ", o.Task)
+		}
+	case eventFault:
+		f := &r.faults[e.rec]
+		p.open("fault", "i", e.at, 0, pid, tid, f.Kind.String(), " ", f.Label)
+		p.argString("detail", f.Detail)
+		p.argString("task", f.Task)
+	case eventMigration:
+		m := &r.migrations[e.rec]
+		p.open("migration", "i", e.at, 0, pid, tid, "migrate ", m.Task)
+		p.argInt("from", m.From)
+		p.argString("task", m.Task)
+		p.argInt("to", m.To)
+	case eventMiss:
+		m := &opts.Misses[e.rec]
+		p.open("miss", "i", e.at, 0, pid, tid, "deadline-miss ", m.Task)
+		p.argString("task", m.Task)
+	}
+	p.close()
+}
+
+// open starts an event and writes every field before args: the name (the
+// concatenation of the given parts), the category unless empty, the phase,
+// the timestamp, the duration on complete slices (ph "X"), pid and tid, and
+// the process scope on instants (ph "i"). Escaping the name parts one by
+// one equals escaping their concatenation, as every part but the last is
+// ASCII.
+func (p *perfettoWriter) open(cat, ph string, at, dur sim.Time, pid, tid int, name ...string) {
+	b := p.buf[:0]
+	if p.events > 0 {
+		b = append(b, ',')
+	}
+	p.events++
+	b = append(b, "\n  {\n   \"name\": \""...)
+	for _, part := range name {
+		b = appendJSONChars(b, part)
+	}
+	b = append(b, '"')
+	if cat != "" {
+		b = append(b, ",\n   \"cat\": \""...)
+		b = append(b, cat...)
+		b = append(b, '"')
+	}
+	b = append(b, ",\n   \"ph\": \""...)
+	b = append(b, ph...)
+	b = append(b, "\",\n   \"ts\": "...)
+	b = appendUsec(b, at)
+	if ph == "X" {
+		b = appendUsec(append(b, ",\n   \"dur\": "...), dur)
+	}
+	b = strconv.AppendInt(append(b, ",\n   \"pid\": "...), int64(pid), 10)
+	b = strconv.AppendInt(append(b, ",\n   \"tid\": "...), int64(tid), 10)
+	if ph == "i" {
+		b = append(b, ",\n   \"s\": \"p\""...)
+	}
+	p.buf = b
+}
+
+// argKey starts one args entry. Callers add entries in key order, the
+// order encoding/json writes map keys in.
+func (p *perfettoWriter) argKey(key string) {
+	if p.args == 0 {
+		p.buf = append(p.buf, ",\n   \"args\": {"...)
+	} else {
+		p.buf = append(p.buf, ',')
+	}
+	p.args++
+	p.buf = append(p.buf, "\n    \""...)
+	p.buf = append(p.buf, key...)
+	p.buf = append(p.buf, "\": "...)
+}
+
+func (p *perfettoWriter) argString(key, val string) {
+	p.argKey(key)
+	p.buf = append(appendJSONChars(append(p.buf, '"'), val), '"')
+}
+
+func (p *perfettoWriter) argInt(key string, val int) {
+	p.argKey(key)
+	p.buf = strconv.AppendInt(p.buf, int64(val), 10)
+}
+
+// close ends the event and hands it to the buffered writer.
+func (p *perfettoWriter) close() {
+	if p.args > 0 {
+		p.buf = append(p.buf, "\n   }"...)
+		p.args = 0
+	}
+	p.buf = append(p.buf, "\n  }"...)
+	_, _ = p.bw.Write(p.buf)
+}
+
+// appendUsec appends t in microseconds as encoding/json formats the float64
+// usec(t). For 0 <= t < 1e15 that is the exact decimal t/1e6 without
+// trailing zeros: such a decimal has at most 15 significant digits, and no
+// other decimal of that length rounds to the same float64, so it is the
+// shortest representation strconv would pick. Other values take the float
+// path.
+func appendUsec(b []byte, t sim.Time) []byte {
+	if t < 0 || t >= 1e15 {
+		return appendJSONFloat(b, usec(t))
+	}
+	b = strconv.AppendInt(b, int64(t/1e6), 10)
+	frac := int64(t % 1e6)
+	if frac == 0 {
+		return b
+	}
+	var digits [7]byte
+	n := len(digits)
+	for i := 0; i < 6; i++ {
+		n--
+		digits[n] = byte('0' + frac%10)
+		frac /= 10
+	}
+	digits[0] = '.'
+	end := len(digits)
+	for digits[end-1] == '0' {
+		end--
+	}
+	return append(b, digits[:end]...)
+}
+
+// appendJSONFloat appends f as encoding/json formats a float64: shortest
+// 'f' notation, switching to 'e' below 1e-6 and at or above 1e21, with a
+// one-digit negative exponent written without its leading zero.
+func appendJSONFloat(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if format == 'e' {
+		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	return b
+}
+
+// appendJSONChars appends s escaped as encoding/json escapes string
+// contents (with HTML escaping on, its default): quote, backslash and
+// control bytes, '<', '>' and '&', U+2028 and U+2029, and each byte of
+// invalid UTF-8 as U+FFFD. The surrounding quotes are the caller's.
+func appendJSONChars(b []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	start := 0
+	for i := 0; i < len(s); {
+		if c := s[i]; c < utf8.RuneSelf {
+			if c >= ' ' && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
+				i++
+				continue
+			}
+			b = append(b, s[start:i]...)
+			switch c {
+			case '\\', '"':
+				b = append(b, '\\', c)
+			case '\b':
+				b = append(b, '\\', 'b')
+			case '\f':
+				b = append(b, '\\', 'f')
+			case '\n':
+				b = append(b, '\\', 'n')
+			case '\r':
+				b = append(b, '\\', 'r')
+			case '\t':
+				b = append(b, '\\', 't')
+			default:
+				b = append(b, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case r == utf8.RuneError && size == 1:
+			b = append(b, s[start:i]...)
+			b = append(b, `\ufffd`...)
+		case r == '\u2028' || r == '\u2029':
+			b = append(b, s[start:i]...)
+			b = append(b, '\\', 'u', '2', '0', '2', hex[r&0xF])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	return append(b, s[start:]...)
 }

@@ -13,6 +13,7 @@ type StateChange struct {
 	CPU   string // empty for hardware tasks
 	Core  int    // core of the task's most recent dispatch; 0 on single-core CPUs
 	State TaskState
+	task  int32 // position of Task in the recorder's Tasks()
 }
 
 // Migration is one task dispatch onto a different core than the previous
@@ -41,6 +42,7 @@ type Access struct {
 	Actor  string
 	Object string
 	Kind   AccessKind
+	object int32 // position of Object in the recorder's Objects()
 }
 
 // DepthSample is a change of a relation's occupancy (queue depth, lock
@@ -50,6 +52,7 @@ type DepthSample struct {
 	Object   string
 	Depth    int
 	Capacity int
+	object   int32 // position of Object in the recorder's Objects()
 }
 
 // FaultRecord is one fault-subsystem event: a fault injection, a recovery
@@ -94,19 +97,22 @@ type Recorder struct {
 	limit   int
 	dropped uint64
 
-	tasks   []string
-	taskSet map[string]bool
-	objects []string
-	objSet  map[string]bool
+	// tasks and objects hold the names in first-appearance order; the
+	// index maps give each name's position there, so renderers can keep
+	// per-task and per-object state in slices.
+	tasks     []string
+	taskIndex map[string]int
+	objects   []string
+	objIndex  map[string]int
 }
 
 // NewRecorder creates a recorder reading timestamps from now (typically
 // kernel.Now).
 func NewRecorder(now func() sim.Time) *Recorder {
 	return &Recorder{
-		now:     now,
-		taskSet: make(map[string]bool),
-		objSet:  make(map[string]bool),
+		now:       now,
+		taskIndex: make(map[string]int),
+		objIndex:  make(map[string]int),
 	}
 }
 
@@ -205,8 +211,8 @@ func (r *Recorder) TaskStateOn(task, cpu string, core int, state TaskState) {
 	if r == nil {
 		return
 	}
-	r.noteTask(task)
-	r.changes = capped(append(r.changes, StateChange{At: r.now(), Task: task, CPU: cpu, Core: core, State: state}), r.limit, &r.dropped)
+	ti := r.noteTask(task)
+	r.changes = capped(append(r.changes, StateChange{At: r.now(), Task: task, CPU: cpu, Core: core, State: state, task: int32(ti)}), r.limit, &r.dropped)
 }
 
 // Migrate records that task's dispatch moved it from one core of cpu to
@@ -249,8 +255,8 @@ func (r *Recorder) Access(actor, object string, kind AccessKind) {
 	if r == nil {
 		return
 	}
-	r.noteObject(object)
-	r.accesses = capped(append(r.accesses, Access{At: r.now(), Actor: actor, Object: object, Kind: kind}), r.limit, &r.dropped)
+	oi := r.noteObject(object)
+	r.accesses = capped(append(r.accesses, Access{At: r.now(), Actor: actor, Object: object, Kind: kind, object: int32(oi)}), r.limit, &r.dropped)
 }
 
 // Fault records a fault-subsystem event (fault injection, recovery action,
@@ -278,22 +284,32 @@ func (r *Recorder) Depth(object string, depth, capacity int) {
 	if r == nil {
 		return
 	}
-	r.noteObject(object)
-	r.depths = capped(append(r.depths, DepthSample{At: r.now(), Object: object, Depth: depth, Capacity: capacity}), r.limit, &r.dropped)
+	oi := r.noteObject(object)
+	r.depths = capped(append(r.depths, DepthSample{At: r.now(), Object: object, Depth: depth, Capacity: capacity, object: int32(oi)}), r.limit, &r.dropped)
 }
 
-func (r *Recorder) noteTask(task string) {
-	if !r.taskSet[task] {
-		r.taskSet[task] = true
+// noteTask registers task on first sight and returns its position in
+// r.tasks.
+func (r *Recorder) noteTask(task string) int {
+	ti, ok := r.taskIndex[task]
+	if !ok {
+		ti = len(r.tasks)
+		r.taskIndex[task] = ti
 		r.tasks = append(r.tasks, task)
 	}
+	return ti
 }
 
-func (r *Recorder) noteObject(obj string) {
-	if !r.objSet[obj] {
-		r.objSet[obj] = true
+// noteObject registers obj on first sight and returns its position in
+// r.objects.
+func (r *Recorder) noteObject(obj string) int {
+	oi, ok := r.objIndex[obj]
+	if !ok {
+		oi = len(r.objects)
+		r.objIndex[obj] = oi
 		r.objects = append(r.objects, obj)
 	}
+	return oi
 }
 
 // Tasks returns the names of all traced tasks in first-appearance order.
@@ -358,27 +374,75 @@ type Segment struct {
 
 // Segments reconstructs the state intervals of one task from its recorded
 // transitions, closing the final segment at end. Transitions after end are
-// ignored; an empty slice is returned for unknown tasks.
+// ignored; nil is returned for unknown tasks.
 func (r *Recorder) Segments(task string, end sim.Time) []Segment {
 	if r == nil {
 		return nil
 	}
-	var segs []Segment
-	var cur *StateChange
+	ti, ok := r.taskIndex[task]
+	if !ok {
+		return nil
+	}
+	if segs := r.segmentsByTask(end)[ti]; len(segs) > 0 {
+		return segs
+	}
+	return nil
+}
+
+// segmentsByTask reconstructs the state intervals of every traced task in
+// one pass over the transitions: element i holds the segments of
+// r.Tasks()[i]. Renderers that visit every task use it instead of calling
+// Segments per task, which would rescan the whole trace for each one.
+func (r *Recorder) segmentsByTask(end sim.Time) [][]Segment {
+	if r == nil {
+		return nil
+	}
+	// A task has at most as many segments as transitions: carve one backing
+	// array into per-task slices of that capacity, so the appends below
+	// never reallocate.
+	size := make([]int, len(r.tasks))
+	total := 0
+	for i := range r.changes {
+		if r.changes[i].At <= end {
+			size[r.changes[i].task]++
+			total++
+		}
+	}
+	all := make([]Segment, total)
+	groups := make([][]Segment, len(r.tasks))
+	for ti, n := range size {
+		groups[ti], all = all[:0:n], all[n:]
+	}
+	cur := make([]*StateChange, len(r.tasks)) // each task's latest transition
 	for i := range r.changes {
 		c := &r.changes[i]
-		if c.Task != task || c.At > end {
+		if c.At > end {
 			continue
 		}
-		if cur != nil && c.At > cur.At {
-			segs = append(segs, Segment{Task: task, State: cur.State, Core: cur.Core, Start: cur.At, End: c.At})
+		if prev := cur[c.task]; prev != nil && c.At > prev.At {
+			groups[c.task] = append(groups[c.task], Segment{Task: c.Task, State: prev.State, Core: prev.Core, Start: prev.At, End: c.At})
 		}
-		cur = c
+		cur[c.task] = c
 	}
-	if cur != nil && cur.At < end {
-		segs = append(segs, Segment{Task: task, State: cur.State, Core: cur.Core, Start: cur.At, End: end})
+	for ti, prev := range cur {
+		if prev != nil && prev.At < end {
+			groups[ti] = append(groups[ti], Segment{Task: prev.Task, State: prev.State, Core: prev.Core, Start: prev.At, End: end})
+		}
 	}
-	return segs
+	return groups
+}
+
+// groupByTask buckets items by the task each one names, keeping item order:
+// element i holds the items of r.Tasks()[i]. Items naming no traced task are
+// left out.
+func groupByTask[T any](r *Recorder, items []T, task func(*T) string) [][]*T {
+	groups := make([][]*T, len(r.tasks))
+	for i := range items {
+		if ti, ok := r.taskIndex[task(&items[i])]; ok {
+			groups[ti] = append(groups[ti], &items[i])
+		}
+	}
+	return groups
 }
 
 // StateAt returns the state task was in at instant t (the state set by the

@@ -18,9 +18,10 @@ import (
 // engine-divergence invariant.
 func Signature(rec *Recorder, end sim.Time) string {
 	var b strings.Builder
+	segs := rec.segmentsByTask(end)
 	for _, task := range rec.SortedTasks() {
 		fmt.Fprintf(&b, "%s:", task)
-		for _, s := range rec.Segments(task, end) {
+		for _, s := range segs[rec.taskIndex[task]] {
 			if s.End == s.Start {
 				continue
 			}

@@ -124,19 +124,47 @@ func (r *Recorder) ComputeStats(end sim.Time) Stats {
 	}
 	st := Stats{Window: end}
 
-	cpus := map[string]*ProcessorStats{}
-	cpuOf := map[string]string{}
+	// Per-task: state times from the segments, dispatch and preemption
+	// counts from the transitions, each in one pass over the trace.
+	segs := r.segmentsByTask(end)
+	for i := range r.tasks {
+		st.Tasks = append(st.Tasks, TaskStats{Task: r.tasks[i], Window: end})
+	}
+	prev := make([]TaskState, len(r.tasks)) // StateCreated before the first transition
 	coresOf := map[string]int{}
 	for i := range r.changes {
 		c := &r.changes[i]
 		if c.CPU != "" && c.Core+1 > coresOf[c.CPU] {
 			coresOf[c.CPU] = c.Core + 1
 		}
+		if c.At > end {
+			continue
+		}
+		ts := &st.Tasks[c.task]
+		if c.CPU != "" {
+			ts.CPU = c.CPU
+		}
+		if c.State == StateRunning {
+			ts.Activations++
+		}
+		if prev[c.task] == StateRunning && c.State == StateReady {
+			ts.Preemptions++
+		}
+		prev[c.task] = c.State
 	}
 
-	for _, task := range r.Tasks() {
-		ts := TaskStats{Task: task, Window: end}
-		for _, seg := range r.Segments(task, end) {
+	cpus := map[string]*ProcessorStats{}
+	processor := func(cpu string) *ProcessorStats {
+		cs := cpus[cpu]
+		if cs == nil {
+			cs = &ProcessorStats{CPU: cpu, Window: end}
+			cpus[cpu] = cs
+		}
+		return cs
+	}
+	for ti := range st.Tasks {
+		ts := &st.Tasks[ti]
+		for _, seg := range segs[ti] {
 			d := seg.End - seg.Start
 			switch seg.State {
 			case StateRunning:
@@ -154,45 +182,16 @@ func (r *Recorder) ComputeStats(end sim.Time) Stats {
 			}
 		}
 		// Account for time before the first transition.
-		if segs := r.Segments(task, end); len(segs) > 0 {
-			ts.Inactive += segs[0].Start
+		if len(segs[ti]) > 0 {
+			ts.Inactive += segs[ti][0].Start
 		} else {
 			ts.Inactive = end
 		}
-		var prev TaskState = StateCreated
-		for i := range r.changes {
-			c := &r.changes[i]
-			if c.Task != task || c.At > end {
-				continue
-			}
-			if c.CPU != "" {
-				ts.CPU = c.CPU
-			}
-			if c.State == StateRunning {
-				ts.Activations++
-			}
-			if prev == StateRunning && c.State == StateReady {
-				ts.Preemptions++
-			}
-			prev = c.State
-		}
-		cpuOf[task] = ts.CPU
-		st.Tasks = append(st.Tasks, ts)
-
 		if ts.CPU != "" {
-			cs := cpus[ts.CPU]
-			if cs == nil {
-				cs = &ProcessorStats{CPU: ts.CPU, Window: end}
-				cpus[ts.CPU] = cs
-			}
-			cs.Busy += ts.Running
+			processor(ts.CPU).Busy += ts.Running
 		}
 	}
 
-	taskIdx := map[string]int{}
-	for i := range st.Tasks {
-		taskIdx[st.Tasks[i].Task] = i
-	}
 	for i := range r.overheads {
 		o := &r.overheads[i]
 		if o.Start >= end {
@@ -200,15 +199,11 @@ func (r *Recorder) ComputeStats(end sim.Time) Stats {
 		}
 		segEnd := min(o.End, end)
 		if o.Task != "" {
-			if ti, ok := taskIdx[o.Task]; ok {
+			if ti, ok := r.taskIndex[o.Task]; ok {
 				st.Tasks[ti].Overhead += segEnd - o.Start
 			}
 		}
-		cs := cpus[o.CPU]
-		if cs == nil {
-			cs = &ProcessorStats{CPU: o.CPU, Window: end}
-			cpus[o.CPU] = cs
-		}
+		cs := processor(o.CPU)
 		cs.Overhead += segEnd - o.Start
 		if o.Kind == OverheadContextLoad {
 			cs.ContextSwitches++
@@ -221,70 +216,70 @@ func (r *Recorder) ComputeStats(end sim.Time) Stats {
 	}
 	sort.Slice(st.Processors, func(i, j int) bool { return st.Processors[i].CPU < st.Processors[j].CPU })
 
-	// Per-object: utilization from depth samples, counts from accesses.
+	// Per-object: utilization from depth samples, counts from accesses, each
+	// in one pass indexed by the object's position in r.Objects().
 	type depthAccum struct {
 		last     DepthSample
 		weighted float64 // integral of depth/capacity dt
-		busy     sim.Time
 		seen     bool
 	}
-	accum := map[string]*depthAccum{}
-	for _, obj := range r.Objects() {
-		accum[obj] = &depthAccum{}
+	accum := make([]depthAccum, len(r.objects))
+	for i := range r.objects {
+		st.Objects = append(st.Objects, ObjectStats{Object: r.objects[i], Window: end})
 	}
 	for i := range r.depths {
 		d := &r.depths[i]
 		if d.At > end {
 			continue
 		}
-		a := accum[d.Object]
+		oi := d.object
+		a := &accum[oi]
 		if a.seen {
 			dt := d.At - a.last.At
 			if a.last.Capacity > 0 {
 				a.weighted += float64(dt) * float64(a.last.Depth) / float64(a.last.Capacity)
 			}
 			if a.last.Depth > 0 {
-				a.busy += dt
+				st.Objects[oi].Busy += dt
 			}
 		}
 		a.last, a.seen = *d, true
 	}
-	for _, obj := range r.Objects() {
-		a := accum[obj]
+	for i := range r.accesses {
+		acc := &r.accesses[i]
+		if acc.At > end {
+			continue
+		}
+		os := &st.Objects[acc.object]
+		switch acc.Kind {
+		case AccessSignal:
+			os.Signals++
+		case AccessSend:
+			os.Sends++
+		case AccessReceive:
+			os.Receives++
+		case AccessRead:
+			os.Reads++
+		case AccessWrite:
+			os.Writes++
+		case AccessBlocked:
+			os.Blocks++
+		}
+	}
+	for oi := range st.Objects {
+		a, os := &accum[oi], &st.Objects[oi]
 		if a.seen && a.last.At < end {
 			dt := end - a.last.At
 			if a.last.Capacity > 0 {
 				a.weighted += float64(dt) * float64(a.last.Depth) / float64(a.last.Capacity)
 			}
 			if a.last.Depth > 0 {
-				a.busy += dt
+				os.Busy += dt
 			}
 		}
-		os := ObjectStats{Object: obj, Window: end, Busy: a.busy}
 		if end > 0 {
 			os.Utilization = a.weighted / float64(end)
 		}
-		for i := range r.accesses {
-			acc := &r.accesses[i]
-			if acc.Object != obj || acc.At > end {
-				continue
-			}
-			switch acc.Kind {
-			case AccessSignal:
-				os.Signals++
-			case AccessSend:
-				os.Sends++
-			case AccessReceive:
-				os.Receives++
-			case AccessRead:
-				os.Reads++
-			case AccessWrite:
-				os.Writes++
-			case AccessBlocked:
-				os.Blocks++
-			}
-		}
-		st.Objects = append(st.Objects, os)
 	}
 	return st
 }

@@ -93,11 +93,17 @@ func (r *Recorder) WriteSVG(w io.Writer, opts SVGOptions) error {
 			gx, topH+rowH*len(tasks)+12, t)
 	}
 
+	segs := r.segmentsByTask(end)
+	overheads := groupByTask(r, r.overheads, func(o *OverheadSegment) string { return o.Task })
+	var accesses [][]*Access
+	if opts.ShowAccesses {
+		accesses = groupByTask(r, r.accesses, func(a *Access) string { return a.Actor })
+	}
 	for i, task := range tasks {
 		y := topH + i*rowH
 		pf(`<text x="4" y="%d">%s</text>`+"\n", y+rowH/2+4, xmlEscape(task))
 		pf(`<line x1="%d" y1="%d" x2="%d" y2="%d" stroke="#ccc"/>`+"\n", labelW, y+rowH, width, y+rowH)
-		for _, seg := range r.Segments(task, end) {
+		for _, seg := range segs[i] {
 			if seg.End <= start || seg.Start >= end || seg.End <= seg.Start {
 				continue
 			}
@@ -120,9 +126,8 @@ func (r *Recorder) WriteSVG(w io.Writer, opts SVGOptions) error {
 				x0, yy, x1-x0, h, fill, xmlEscape(task), seg.State, where, seg.Start, seg.End)
 		}
 		// Overhead overlays attributed to the task.
-		for j := range r.overheads {
-			o := &r.overheads[j]
-			if o.Task != task || o.End <= start || o.Start >= end || o.End <= o.Start {
+		for _, o := range overheads[i] {
+			if o.End <= start || o.Start >= end || o.End <= o.Start {
 				continue
 			}
 			x0, x1 := x(max(o.Start, start)), x(min(o.End, end))
@@ -130,9 +135,8 @@ func (r *Recorder) WriteSVG(w io.Writer, opts SVGOptions) error {
 				x0, y+4, x1-x0, rowH-8, svgStateFill[StateOverhead], o.Kind, xmlEscape(task), o.Start, o.End)
 		}
 		if opts.ShowAccesses {
-			for j := range r.accesses {
-				a := &r.accesses[j]
-				if a.Actor != task || a.At < start || a.At > end {
+			for _, a := range accesses[i] {
+				if a.At < start || a.At > end {
 					continue
 				}
 				ax := x(a.At)
