@@ -40,7 +40,7 @@ func main() {
 	var (
 		until       = flag.String("until", "", "override the scenario horizon (e.g. 2ms)")
 		engine      = flag.String("engine", "", "override every processor's engine: procedural or threaded")
-		taskEngine  = flag.String("taskengine", "", "override every software task's body form: goroutine or continuation")
+		taskEngine  = flag.String("taskengine", "", "override the task engine running every software task's compiled body: goroutine or continuation")
 		shards      = flag.Int("shards", 0, "run the sharded parallel engine on up to N kernels (0 = sequential unless the scenario carries shard labels; a plan of one group runs sequentially)")
 		timeline    = flag.Bool("timeline", false, "print the ASCII TimeLine chart")
 		width       = flag.Int("width", 100, "timeline width in columns")

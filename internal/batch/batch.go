@@ -31,9 +31,9 @@ type Spec struct {
 	Horizon scenario.Duration `json:"horizon"`
 	// Engines lists RTOS engine overrides: "procedural" or "threaded".
 	Engines []string `json:"engines"`
-	// TaskEngines lists task body-form overrides: "goroutine" or
-	// "continuation" (applied to every software task). Both forms simulate
-	// identically; only the kernel activation count differs.
+	// TaskEngines lists overrides of the task engine that runs every
+	// software task's compiled body: "goroutine" or "continuation". Both
+	// simulate identically; only the kernel activation count differs.
 	TaskEngines []string `json:"taskEngines"`
 	// Policies lists scheduling-policy overrides: "priority", "fifo", "rr"
 	// or "edf".

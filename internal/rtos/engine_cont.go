@@ -115,6 +115,8 @@ type contDriver struct {
 	cpu  *Processor
 	s    *sim.Strand
 	cont Continuation
+	// prog is cont when it is a Program, resumed without the interface call.
+	prog *Program
 
 	state contState
 	after afterKind
@@ -219,6 +221,7 @@ func (cpu *Processor) newContTask(name string, cfg TaskConfig, body Continuation
 		periodic: periodic, relDeadline: relDeadline, watch: w,
 		release: cfg.StartAt, after: afStart,
 	}
+	d.prog, _ = body.(*Program)
 	t.cont = d
 	d.s = cpu.k.NewStrand(name, d.step, true, t.evRun, t.evPreempt, ic.doneEv)
 	cpu.tasks = append(cpu.tasks, t)
@@ -481,7 +484,12 @@ func (d *contDriver) advance(n contNext) {
 func (d *contDriver) runOps() contNext {
 	t := d.t
 	for {
-		y := d.cont.Resume(t.ctx)
+		var y Yield
+		if d.prog != nil {
+			y = d.prog.next(t.ctx)
+		} else {
+			y = d.cont.Resume(t.ctx)
+		}
 		switch y.kind {
 		case yieldFinish:
 			return nextJobEnd

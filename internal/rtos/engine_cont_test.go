@@ -14,20 +14,19 @@ import (
 )
 
 // bodyForm selects how a differential workload expresses its task bodies:
-// ordinary goroutine-backed closures or continuation programs driven inline
-// by the kernel's method queue.
+// ordinary goroutine-backed closures, continuation programs driven inline
+// by the kernel's method queue, or the same programs run as blocking calls
+// on goroutine tasks (Program.Run).
 type bodyForm int
 
 const (
 	bodyGoroutine bodyForm = iota
 	bodyContinuation
+	bodyProgramRun
 )
 
 func (f bodyForm) String() string {
-	if f == bodyContinuation {
-		return "continuation"
-	}
-	return "goroutine"
+	return [...]string{"goroutine", "continuation", "program-run"}[f]
 }
 
 // cycleOp is one step of a test periodic body. A cycleBody is the single
@@ -89,8 +88,12 @@ func (b cycleBody) program() *rtos.Program {
 
 // newPeriodicForm creates a periodic task running body in the given form.
 func newPeriodicForm(cpu *rtos.Processor, form bodyForm, name string, cfg rtos.TaskConfig, body cycleBody) *rtos.Task {
-	if form == bodyContinuation {
+	switch form {
+	case bodyContinuation:
 		return cpu.NewPeriodicContTask(name, cfg, body.program())
+	case bodyProgramRun:
+		p := body.program()
+		return cpu.NewPeriodicTask(name, cfg, func(c *rtos.TaskCtx, _ int) { p.Run(c) })
 	}
 	return cpu.NewPeriodicTask(name, cfg, body.run)
 }
@@ -134,10 +137,12 @@ func TestContEquivalencePeriodic(t *testing.T) {
 	for _, eng := range engines() {
 		t.Run(eng.String(), func(t *testing.T) {
 			sigG, _, recG := periodicContWorkload(bodyGoroutine, eng, horizon)
-			sigC, _, recC := periodicContWorkload(bodyContinuation, eng, horizon)
-			if sigG != sigC {
-				t.Fatalf("periodic traces diverge between body forms:\n%s",
-					trace.Diff(recG, recC, horizon, 8))
+			for _, form := range []bodyForm{bodyContinuation, bodyProgramRun} {
+				sig, _, rec := periodicContWorkload(form, eng, horizon)
+				if sigG != sig {
+					t.Fatalf("periodic traces diverge between goroutine and %v bodies:\n%s",
+						form, trace.Diff(recG, rec, horizon, 8))
+				}
 			}
 		})
 	}
@@ -257,9 +262,12 @@ func commContWorkload(form bodyForm, eng rtos.EngineKind, horizon sim.Time) (str
 		},
 	}
 	for _, s := range specs {
-		if form == bodyContinuation {
+		switch form {
+		case bodyContinuation:
 			cpu.NewContTask(s.name, s.cfg, s.prog)
-		} else {
+		case bodyProgramRun:
+			cpu.NewTask(s.name, s.cfg, func(c *rtos.TaskCtx) { s.prog.Run(c) })
+		default:
 			cpu.NewTask(s.name, s.cfg, s.gor)
 		}
 	}
@@ -296,13 +304,15 @@ func TestContEquivalenceComm(t *testing.T) {
 	for _, eng := range engines() {
 		t.Run(eng.String(), func(t *testing.T) {
 			sigG, metG, recG := commContWorkload(bodyGoroutine, eng, horizon)
-			sigC, metC, recC := commContWorkload(bodyContinuation, eng, horizon)
-			if sigG != sigC {
-				t.Fatalf("comm traces diverge between body forms:\n%s",
-					trace.Diff(recG, recC, horizon, 8))
-			}
-			if metG != metC {
-				t.Errorf("rtos_* metrics diverge between body forms:\n goroutine:    %s\n continuation: %s", metG, metC)
+			for _, form := range []bodyForm{bodyContinuation, bodyProgramRun} {
+				sig, met, rec := commContWorkload(form, eng, horizon)
+				if sigG != sig {
+					t.Fatalf("comm traces diverge between goroutine and %v bodies:\n%s",
+						form, trace.Diff(recG, rec, horizon, 8))
+				}
+				if metG != met {
+					t.Errorf("rtos_* metrics diverge between body forms:\n goroutine: %s\n %v: %s", metG, form, met)
+				}
 			}
 		})
 	}
@@ -643,5 +653,81 @@ func TestContFewerActivations(t *testing.T) {
 	g, c := run(bodyGoroutine), run(bodyContinuation)
 	if c >= g {
 		t.Errorf("continuation bodies used %d activations, goroutine bodies %d; want strictly fewer", c, g)
+	}
+}
+
+// hwISRWorkload runs a hardware device and an ISR, either as hand-written
+// goroutine bodies or as Programs run by Program.Run on the HWCtx and the
+// ISRCtx, next to a software task that drains the device and raises the
+// interrupt. The device blocks on a full queue, on an event and on a mutex
+// the software task holds, so every hardware Suspend path is covered. The
+// result is the raw JSON trace export.
+func hwISRWorkload(form bodyForm, eng rtos.EngineKind, horizon sim.Time) (string, *trace.Recorder) {
+	sys := rtos.NewSystem()
+	cpu := sys.NewProcessor("cpu0", rtos.Config{Engine: eng, Overheads: rtos.UniformOverheads(sim.Us)})
+	q := comm.NewQueue[int](sys.Rec, "q", 1)
+	log := comm.NewQueue[int](sys.Rec, "log", 2)
+	ack := comm.NewEvent(sys.Rec, "ack", comm.Counter)
+	mu := comm.NewMutex(sys.Rec, "mu")
+	var irq *rtos.IRQ
+	if form == bodyProgramRun {
+		isr := rtos.BuildProgram().Compute(3 * sim.Us).Act(func(a comm.Actor) { log.TryPut(a, 1) }).Build()
+		dev := rtos.BuildProgram().Loop(4).
+			WaitFor(20 * sim.Us).Op(rtos.PutMsg(q, 1)).Op(rtos.PutMsg(q, 2)).WaitOn(ack).
+			Lock(mu).WaitFor(2 * sim.Us).Unlock(mu).
+			End().Build()
+		irq = cpu.Interrupts().NewIRQ("rx", 1, sim.Us, func(c *rtos.ISRCtx) { isr.Run(c) })
+		sys.NewHWTask("dev", rtos.HWConfig{}, func(c *rtos.HWCtx) { dev.Run(c) })
+	} else {
+		irq = cpu.Interrupts().NewIRQ("rx", 1, sim.Us, func(c *rtos.ISRCtx) {
+			c.Execute(3 * sim.Us)
+			log.TryPut(c, 1)
+		})
+		sys.NewHWTask("dev", rtos.HWConfig{}, func(c *rtos.HWCtx) {
+			for i := 0; i < 4; i++ {
+				c.Wait(20 * sim.Us)
+				q.Put(c, 1)
+				q.Put(c, 2)
+				ack.Wait(c)
+				mu.Lock(c)
+				c.Wait(2 * sim.Us)
+				mu.Unlock(c)
+			}
+		})
+	}
+	cpu.NewTask("drain", rtos.TaskConfig{Priority: 3}, func(c *rtos.TaskCtx) {
+		for {
+			q.Get(c)
+			mu.Lock(c)
+			c.Execute(5 * sim.Us)
+			irq.Raise()
+			ack.Signal(c)
+			mu.Unlock(c)
+		}
+	})
+	sys.RunUntil(horizon)
+	sys.Shutdown()
+	var out strings.Builder
+	if err := sys.Rec.WriteJSON(&out); err != nil {
+		panic(err)
+	}
+	return out.String(), sys.Rec
+}
+
+// TestProgramRunHardwareAndISR checks Program.Run on the two actors that are
+// not software tasks: a hardware task (WaitFor is HWCtx.Wait, blocking ops
+// suspend the device) and an ISR (Compute is ISRCtx.Execute) must trace
+// exactly like their hand-written goroutine bodies.
+func TestProgramRunHardwareAndISR(t *testing.T) {
+	const horizon = 400 * sim.Us
+	for _, eng := range engines() {
+		t.Run(eng.String(), func(t *testing.T) {
+			sigG, recG := hwISRWorkload(bodyGoroutine, eng, horizon)
+			sigR, recR := hwISRWorkload(bodyProgramRun, eng, horizon)
+			if sigG != sigR {
+				t.Fatalf("traces diverge between hand-written and Program.Run bodies:\n%s",
+					trace.Diff(recG, recR, horizon, 8))
+			}
+		})
 	}
 }

@@ -5,26 +5,27 @@ import (
 	"repro/internal/sim"
 )
 
-// This file defines the yield-op vocabulary of the continuation task engine
-// (engine_cont.go). A continuation task body is an explicit state machine:
-// instead of calling the blocking TaskCtx primitives from a goroutine, it
-// returns a Yield describing the next scheduling-relevant operation and is
-// resumed inline — on the kernel's own goroutine — when that operation
-// completes. The yield ops mirror the blocking API one for one:
+// This file defines the yield-op vocabulary of a Program. One body, two ways
+// to run it: the continuation task engine (engine_cont.go) resumes it inline,
+// on the kernel's own goroutine, as an explicit state machine; Program.Run
+// executes it on the caller's own simulation thread — a goroutine software
+// task, a hardware task or an ISR body — by making the blocking call each op
+// stands for. The table is read left to right by Run and right to left by a
+// hand-written continuation:
 //
-//	goroutine body            continuation body
-//	ctx.Execute(d)            Compute(d)
-//	ctx.Delay(d)              WaitFor(d)
-//	ctx.Yield()               YieldCPU()
-//	mutex.Lock(ctx)           LockMutex(m)
-//	event.Wait(ctx)           WaitOn(e)
-//	queue.Put(ctx, v)         PutMsg(q, v)
-//	queue.Get(ctx)            GetMsg(q, &dst)
-//	return                    Finish()
+//	blocking call               yield op
+//	ctx.Execute(d)              Compute(d)
+//	ctx.Delay(d) / hw.Wait(d)   WaitFor(d)
+//	ctx.Yield()                 YieldCPU()
+//	mutex.Lock(ctx)             LockMutex(m)
+//	event.Wait(ctx)             WaitOn(e)
+//	queue.Put(ctx, v)           PutMsg(q, v)
+//	queue.Get(ctx)              GetMsg(q, &dst)
+//	return                      Finish()
 //
 // Non-blocking calls (Unlock, Signal, TryPut, SetPriority, Kick, Raise...)
 // need no yield: run them inline before returning the next Yield, or as a
-// ProgramBuilder.Do step.
+// ProgramBuilder.Act (any actor) or Do (software task) step.
 
 // Continuation is a task body in resumable form. Resume advances the state
 // machine and returns the next yield op; it runs in kernel context (a
@@ -59,12 +60,12 @@ type Yield struct {
 	// ops (mutual exclusion) over the plain Waiting state.
 	resource bool
 	// dur computes a data-dependent Compute duration at run time.
-	dur func(*TaskCtx) sim.Time
+	dur func(comm.Actor) sim.Time
 	// attempt is the non-suspending half of a blocking operation: it either
-	// completes the op (true) or enqueues the task as a waiter (false).
-	attempt func(*TaskCtx) bool
-	// wake completes a grant-on-resume op after the task runs again.
-	wake func(*TaskCtx)
+	// completes the op (true) or enqueues the actor as a waiter (false).
+	attempt func(comm.Actor) bool
+	// wake completes a grant-on-resume op after the actor runs again.
+	wake func(comm.Actor)
 }
 
 // Compute consumes d of processor time, exactly like TaskCtx.Execute: the
@@ -74,7 +75,9 @@ func Compute(d sim.Time) Yield { return Yield{kind: yieldCompute, d: d} }
 
 // ComputeFn is Compute with the duration computed at run time (data-dependent
 // execution time). fn runs in kernel context and must not block.
-func ComputeFn(fn func(*TaskCtx) sim.Time) Yield { return Yield{kind: yieldComputeFn, dur: fn} }
+func ComputeFn(fn func(*TaskCtx) sim.Time) Yield {
+	return Yield{kind: yieldComputeFn, dur: func(a comm.Actor) sim.Time { return fn(a.(*TaskCtx)) }}
+}
 
 // WaitFor suspends the task for d without using the processor, exactly like
 // TaskCtx.Delay. A zero duration is a no-op.
@@ -96,8 +99,8 @@ func (y Yield) IsFinish() bool { return y.kind == yieldFinish }
 func WaitOn(e *comm.Event) Yield {
 	return Yield{
 		kind:    yieldAwait,
-		attempt: func(c *TaskCtx) bool { return e.WaitAttempt(c) },
-		wake:    func(c *TaskCtx) { e.WaitWake(c) },
+		attempt: e.WaitAttempt,
+		wake:    e.WaitWake,
 	}
 }
 
@@ -109,7 +112,7 @@ func LockMutex(m *comm.Mutex) Yield {
 	return Yield{
 		kind:     yieldAcquire,
 		resource: true,
-		attempt:  func(c *TaskCtx) bool { return m.LockAttempt(c) },
+		attempt:  m.LockAttempt,
 	}
 }
 
@@ -118,7 +121,7 @@ func LockMutex(m *comm.Mutex) Yield {
 func PutMsg[T any](q *comm.Queue[T], v T) Yield {
 	return Yield{
 		kind:    yieldAcquire,
-		attempt: func(c *TaskCtx) bool { return q.PutAttempt(c, v) },
+		attempt: func(a comm.Actor) bool { return q.PutAttempt(a, v) },
 	}
 }
 
@@ -128,8 +131,8 @@ func PutMsg[T any](q *comm.Queue[T], v T) Yield {
 func GetMsg[T any](q *comm.Queue[T], dst *T) Yield {
 	return Yield{
 		kind: yieldAcquire,
-		attempt: func(c *TaskCtx) bool {
-			v, ok := q.GetAttempt(c)
+		attempt: func(a comm.Actor) bool {
+			v, ok := q.GetAttempt(a)
 			if ok && dst != nil {
 				*dst = v
 			}

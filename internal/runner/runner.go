@@ -36,9 +36,9 @@ type Options struct {
 	Until string `json:"until,omitempty"`
 	// Engine overrides every processor's engine: "procedural" or "threaded".
 	Engine string `json:"engine,omitempty"`
-	// TaskEngine overrides every software task's body form: "goroutine" or
-	// "continuation" (the default for tasks that leave it unset). The
-	// simulated outcome is the same either way.
+	// TaskEngine overrides the task engine that runs every software task's
+	// compiled body: "goroutine" or "continuation" (the default for tasks
+	// that leave it unset). The simulated outcome is the same either way.
 	TaskEngine string `json:"taskEngine,omitempty"`
 	// Shards selects the sharded multi-kernel parallel engine: 0 (the
 	// default) runs sequentially unless the scenario carries shard labels,

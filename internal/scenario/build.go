@@ -292,18 +292,15 @@ func (s *System) build(f *shardFilter) (*Built, error) {
 		if f != nil && !f.irqs[q.Name] {
 			continue
 		}
-		q := q
+		run := goBody(b, q.Body, false, 0)
 		ctrl := b.Processors[q.Processor].Interrupts()
-		b.IRQs[q.Name] = ctrl.NewIRQ(q.Name, q.Priority, q.Latency.Time(), func(c *rtos.ISRCtx) {
-			b.runOps(isrActor(c), q.Body)
-		})
+		b.IRQs[q.Name] = ctrl.NewIRQ(q.Name, q.Priority, q.Latency.Time(), func(c *rtos.ISRCtx) { run(c) })
 	}
 
 	for _, t := range s.Tasks {
 		if f != nil && !f.procs[t.Processor] {
 			continue
 		}
-		t := t
 		cpu := b.Processors[t.Processor]
 		cfg := rtos.TaskConfig{
 			Priority: t.Priority,
@@ -321,41 +318,25 @@ func (s *System) build(f *shardFilter) (*Built, error) {
 		case "restart":
 			cfg.OnMiss = rtos.MissRestartTask
 		}
-		if t.Engine != "goroutine" {
-			pb := rtos.BuildProgram()
-			if t.Period > 0 {
-				b.compileOps(pb, t.Body)
-				b.Tasks[t.Name] = cpu.NewPeriodicContTask(t.Name, cfg, pb.Build())
-				continue
-			}
-			if t.Loop {
-				pb.Loop(-1)
-			} else {
-				pb.Loop(max(1, t.Repeat))
-			}
-			b.compileOps(pb, t.Body)
-			pb.End()
-			b.Tasks[t.Name] = cpu.NewContTask(t.Name, cfg, pb.Build())
-			continue
+		switch {
+		case t.Engine != "goroutine" && t.Period > 0:
+			b.Tasks[t.Name] = cpu.NewPeriodicContTask(t.Name, cfg, b.program(t.Body, t.Loop, t.Repeat))
+		case t.Engine != "goroutine":
+			b.Tasks[t.Name] = cpu.NewContTask(t.Name, cfg, b.program(t.Body, t.Loop, t.Repeat))
+		case t.Period > 0:
+			run := goBody(b, t.Body, t.Loop, t.Repeat)
+			b.Tasks[t.Name] = cpu.NewPeriodicTask(t.Name, cfg, func(c *rtos.TaskCtx, _ int) { run(c) })
+		default:
+			run := goBody(b, t.Body, t.Loop, t.Repeat)
+			b.Tasks[t.Name] = cpu.NewTask(t.Name, cfg, func(c *rtos.TaskCtx) { run(c) })
 		}
-		if t.Period > 0 {
-			b.Tasks[t.Name] = cpu.NewPeriodicTask(t.Name, cfg, func(c *rtos.TaskCtx, cycle int) {
-				b.runOps(swOps(c), t.Body)
-			})
-			continue
-		}
-		b.Tasks[t.Name] = cpu.NewTask(t.Name, cfg, func(c *rtos.TaskCtx) {
-			b.runRepeated(swOps(c), t.Body, t.Loop, t.Repeat)
-		})
 	}
 	for _, h := range s.Hardware {
 		if f != nil && !f.hardware[h.Name] {
 			continue
 		}
-		h := h
-		b.Sys.NewHWTask(h.Name, rtos.HWConfig{Priority: h.Priority, StartAt: h.StartAt.Time()}, func(c *rtos.HWCtx) {
-			b.runRepeated(hwOps(c), h.Body, h.Loop, h.Repeat)
-		})
+		run := goBody(b, h.Body, h.Loop, h.Repeat)
+		b.Sys.NewHWTask(h.Name, rtos.HWConfig{Priority: h.Priority, StartAt: h.StartAt.Time()}, func(c *rtos.HWCtx) { run(c) })
 	}
 
 	for _, w := range s.Watchdogs {
@@ -428,138 +409,47 @@ func (b *Built) RunChecked() (sim.Report, error) {
 	return rep, err
 }
 
-// opActor abstracts the software/hardware task APIs for the interpreter.
-type opActor struct {
-	actor     comm.Actor
-	execute   func(sim.Time)
-	delay     func(sim.Time)
-	noPreempt func(bool)
-	setPrio   func(int)
-	yield     func()
-}
-
-func swOps(c *rtos.TaskCtx) opActor {
-	return opActor{
-		actor:   c,
-		execute: c.Execute,
-		delay:   c.Delay,
-		noPreempt: func(on bool) {
-			if on {
-				c.DisablePreemption()
-			} else {
-				c.EnablePreemption()
-			}
-		},
-		setPrio: c.SetPriority,
-		yield:   c.Yield,
+// program compiles a body for every kind of actor: run forever for a loop
+// task, else repeat times, at least once. A periodic task's Program is one
+// cycle (validation rejects repeat beside loop or period), and so is an
+// ISR's, which leaves both unset.
+func (b *Built) program(body []Op, loop bool, repeat int) *rtos.Program {
+	pb := rtos.BuildProgram()
+	if !loop && repeat <= 1 {
+		b.compileOps(pb, body)
+		return pb.Build()
 	}
-}
-
-func hwOps(c *rtos.HWCtx) opActor {
-	return opActor{actor: c, delay: c.Wait}
-}
-
-func isrActor(c *rtos.ISRCtx) opActor {
-	return opActor{actor: c, execute: c.Execute}
-}
-
-// runRepeated runs a goroutine body forever for a loop task, else repeat
-// times (at least once).
-func (b *Built) runRepeated(a opActor, ops []Op, loop bool, repeat int) {
-	for i := 0; loop || i < max(1, repeat); i++ {
-		b.runOps(a, ops)
+	if loop {
+		pb.Loop(-1)
+	} else {
+		pb.Loop(repeat)
 	}
+	b.compileOps(pb, body)
+	return pb.End().Build()
 }
 
-// runOps interprets a behaviour script. Validation guarantees the ops are
-// well-formed for the actor kind.
-func (b *Built) runOps(a opActor, ops []Op) {
-	for _, op := range ops {
-		switch op.Op {
-		case "execute":
-			a.execute(op.For.Time())
-		case "execute_trace":
-			tr := b.Desc.Traces[op.Trace]
-			i := b.traceCursors[op.Trace]
-			b.traceCursors[op.Trace] = (i + 1) % len(tr)
-			a.execute(tr[i].Time())
-		case "delay":
-			a.delay(op.For.Time())
-		case "wait":
-			b.Events[op.Event].Wait(a.actor)
-		case "signal":
-			b.Events[op.Event].Signal(a.actor)
-		case "put":
-			b.Queues[op.Queue].Put(a.actor, op.Value)
-		case "tryput":
-			b.Queues[op.Queue].TryPut(a.actor, op.Value)
-		case "get":
-			b.Queues[op.Queue].Get(a.actor)
-		case "raise":
-			b.IRQs[op.IRQ].Raise()
-		case "send":
-			x := b.links[op.Channel]
-			if x.hooks == nil {
-				x.bus.Transfer(a.actor, x.size)
-				x.queue.Put(a.actor, op.Value)
-				break
-			}
-			id := x.hold(b.Sys.Now())
-			x.bus.Transfer(a.actor, x.size)
-			x.publish(a.actor, op.Value, id)
-		case "recv":
-			b.links[op.Channel].queue.Get(a.actor)
-		case "submit":
-			job := rtos.AperiodicJob{Work: op.For.Time()}
-			if op.Constraint != "" {
-				mon := b.Constraints[op.Constraint]
-				job.Done = mon.Stop
-			}
-			b.Servers[op.Server].Submit(job)
-		case "lock":
-			b.Shared[op.Shared].Lock(a.actor)
-		case "unlock":
-			b.Shared[op.Shared].Unlock(a.actor)
-		case "read":
-			b.Shared[op.Shared].Read(a.actor)
-		case "write":
-			b.Shared[op.Shared].Write(a.actor, op.Value)
-		case "nopreempt_begin":
-			a.noPreempt(true)
-		case "nopreempt_end":
-			a.noPreempt(false)
-		case "setprio":
-			a.setPrio(op.Value)
-		case "yield":
-			a.yield()
-		case "lat_start":
-			b.Constraints[op.Constraint].Start()
-		case "lat_stop":
-			b.Constraints[op.Constraint].Stop()
-		case "kick":
-			b.Watchdogs[op.Watchdog].Kick()
-		case "repeat":
-			for i := 0; i < op.Count; i++ {
-				b.runOps(a, op.Body)
-			}
-		default:
-			panic(fmt.Sprintf("scenario: unvalidated op %q", op.Op))
-		}
-	}
+// goBody returns what a goroutine-form actor runs: a software task with
+// "engine": "goroutine", a hardware task or an ISR. It is the body's
+// compiled Program, run as blocking calls on the actor's own thread. It is a
+// variable only so the package's tests can build these bodies on their
+// op-by-op reference interpreter instead.
+var goBody = func(b *Built, body []Op, loop bool, repeat int) func(comm.Actor) {
+	return b.program(body, loop, repeat).Run
 }
 
-// compileOps translates a behaviour script into continuation program ops,
-// mirroring runOps one for one: blocking ops become yield ops, non-blocking
-// ops become inline steps, repeat becomes a counted loop. Every software-task
-// op has a compiled form.
+// compileOps translates a behaviour script into program ops, the one place a
+// scenario op becomes simulator calls: blocking ops become yield ops,
+// non-blocking ops become inline steps, repeat becomes a counted loop. The
+// continuation engine resumes the Program and Program.Run makes the same
+// calls on a goroutine task, hardware task or ISR. Validation guarantees the
+// ops are well-formed for the actor kind.
 func (b *Built) compileOps(pb *rtos.ProgramBuilder, ops []Op) {
 	for _, op := range ops {
-		op := op
 		switch op.Op {
 		case "execute":
 			pb.Compute(op.For.Time())
 		case "execute_trace":
-			pb.ComputeFn(func(c *rtos.TaskCtx) sim.Time {
+			pb.ComputeAct(func(comm.Actor) sim.Time {
 				tr := b.Desc.Traces[op.Trace]
 				i := b.traceCursors[op.Trace]
 				b.traceCursors[op.Trace] = (i + 1) % len(tr)
@@ -574,76 +464,76 @@ func (b *Built) compileOps(pb *rtos.ProgramBuilder, ops []Op) {
 		case "put":
 			pb.Op(rtos.PutMsg(b.Queues[op.Queue], op.Value))
 		case "tryput":
-			pb.Do(func(c *rtos.TaskCtx) { b.Queues[op.Queue].TryPut(c, op.Value) })
+			q := b.Queues[op.Queue]
+			pb.Act(func(a comm.Actor) { q.TryPut(a, op.Value) })
 		case "get":
 			pb.Op(rtos.GetMsg(b.Queues[op.Queue], nil))
 		case "raise":
-			pb.Do(func(c *rtos.TaskCtx) { b.IRQs[op.IRQ].Raise() })
+			irq := b.IRQs[op.IRQ]
+			pb.Act(func(comm.Actor) { irq.Raise() })
 		case "send":
 			// Bus.Transfer as program ops: arbitrate, hold the bus for the
 			// transfer time, book it and release the arbiter. On a cut
-			// channel the bracket token lives in the closure: a task runs one
-			// instance of a send op at a time.
+			// channel the bracket token lives in the closure: an actor runs
+			// one instance of a send op at a time.
 			x := b.links[op.Channel]
 			var id int
 			if x.hooks != nil {
-				pb.Do(func(c *rtos.TaskCtx) { id = x.hold(c.Now()) })
+				pb.Act(func(comm.Actor) { id = x.hold(b.Sys.Now()) })
 			}
 			pb.Lock(x.bus.Arbiter())
-			pb.Do(func(*rtos.TaskCtx) { x.bus.BeginTransfer(x.size) })
+			pb.Act(func(comm.Actor) { x.bus.BeginTransfer(x.size) })
 			if d := x.bus.TransferTime(x.size); d > 0 {
 				pb.WaitFor(d)
 			}
-			pb.Do(func(c *rtos.TaskCtx) { x.bus.EndTransfer(c, x.size) })
+			pb.Act(func(a comm.Actor) { x.bus.EndTransfer(a, x.size) })
 			if x.hooks == nil {
 				pb.Op(rtos.PutMsg(x.queue, op.Value))
 			} else {
-				pb.Do(func(c *rtos.TaskCtx) { x.publish(c, op.Value, id) })
+				pb.Act(func(a comm.Actor) { x.publish(a, op.Value, id) })
 			}
 		case "recv":
 			pb.Op(rtos.GetMsg(b.links[op.Channel].queue, nil))
 		case "submit":
-			pb.Do(func(c *rtos.TaskCtx) {
-				job := rtos.AperiodicJob{Work: op.For.Time()}
-				if op.Constraint != "" {
-					mon := b.Constraints[op.Constraint]
-					job.Done = mon.Stop
-				}
-				b.Servers[op.Server].Submit(job)
-			})
+			job := rtos.AperiodicJob{Work: op.For.Time()}
+			if op.Constraint != "" {
+				job.Done = b.Constraints[op.Constraint].Stop
+			}
+			srv := b.Servers[op.Server]
+			pb.Act(func(comm.Actor) { srv.Submit(job) })
 		case "lock":
 			pb.Lock(b.Shared[op.Shared].Mutex())
 		case "unlock":
-			pb.Do(func(c *rtos.TaskCtx) { b.Shared[op.Shared].Unlock(c) })
+			pb.Act(b.Shared[op.Shared].Unlock)
 		case "read":
 			// Shared.Read is lock + get + unlock; only the lock can block.
-			pb.Lock(b.Shared[op.Shared].Mutex())
-			pb.Do(func(c *rtos.TaskCtx) {
-				sv := b.Shared[op.Shared]
-				sv.Get(c)
-				sv.Unlock(c)
+			sv := b.Shared[op.Shared]
+			pb.Lock(sv.Mutex())
+			pb.Act(func(a comm.Actor) {
+				sv.Get(a)
+				sv.Unlock(a)
 			})
 		case "write":
-			pb.Lock(b.Shared[op.Shared].Mutex())
-			pb.Do(func(c *rtos.TaskCtx) {
-				sv := b.Shared[op.Shared]
-				sv.Set(c, op.Value)
-				sv.Unlock(c)
+			sv := b.Shared[op.Shared]
+			pb.Lock(sv.Mutex())
+			pb.Act(func(a comm.Actor) {
+				sv.Set(a, op.Value)
+				sv.Unlock(a)
 			})
 		case "nopreempt_begin":
-			pb.Do(func(c *rtos.TaskCtx) { c.DisablePreemption() })
+			pb.Act(func(a comm.Actor) { a.(*rtos.TaskCtx).DisablePreemption() })
 		case "nopreempt_end":
-			pb.Do(func(c *rtos.TaskCtx) { c.EnablePreemption() })
+			pb.Act(func(a comm.Actor) { a.(*rtos.TaskCtx).EnablePreemption() })
 		case "setprio":
-			pb.Do(func(c *rtos.TaskCtx) { c.SetPriority(op.Value) })
+			pb.Act(func(a comm.Actor) { a.(*rtos.TaskCtx).SetPriority(op.Value) })
 		case "yield":
 			pb.Yield()
 		case "lat_start":
-			pb.Do(func(c *rtos.TaskCtx) { b.Constraints[op.Constraint].Start() })
+			pb.Act(func(comm.Actor) { b.Constraints[op.Constraint].Start() })
 		case "lat_stop":
-			pb.Do(func(c *rtos.TaskCtx) { b.Constraints[op.Constraint].Stop() })
+			pb.Act(func(comm.Actor) { b.Constraints[op.Constraint].Stop() })
 		case "kick":
-			pb.Do(func(c *rtos.TaskCtx) { b.Watchdogs[op.Watchdog].Kick() })
+			pb.Act(func(comm.Actor) { b.Watchdogs[op.Watchdog].Kick() })
 		case "repeat":
 			pb.Loop(op.Count)
 			b.compileOps(pb, op.Body)

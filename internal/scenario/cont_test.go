@@ -125,10 +125,13 @@ const busPipelineJSON = `{
 	]
 }`
 
-// contGoldenScenarios are the differential goldens of the continuation
-// engine at the scenario layer, held to byte-identical trace exports. The
-// multicore golden and soc_bus (whose sporadic server and hardware sensor stay
-// goroutines) also pin the same-instant order between strands and processes.
+// contGoldenScenarios are the differential goldens of the scenario op
+// compiler, held to byte-identical trace exports. The multicore golden and
+// soc_bus (whose sporadic server and hardware sensor stay goroutines) also pin
+// the same-instant order between strands and processes; interrupt.json (ISR
+// bodies and the hardware raiser nic), figure6.json and figure7.json (the
+// hardware Clock) pin hardware and ISR bodies against the reference
+// interpreter.
 var contGoldenScenarios = []struct {
 	name string
 	src  string
@@ -139,6 +142,9 @@ var contGoldenScenarios = []struct {
 	{"smp-jitter", smpJitterJSON},
 	{"bus-pipeline", busPipelineJSON},
 	{"soc_bus", readCorpus("soc_bus.json")},
+	{"interrupt.json", readCorpus("interrupt.json")},
+	{"figure6.json", readCorpus("figure6.json")},
+	{"figure7.json", readCorpus("figure7.json")},
 }
 
 // readCorpus returns a shipped example scenario's source.
@@ -195,10 +201,12 @@ func runScenario(t *testing.T, s *System) (traceHash, metricsKey string) {
 	return hex.EncodeToString(h.Sum(nil)), string(mk)
 }
 
-// TestContinuationGoldens is the scenario-level differential golden of the
-// continuation engine: six canonical scenarios, each elaborated twice —
-// goroutine bodies and continuation bodies — on both RTOS engines, must
-// produce byte-identical trace exports and identical rtos_* metrics.
+// TestContinuationGoldens is the scenario-level three-way differential of
+// the op compiler: each canonical scenario runs with its compiled bodies on
+// goroutine tasks (Program.Run), with its compiled bodies on continuation
+// tasks, and with every goroutine-form body — software tasks, hardware tasks
+// and ISRs — on the reference interpreter, on both RTOS engines. All three
+// must produce byte-identical trace exports and identical rtos_* metrics.
 func TestContinuationGoldens(t *testing.T) {
 	for _, g := range contGoldenScenarios {
 		for _, eng := range []string{"procedural", "threaded"} {
@@ -209,12 +217,21 @@ func TestContinuationGoldens(t *testing.T) {
 				}
 				hashG, metG := runScenario(t, withEngine(t, src, "goroutine"))
 				hashC, metC := runScenario(t, withEngine(t, src, "continuation"))
-				if hashG != hashC {
-					t.Errorf("trace exports differ between body forms: %s vs %s", hashG, hashC)
-					diffScenarioTraces(t, src)
+				var hashR, metR string
+				if withReferenceBodies(func() { hashR, metR = runScenario(t, withEngine(t, src, "goroutine")) }) == 0 {
+					t.Fatal("reference run built no body on the interpreter")
 				}
-				if metG != metC {
-					t.Errorf("rtos_* metrics differ between body forms:\n goroutine:    %s\n continuation: %s", metG, metC)
+				for _, other := range []struct{ form, hash, met string }{
+					{"continuation", hashC, metC},
+					{"reference", hashR, metR},
+				} {
+					if hashG != other.hash {
+						t.Errorf("trace exports differ between goroutine and %s bodies: %s vs %s", other.form, hashG, other.hash)
+						diffScenarioTraces(t, src, other.form)
+					}
+					if metG != other.met {
+						t.Errorf("rtos_* metrics differ between body forms:\n goroutine: %s\n %s: %s", metG, other.form, other.met)
+					}
 				}
 			})
 		}
@@ -250,21 +267,27 @@ func forceProcessorEngine(t *testing.T, src, engine string) string {
 }
 
 // diffScenarioTraces re-runs a diverged golden with recorders kept and
-// reports the first differing records, for debuggability.
-func diffScenarioTraces(t *testing.T, src string) {
+// reports the first records where the goroutine form and the other form
+// ("continuation" or "reference") differ, for debuggability.
+func diffScenarioTraces(t *testing.T, src, form string) {
 	t.Helper()
-	bG, err := withEngine(t, src, "goroutine").Build()
-	if err != nil {
-		t.Fatal(err)
+	build := func(engine string) *Built {
+		b, err := withEngine(t, src, engine).Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.Run()
+		return b
 	}
-	bG.Run()
-	bC, err := withEngine(t, src, "continuation").Build()
-	if err != nil {
-		t.Fatal(err)
+	bG := build("goroutine")
+	var bO *Built
+	if form == "reference" {
+		withReferenceBodies(func() { bO = build("goroutine") })
+	} else {
+		bO = build(form)
 	}
-	bC.Run()
 	horizon := bG.Desc.Horizon.Time()
-	t.Logf("trace diff:\n%s", trace.Diff(bG.Sys.Rec, bC.Sys.Rec, horizon, 8))
+	t.Logf("trace diff:\n%s", trace.Diff(bG.Sys.Rec, bO.Sys.Rec, horizon, 8))
 }
 
 // TestContinuationResumesCounted checks that a continuation-bodied scenario

@@ -395,3 +395,43 @@ func TestPeriodicTaskFromJSON(t *testing.T) {
 		t.Fatalf("activations = %+v, want 11", ts.Activations)
 	}
 }
+
+// TestRepeatStrict checks that a task repeat count is honoured or rejected:
+// a negative count, or a count beside loop or period, fails parsing with an
+// error naming the task, on software and hardware tasks alike.
+func TestRepeatStrict(t *testing.T) {
+	sw := func(fields string) string {
+		return `{"processors":[{"name":"p"}],"tasks":[{"name":"worker","processor":"p",` + fields +
+			`,"body":[{"op":"execute","for":"1us"}]}]}`
+	}
+	hw := func(fields string) string {
+		return `{"hardware":[{"name":"dev",` + fields + `,"body":[{"op":"delay","for":"1us"}]}]}`
+	}
+	cases := []struct {
+		name, src, wantErr string
+	}{
+		{"sw negative", sw(`"repeat":-1`), `task "worker": negative repeat -1`},
+		{"sw with loop", sw(`"repeat":3,"loop":true`), `task "worker": repeat and loop are mutually exclusive`},
+		{"sw with period", sw(`"repeat":2,"period":"10us"`), `task "worker": repeat and period are mutually exclusive`},
+		{"hw negative", hw(`"repeat":-4`), `task "dev": negative repeat -4`},
+		{"hw with loop", hw(`"repeat":1,"loop":true`), `task "dev": repeat and loop are mutually exclusive`},
+		{"sw repeat alone", sw(`"repeat":3`), ""},
+		{"sw loop alone", sw(`"loop":true`), ""},
+		{"sw period alone", sw(`"period":"10us"`), ""},
+		{"hw repeat alone", hw(`"repeat":2`), ""},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := Parse([]byte(tc.src))
+			if tc.wantErr == "" {
+				if err != nil {
+					t.Fatalf("unexpected error: %v", err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("error %v, want it to contain %q", err, tc.wantErr)
+			}
+		})
+	}
+}

@@ -321,17 +321,18 @@ type SWTask struct {
 	Jitter Duration `json:"jitter"`
 	// Loop repeats the body forever (aperiodic cyclic task).
 	Loop bool `json:"loop"`
-	// Repeat runs the body a fixed number of times (default 1).
+	// Repeat runs the body a fixed number of times (default 1). It cannot
+	// be combined with loop or period.
 	Repeat int `json:"repeat"`
 	// OnMiss selects the deadline-miss recovery policy of a periodic task:
 	// "continue" (default), "abort", "skip_next" or "restart".
 	OnMiss string `json:"onMiss"`
-	// Engine selects the task-body execution form: "goroutine" (the body
-	// runs on its own simulation thread) or "continuation" (the body is
-	// compiled to a yield-op program resumed inline by the kernel, with no
-	// thread and no per-switch parking). Unset means "continuation". Both
-	// forms produce identical simulated behaviour; only the kernel
-	// activation count differs.
+	// Engine selects the task engine that runs the body's one compiled
+	// program: "goroutine" (the program runs as blocking calls on the
+	// task's own simulation thread) or "continuation" (the kernel resumes
+	// the program inline, with no thread and no per-switch parking). Unset
+	// means "continuation". Both produce identical simulated behaviour;
+	// only the kernel activation count differs.
 	Engine string `json:"engine"`
 	Body   []Op   `json:"body"`
 }
@@ -341,9 +342,10 @@ type HWTask struct {
 	Name     string   `json:"name"`
 	Priority int      `json:"priority"`
 	StartAt  Duration `json:"startAt"`
-	Loop     bool     `json:"loop"`
-	Repeat   int      `json:"repeat"`
-	Body     []Op     `json:"body"`
+	// Loop and Repeat mean what they mean on a software task.
+	Loop   bool `json:"loop"`
+	Repeat int  `json:"repeat"`
+	Body   []Op `json:"body"`
 }
 
 // Op is one behaviour-script operation. Exactly one interpretation applies

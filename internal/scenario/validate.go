@@ -165,7 +165,7 @@ func (s *System) validate() error {
 		if len(q.Body) == 0 {
 			return fmt.Errorf("scenario: irq %q has an empty body", q.Name)
 		}
-		if err := validateOps("irq:"+q.Name, q.Body, isrOps, refs); err != nil {
+		if err := validateOps("irq:"+q.Name, q.Body, isrKind, refs); err != nil {
 			return err
 		}
 	}
@@ -195,6 +195,9 @@ func (s *System) validate() error {
 		if t.Loop && t.Period > 0 {
 			return fmt.Errorf("scenario: task %q: loop and period are mutually exclusive", t.Name)
 		}
+		if err := validateRepeat(t.Name, t.Repeat, t.Loop, t.Period > 0); err != nil {
+			return err
+		}
 		if t.Jitter > 0 && (t.Period == 0 || t.Jitter >= t.Period) {
 			return fmt.Errorf("scenario: task %q: jitter requires a period larger than the jitter", t.Name)
 		}
@@ -216,7 +219,7 @@ func (s *System) validate() error {
 			return fmt.Errorf("scenario: task %q: unknown engine %q (want \"goroutine\" or \"continuation\")",
 				t.Name, t.Engine)
 		}
-		if err := validateOps(t.Name, t.Body, swOpsKind, refs); err != nil {
+		if err := validateOps(t.Name, t.Body, swKind, refs); err != nil {
 			return err
 		}
 	}
@@ -228,7 +231,10 @@ func (s *System) validate() error {
 		if len(h.Body) == 0 {
 			return fmt.Errorf("scenario: hardware task %q has an empty body", h.Name)
 		}
-		if err := validateOps(h.Name, h.Body, hwOpsKind, refs); err != nil {
+		if err := validateRepeat(h.Name, h.Repeat, h.Loop, false); err != nil {
+			return err
+		}
+		if err := validateOps(h.Name, h.Body, hwKind, refs); err != nil {
 			return err
 		}
 	}
@@ -259,6 +265,21 @@ func (s *System) validate() error {
 	}
 	if err := s.validateExplore(); err != nil {
 		return err
+	}
+	return nil
+}
+
+// validateRepeat rejects a task repeat count that would not be honoured: a
+// negative count, or any count beside loop or period (the body then runs
+// forever or once per cycle).
+func validateRepeat(task string, repeat int, loop, periodic bool) error {
+	switch {
+	case repeat < 0:
+		return fmt.Errorf("scenario: task %q: negative repeat %d", task, repeat)
+	case repeat > 0 && loop:
+		return fmt.Errorf("scenario: task %q: repeat and loop are mutually exclusive", task)
+	case repeat > 0 && periodic:
+		return fmt.Errorf("scenario: task %q: repeat and period are mutually exclusive", task)
 	}
 	return nil
 }
@@ -373,9 +394,9 @@ type refSets struct {
 type opsKind uint8
 
 const (
-	swOpsKind opsKind = iota // software tasks: everything
-	hwOpsKind                // hardware tasks: no execute, no RTOS calls
-	isrOps                   // interrupt service routines: non-blocking only
+	swKind  opsKind = iota // software tasks: everything
+	hwKind                 // hardware tasks: no execute, no RTOS calls
+	isrKind                // interrupt service routines: non-blocking only
 )
 
 func validateOps(task string, ops []Op, kind opsKind, refs refSets) error {
@@ -385,28 +406,28 @@ func validateOps(task string, ops []Op, kind opsKind, refs refSets) error {
 		}
 		switch op.Op {
 		case "execute":
-			if kind == hwOpsKind {
+			if kind == hwKind {
 				return fail("hardware tasks use delay, not execute")
 			}
 			if op.For <= 0 {
 				return fail("needs a positive 'for' duration")
 			}
 		case "execute_trace":
-			if kind == hwOpsKind {
+			if kind == hwKind {
 				return fail("hardware tasks use delay, not execute_trace")
 			}
 			if !refs.traces[op.Trace] {
 				return fail("unknown trace %q", op.Trace)
 			}
 		case "delay":
-			if kind == isrOps {
+			if kind == isrKind {
 				return fail("ISRs consume time with execute, not delay")
 			}
 			if op.For <= 0 {
 				return fail("needs a positive 'for' duration")
 			}
 		case "wait":
-			if kind == isrOps {
+			if kind == isrKind {
 				return fail("ISRs must not block")
 			}
 			if !refs.events[op.Event] {
@@ -417,7 +438,7 @@ func validateOps(task string, ops []Op, kind opsKind, refs refSets) error {
 				return fail("unknown event %q", op.Event)
 			}
 		case "put", "get":
-			if kind == isrOps {
+			if kind == isrKind {
 				return fail("ISRs must not block; use tryput")
 			}
 			if !refs.queues[op.Queue] {
@@ -428,14 +449,14 @@ func validateOps(task string, ops []Op, kind opsKind, refs refSets) error {
 				return fail("unknown queue %q", op.Queue)
 			}
 		case "lock", "unlock", "read", "write":
-			if kind == isrOps {
+			if kind == isrKind {
 				return fail("ISRs must not block on shared variables")
 			}
 			if !refs.shared[op.Shared] {
 				return fail("unknown shared variable %q", op.Shared)
 			}
 		case "nopreempt_begin", "nopreempt_end", "setprio", "yield":
-			if kind != swOpsKind {
+			if kind != swKind {
 				return fail("only available on software tasks")
 			}
 		case "lat_start", "lat_stop":
@@ -443,21 +464,21 @@ func validateOps(task string, ops []Op, kind opsKind, refs refSets) error {
 				return fail("unknown constraint %q", op.Constraint)
 			}
 		case "kick":
-			if kind == hwOpsKind {
+			if kind == hwKind {
 				return fail("watchdogs are kicked from software tasks or ISRs")
 			}
 			if !refs.watchdogs[op.Watchdog] {
 				return fail("unknown watchdog %q", op.Watchdog)
 			}
 		case "raise":
-			if kind == isrOps {
+			if kind == isrKind {
 				return fail("ISRs cannot raise interrupts in this model")
 			}
 			if !refs.irqs[op.IRQ] {
 				return fail("unknown irq %q", op.IRQ)
 			}
 		case "send", "recv":
-			if kind == isrOps {
+			if kind == isrKind {
 				return fail("ISRs must not block on bus channels")
 			}
 			if !refs.channels[op.Channel] {

@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"syscall"
 	"time"
 
 	"repro/internal/batch"
@@ -109,15 +110,21 @@ func (s *storedResult) toResult() *runner.Result {
 
 // journal owns the open journal file. It is guarded by the server mutex like
 // everything else job-related; appends fsync before returning so an
-// acknowledged record survives a crash.
+// acknowledged record survives a crash. The journal has one writer: lock
+// holds an exclusive flock on a lock file beside it for the journal's
+// lifetime (a separate file, because compaction renames the journal).
 type journal struct {
 	path    string
 	f       *os.File
+	lock    *os.File
 	records int // valid records currently in the file
 	logf    func(format string, args ...any)
 }
 
-const journalFile = "journal.ndjson"
+const (
+	journalFile = "journal.ndjson"
+	lockFile    = "journal.lock"
+)
 
 // openJournal opens (creating if needed) the journal in dir, replays the
 // valid prefix, truncates any torn tail, and returns the decoded records.
@@ -125,16 +132,26 @@ func openJournal(dir string, logf func(string, ...any)) (*journal, []journalReco
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("journal: %w", err)
 	}
-	j := &journal{path: filepath.Join(dir, journalFile), logf: logf}
+	lockPath := filepath.Join(dir, lockFile)
+	lock, err := os.OpenFile(lockPath, os.O_RDWR|os.O_CREATE, 0o644)
+	if err != nil {
+		return nil, nil, fmt.Errorf("journal: %w", err)
+	}
+	if err := syscall.Flock(int(lock.Fd()), syscall.LOCK_EX|syscall.LOCK_NB); err != nil {
+		lock.Close()
+		return nil, nil, fmt.Errorf("journal: %s is held by another server: %w", lockPath, err)
+	}
+	j := &journal{path: filepath.Join(dir, journalFile), lock: lock, logf: logf}
 	f, err := os.OpenFile(j.path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
+		j.close()
 		return nil, nil, fmt.Errorf("journal: %w", err)
 	}
 	j.f = f
 
 	data, err := io.ReadAll(f)
 	if err != nil {
-		f.Close()
+		j.close()
 		return nil, nil, fmt.Errorf("journal: %w", err)
 	}
 	var recs []journalRecord
@@ -157,11 +174,11 @@ func openJournal(dir string, logf func(string, ...any)) (*journal, []journalReco
 		valid = int64(off)
 	}
 	if err := f.Truncate(valid); err != nil {
-		f.Close()
+		j.close()
 		return nil, nil, fmt.Errorf("journal: truncating torn tail: %w", err)
 	}
 	if _, err := f.Seek(valid, 0); err != nil {
-		f.Close()
+		j.close()
 		return nil, nil, fmt.Errorf("journal: %w", err)
 	}
 	j.records = len(recs)
@@ -261,8 +278,13 @@ func (j *journal) rewrite(recs []journalRecord) error {
 	return nil
 }
 
+// close closes the journal file and releases the writer lock.
 func (j *journal) close() {
-	if j != nil && j.f != nil {
+	if j == nil {
+		return
+	}
+	if j.f != nil {
 		j.f.Close()
 	}
+	j.lock.Close()
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -391,5 +392,42 @@ func TestJournalReplaysRetiredResultField(t *testing.T) {
 	}
 	if again := postJob(t, ts2, Request{Scenario: data}); !again.CacheHit {
 		t.Error("restored result did not serve a resubmission as a cache hit")
+	}
+}
+
+// TestJournalSingleWriter checks the journal's writer lock: a second server
+// on a live server's journal directory fails at startup with an error naming
+// the lock file, and once the first server closes the directory opens again.
+func TestJournalSingleWriter(t *testing.T) {
+	dir := t.TempDir()
+	data := readScenario(t, "figure6.json")
+	s1, err := New(Config{Journal: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts1 := httptest.NewServer(s1.Handler())
+	job := waitTerminal(t, ts1, postJob(t, ts1, Request{Scenario: data}).ID)
+
+	if s2, err := New(Config{Journal: dir}); err == nil {
+		s2.Close()
+		t.Fatal("second server opened a journal directory held by a live server")
+	} else if !strings.Contains(err.Error(), filepath.Join(dir, lockFile)) {
+		t.Errorf("error %q does not name the lock file", err)
+	}
+	ts1.Close()
+	s1.Close()
+
+	// Reopen after Close, the daemon benchmark's set-up and teardown cycle.
+	for i := 0; i < 2; i++ {
+		s, err := New(Config{Journal: dir})
+		if err != nil {
+			t.Fatalf("reopen %d after Close: %v", i, err)
+		}
+		ts := httptest.NewServer(s.Handler())
+		if got := getJob(t, ts, job.ID); got.State != StateDone {
+			t.Errorf("reopen %d: job is %s, want done", i, got.State)
+		}
+		ts.Close()
+		s.Close()
 	}
 }

@@ -1,23 +1,23 @@
 #!/usr/bin/env bash
-# taskengine_diff.sh — check that a change to task-body engine selection
-# leaves every simulated outcome alone.
+# taskengine_diff.sh — check that a change to the task engines or to the
+# scenario op compiler leaves every simulated outcome alone.
 #
-# Runs every non-sweep examples/scenarios/*.json three ways: the head
-# checkout's default, the base checkout's default, and the base checkout's
-# `-taskengine goroutine`. Each run produces the full artifact set (report
-# with -timeline -chronology, CSV, VCD, JSON, SVG, Perfetto, metrics JSON,
-# Prometheus text) plus the trace.Signature of a sequential run. The head run
-# is then compared with each base run.
+# Runs every non-sweep examples/scenarios/*.json four ways: the head and the
+# base checkout, each with its default task engine and with `-taskengine
+# goroutine`. Each run produces the full artifact set (report with -timeline
+# -chronology, CSV, VCD, JSON, SVG, Perfetto, metrics JSON, Prometheus text)
+# plus the trace.Signature of a sequential run. Three pairs are compared:
 #
-# Must be identical (the script exits 1 otherwise): exit code, stderr, the
-# report's first line with the activation count masked (finish verdict, end
-# time, delta cycles), the lines of the statistics/constraint/fault sections,
-# the trace.Signature, the sorted CSV lines, and the metrics with the sim_*
-# counters and rtos_continuation_resumes_total dropped. Every other
-# difference is listed, not failed: the order of same-instant t=0
-# created/ready records may differ between body forms, and with it the row
-# order of the timeline and of the statistics tables (the "sections" entry)
-# and the raw chronology and trace exports.
+#   head            vs base            same engine: every artifact identical
+#   head-goroutine  vs base-goroutine  same engine: every artifact identical
+#   head            vs base-goroutine  across engines: every artifact
+#                                      identical once the kernel effort
+#                                      counts the engines differ in by design
+#                                      are masked (the report's activation
+#                                      count, the sim_* counters and
+#                                      rtos_continuation_resumes_total)
+#
+# Any difference fails the script (exit 1).
 #
 # usage: scripts/taskengine_diff.sh BASE_DIR [HEAD_DIR] [OUT_DIR]
 #   BASE_DIR  a checkout of the base commit (git clone or git archive)
@@ -87,13 +87,9 @@ run() { # label taskengine scenario
 	echo "$rc" > "$dir/exit"
 	grep -v '^wrote ' "$dir/stdout.txt" > "$dir/report.txt" || true
 	"$bin/sig" "$2" "$head/examples/scenarios/$3.json" > "$dir/signature"
-	sed -n '1{s/([0-9]* kernel activations/(N kernel activations/;p;}' "$dir/report.txt" > "$dir/verdict"
 	sed '1s/([0-9]* kernel activations/(N kernel activations/' "$dir/report.txt" > "$dir/report.masked"
-	sed -n '/^Statistics over/,$p' "$dir/report.txt" > "$dir/sections"
-	sort "$dir/sections" > "$dir/sections.sorted"
-	sort "$dir/trace.csv" > "$dir/csv.sorted"
-	grep -v -E '^(# [A-Z]+ )?(sim_|rtos_continuation_resumes_total)' "$dir/metrics.prom" > "$dir/prom.kept"
-	python3 - "$dir/metrics.json" > "$dir/metrics.kept" <<'EOF'
+	grep -v -E '^(# [A-Z]+ )?(sim_|rtos_continuation_resumes_total)' "$dir/metrics.prom" > "$dir/prom.masked" || true
+	python3 - "$dir/metrics.json" > "$dir/metrics.masked" <<'EOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))
 doc["metrics"] = [m for m in doc["metrics"] if not m["name"].startswith("sim_")
@@ -102,28 +98,28 @@ json.dump(doc, sys.stdout, indent=1, sort_keys=True)
 EOF
 }
 
-strict="exit stderr.txt verdict sections.sorted signature csv.sorted metrics.kept prom.kept"
-loose="sections report.masked trace.vcd trace.json timeline.svg perfetto.json"
+same="exit stderr.txt report.txt signature trace.csv trace.vcd trace.json timeline.svg perfetto.json metrics.json metrics.prom"
+across="exit stderr.txt report.masked signature trace.csv trace.vcd trace.json timeline.svg perfetto.json metrics.masked prom.masked"
 fail=0
 for f in "$head"/examples/scenarios/*.json; do
 	name=$(basename "$f" .json)
 	case "$name" in *sweep*) continue ;; esac
 	run head "" "$name"
+	run head goroutine "$name"
 	run base "" "$name"
 	run base goroutine "$name"
-	for ref in base base-goroutine; do
-		bad="" other=""
-		for a in $strict; do
-			cmp -s "$out/$name/head/$a" "$out/$name/$ref/$a" || bad="$bad $a"
+	for pair in "head base $same" "head-goroutine base-goroutine $same" "head base-goroutine $across"; do
+		set -- $pair
+		a=$1 b=$2
+		shift 2
+		bad=""
+		for art in "$@"; do
+			cmp -s "$out/$name/$a/$art" "$out/$name/$b/$art" || bad="$bad $art"
 		done
-		for a in $loose; do
-			cmp -s "$out/$name/head/$a" "$out/$name/$ref/$a" || other="$other $a"
-		done
-		printf '%-18s head vs %-15s %s\n' "$name" "$ref" \
-			"$([ -z "$bad" ] && echo ok || echo "DIFFER:$bad")${other:+ (also differ:$other)}"
+		printf '%-18s %-14s vs %-15s %s\n' "$name" "$a" "$b" "$([ -z "$bad" ] && echo ok || echo "DIFFER:$bad")"
 		[ -z "$bad" ] || fail=1
 	done
-	printf '%-18s activations: %s\n' "$name" "$(for r in base-goroutine base head; do
+	printf '%-18s activations: %s\n' "$name" "$(for r in base-goroutine head-goroutine base head; do
 		printf '%s=%s ' "$r" "$(grep -o '([0-9]* kernel' "$out/$name/$r/report.txt" | tr -dc 0-9)"; done)"
 done
 echo "outputs in $out"
