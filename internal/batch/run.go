@@ -211,19 +211,9 @@ func (s *Spec) runOne(base []byte, v Variant) Result {
 	rep, runErr := built.RunChecked()
 	if runErr != nil {
 		res.Err = runErr.Error()
-		// RunChecked only shuts down on success; unwind the parked process
-		// goroutines so a sweep full of failing variants does not leak them.
-		shutdownQuietly(built)
 	}
 	res.Metrics = computeMetrics(built, rep)
 	return res
-}
-
-// shutdownQuietly unwinds a failed run's kernel, swallowing any secondary
-// panic: the run is already reported as failed.
-func shutdownQuietly(built *scenario.Built) {
-	defer func() { _ = recover() }()
-	built.Sys.Shutdown()
 }
 
 // computeMetrics extracts the aggregate outcomes from a finished run.

@@ -278,15 +278,6 @@ func (e *Engine) runOne(prefix []Decision, engine string) *RunResult {
 		res.Err = err.Error()
 		return res
 	}
-	// Exploration enumerates the goroutine engine's decision space; compiled
-	// bodies would change which choice points exist, so pin every task that
-	// leaves its engine unset to goroutine bodies (replay traces must decode
-	// against the same space they were recorded in).
-	for i := range desc.Tasks {
-		if desc.Tasks[i].Engine == "" {
-			desc.Tasks[i].Engine = "goroutine"
-		}
-	}
 	if engine != "" {
 		for i := range desc.Processors {
 			desc.Processors[i].Engine = engine
@@ -318,7 +309,6 @@ func (e *Engine) runOne(prefix []Decision, engine string) *RunResult {
 	rep, runErr := built.RunChecked()
 	if runErr != nil {
 		res.Err = runErr.Error()
-		shutdownQuietly(built)
 	}
 	res.End = built.Sys.Now()
 	res.Finish = rep.Reason.String()
@@ -536,11 +526,4 @@ func sortedKeys[V any](m map[string]V) []string {
 	}
 	sort.Strings(keys)
 	return keys
-}
-
-// shutdownQuietly unwinds a failed run's kernel, swallowing any secondary
-// panic: the run is already reported as failed.
-func shutdownQuietly(built *scenario.Built) {
-	defer func() { _ = recover() }()
-	built.Sys.Shutdown()
 }

@@ -154,11 +154,10 @@ func TestReplayRecordedTraces(t *testing.T) {
 	}
 }
 
-// TestExploreSpaceIsGoroutineEngine pins which decision space exploration
-// enumerates: a task that leaves its engine unset is explored exactly as if
-// it said "engine": "goroutine", even where the simulator would otherwise
-// compile its body to a continuation. smp.json has such tasks, and on the
-// continuation engine their schedule space differs.
+// TestExploreSpaceIsGoroutineEngine checks that the task engine does not
+// change the decision space: smp.json, whose tasks leave their engine unset
+// and so run as continuations, explores exactly as it does with every task
+// set to "engine": "goroutine".
 func TestExploreSpaceIsGoroutineEngine(t *testing.T) {
 	base := readScenario(t, "smp.json")
 	desc, err := scenario.Parse(base)
@@ -186,6 +185,34 @@ func TestExploreSpaceIsGoroutineEngine(t *testing.T) {
 	}
 	if got, want := run(base), run(pinned); !reflect.DeepEqual(got, want) {
 		t.Errorf("unset engines explore differently from explicit goroutine:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// TestExploreFindsSameInstantRaces runs two scenarios whose tasks sit on
+// different processors and touch nothing but a constraint or an execution
+// trace, waking at the same instant. Pruning must keep both orders: the
+// swapped one stops constraint c before it starts (a run failure), or hands
+// task a the long trace entry (a constraint violation).
+func TestExploreFindsSameInstantRaces(t *testing.T) {
+	for _, c := range []struct{ file, kind string }{
+		{"lat_race.json", "run-failure"},
+		{"trace_race.json", "constraint"},
+	} {
+		data, err := os.ReadFile(filepath.Join("testdata", c.file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := New(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum, err := eng.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(sum.Violations) != 1 || sum.Violations[0].Kind != c.kind || !sum.Violations[0].Replayed {
+			t.Errorf("%s: violations %+v, want one replay-verified %s", c.file, sum.Violations, c.kind)
+		}
 	}
 }
 
@@ -296,8 +323,8 @@ func TestDPORPruningReducesScheduleSpace(t *testing.T) {
 }
 
 // TestFootprintGroups pins the conflict analysis: tasks on different
-// processors commute, tasks sharing a comm object do not, and unknown
-// owners conflict with everything.
+// processors commute, tasks sharing any object an op can name do not, and
+// unknown owners conflict with everything.
 func TestFootprintGroups(t *testing.T) {
 	desc, err := scenario.Parse([]byte(`{
 		"processors": [{"name": "a"}, {"name": "b"}],
@@ -338,5 +365,50 @@ func TestFootprintGroups(t *testing.T) {
 	// Unknown owners conflict with everything: soundness fallback.
 	if gs := groups("t1.delay", "mystery", "t2.delay"); len(gs) != 1 {
 		t.Fatalf("unknown owner did not force one group: %v", gs)
+	}
+
+	// Every op that names an object: two tasks on different processors
+	// whose bodies reference the same object through it conflict.
+	objects := `"events": [{"name": "x"}], "queues": [{"name": "x", "capacity": 1}],
+		"shared": [{"name": "x"}], "constraints": [{"name": "x", "limit": "1ms"}],
+		"traces": {"x": ["1us"]}, "buses": [{"name": "bus"}],
+		"channels": [{"name": "ch", "bus": "bus", "capacity": 1}],
+		"watchdogs": [{"name": "x", "processor": "c", "timeout": "1ms"}],
+		"irqs": [{"name": "x", "processor": "c", "body": [{"op": "execute", "for": "1us"}]}],
+		"servers": [{"name": "x", "processor": "c", "kind": "polling", "period": "1ms", "budget": "1us"}]`
+	for _, op := range []string{
+		`{"op": "execute_trace", "trace": "x"}`,
+		`{"op": "wait", "event": "x"}`,
+		`{"op": "signal", "event": "x"}`,
+		`{"op": "put", "queue": "x"}`,
+		`{"op": "get", "queue": "x"}`,
+		`{"op": "tryput", "queue": "x"}`,
+		`{"op": "lock", "shared": "x"}`,
+		`{"op": "unlock", "shared": "x"}`,
+		`{"op": "read", "shared": "x"}`,
+		`{"op": "write", "shared": "x"}`,
+		`{"op": "lat_start", "constraint": "x"}`,
+		`{"op": "lat_stop", "constraint": "x"}`,
+		`{"op": "kick", "watchdog": "x"}`,
+		`{"op": "raise", "irq": "x"}`,
+		`{"op": "send", "channel": "ch"}`,
+		`{"op": "recv", "channel": "ch"}`,
+		`{"op": "submit", "server": "x", "for": "1us"}`,
+		`{"op": "repeat", "count": 2, "body": [{"op": "lat_stop", "constraint": "x"}]}`,
+	} {
+		desc, err := scenario.Parse([]byte(`{
+			"processors": [{"name": "a"}, {"name": "b"}, {"name": "c"}], ` + objects + `,
+			"tasks": [
+				{"name": "t1", "processor": "a", "body": [` + op + `]},
+				{"name": "t2", "processor": "b", "body": [` + op + `]}
+			]
+		}`))
+		if err != nil {
+			t.Fatalf("%s: %v", op, err)
+		}
+		acts := []sim.TimedAction{{Name: "t1.delay", IsProc: true}, {Name: "t2.delay", IsProc: true}}
+		if gs := newFootprints(desc).groups(acts); len(gs) != 1 {
+			t.Errorf("%s: tasks sharing an object commute: %v", op, gs)
+		}
 	}
 }

@@ -12,96 +12,71 @@ import (
 // are disjoint: a task's delay wakeup on cpu A cannot affect a hardware
 // task's timer on an unrelated channel, so only one of their two orders is
 // explored. The footprint of an action is derived from the scenario
-// description — the owner's processor plus every comm object, bus, irq,
-// watchdog and server its body references — which over-approximates the
-// dynamic footprint, keeping the pruning sound: actions are only declared
-// commuting when no interleaving of them can diverge.
+// description — the owner's processor plus every object its body names in
+// the scenario's op-reference table (comm objects, constraints, traces,
+// irqs, watchdogs, servers) and the processor or bus those belong to —
+// which over-approximates the dynamic footprint, keeping the pruning sound:
+// actions are only declared commuting when no interleaving of them can
+// diverge.
 
 // footprints maps scenario-level owners (tasks, hardware tasks, processors,
-// irqs, servers, watchdogs, comm objects) to their resource sets.
+// buses and every object an op can name) to their resource sets. An owner
+// name shared by several of them gets the union of their sets.
 type footprints struct {
 	owners map[string][]string
+}
+
+// refKeys appends the resources an object stands for: itself (events,
+// queues, shared variables and channels are all comm objects) and the
+// processor or bus it belongs to.
+func refKeys(out []string, k scenario.RefKind, name, owner string) []string {
+	switch k {
+	case scenario.RefEvent, scenario.RefQueue, scenario.RefShared, scenario.RefChannel:
+		out = append(out, "obj:"+name)
+	default:
+		out = append(out, k.String()+":"+name)
+	}
+	switch {
+	case owner == "":
+	case k == scenario.RefChannel:
+		out = append(out, "bus:"+owner)
+	default:
+		out = append(out, "cpu:"+owner)
+	}
+	return out
 }
 
 // newFootprints derives the owner resource sets from a scenario description.
 func newFootprints(desc *scenario.System) *footprints {
 	f := &footprints{owners: map[string][]string{}}
-	chanBus := map[string]string{}
-	for _, c := range desc.Channels {
-		chanBus[c.Name] = c.Bus
-	}
-	irqCPU := map[string]string{}
-	for _, q := range desc.IRQs {
-		irqCPU[q.Name] = q.Processor
-	}
-	wdCPU := map[string]string{}
-	for _, w := range desc.Watchdogs {
-		wdCPU[w.Name] = w.Processor
-	}
-	srvCPU := map[string]string{}
-	for _, s := range desc.Servers {
-		srvCPU[s.Name] = s.Processor
-	}
-	refs := func(body []scenario.Op) []string {
-		var out []string
-		var walk func(ops []scenario.Op)
-		walk = func(ops []scenario.Op) {
-			for _, op := range ops {
-				switch op.Op {
-				case "wait", "signal":
-					out = append(out, "obj:"+op.Event)
-				case "put", "get", "tryput":
-					out = append(out, "obj:"+op.Queue)
-				case "lock", "unlock", "read", "write":
-					out = append(out, "obj:"+op.Shared)
-				case "send", "recv":
-					out = append(out, "obj:"+op.Channel, "bus:"+chanBus[op.Channel])
-				case "raise":
-					out = append(out, "irq:"+op.IRQ, "cpu:"+irqCPU[op.IRQ])
-				case "kick":
-					out = append(out, "wd:"+op.Watchdog, "cpu:"+wdCPU[op.Watchdog])
-				case "submit":
-					out = append(out, "cpu:"+srvCPU[op.Server])
-				case "repeat":
-					walk(op.Body)
-				}
-			}
-		}
-		walk(body)
-		return out
+	objs := desc.Objects()
+	add := func(owner string, body []scenario.Op, rs ...string) {
+		scenario.EachRef(body, func(r scenario.Ref) {
+			rs = refKeys(rs, r.Kind, r.Name, objs[r.Kind][r.Name])
+		})
+		f.owners[owner] = append(f.owners[owner], rs...)
 	}
 	for _, p := range desc.Processors {
-		f.owners[p.Name] = []string{"cpu:" + p.Name}
+		add(p.Name, nil, "cpu:"+p.Name)
 	}
 	for _, t := range desc.Tasks {
-		f.owners[t.Name] = append([]string{"cpu:" + t.Processor}, refs(t.Body)...)
+		add(t.Name, t.Body, "cpu:"+t.Processor)
 	}
 	for _, h := range desc.Hardware {
-		f.owners[h.Name] = append([]string{"hw:" + h.Name}, refs(h.Body)...)
+		add(h.Name, h.Body, "hw:"+h.Name)
 	}
 	for _, q := range desc.IRQs {
-		f.owners[q.Name] = append([]string{"irq:" + q.Name, "cpu:" + q.Processor}, refs(q.Body)...)
-	}
-	for _, w := range desc.Watchdogs {
-		f.owners[w.Name] = []string{"wd:" + w.Name, "cpu:" + w.Processor}
-	}
-	for _, s := range desc.Servers {
-		f.owners[s.Name] = []string{"cpu:" + s.Processor}
+		add(q.Name, q.Body)
 	}
 	for _, b := range desc.Buses {
-		f.owners[b.Name] = []string{"bus:" + b.Name}
+		add(b.Name, nil, "bus:"+b.Name)
 	}
-	for _, e := range desc.Events {
-		f.owners[e.Name] = []string{"obj:" + e.Name}
-	}
-	for _, q := range desc.Queues {
-		f.owners[q.Name] = []string{"obj:" + q.Name}
-	}
-	for _, c := range desc.Channels {
-		f.owners[c.Name] = []string{"obj:" + c.Name, "bus:" + c.Bus}
-	}
-	for _, v := range desc.Shared {
-		f.owners[v.Name] = []string{"obj:" + v.Name}
+	// Constraints and traces have no timed actions of their own.
+	for _, k := range []scenario.RefKind{scenario.RefEvent, scenario.RefQueue, scenario.RefShared,
+		scenario.RefWatchdog, scenario.RefIRQ, scenario.RefServer, scenario.RefChannel} {
+		for name, owner := range objs[k] {
+			add(name, nil, refKeys(nil, k, name, owner)...)
+		}
 	}
 	return f
 }

@@ -108,8 +108,8 @@ type Result struct {
 	Activations uint64
 	DeltaCycles uint64
 	// Err is the aggregate simulation failure (panic or whole-model
-	// deadlock), nil on a clean finish. Mirrors Built.RunChecked: on
-	// success every shard kernel has been shut down.
+	// deadlock), nil on a clean finish. Mirrors Built.RunChecked: every
+	// shard kernel has been shut down, failed or not.
 	Err error
 }
 
@@ -338,8 +338,8 @@ func (s *shardRun) post(b sim.Time) {
 
 // collect folds the finished shards into the aggregate result, mirroring the
 // sequential RunChecked contract: panic beats limit beats deadlock beats
-// quiescent, a whole-model deadlock comes back as a *sim.SimError, and on a
-// non-panic finish every kernel is shut down. A shard's local deadlock only
+// quiescent, a whole-model deadlock comes back as a *sim.SimError, and every
+// kernel is shut down, failed or not. A shard's local deadlock only
 // becomes the aggregate outcome when no shard reached the horizon — if any
 // did, the run is a limit finish and the still-blocked tasks surface through
 // the report's blocked-task warning, exactly as in a sequential run.
@@ -374,11 +374,9 @@ func collect(res *Result, shards []*shardRun) {
 			}
 		}
 	}
-	if res.Err != nil {
-		res.Finish = sim.FinishPanic
-		return
-	}
 	switch {
+	case res.Err != nil:
+		res.Finish = sim.FinishPanic
 	case anyLimit:
 		res.Finish = sim.FinishLimit
 	case anyStopped:
@@ -386,11 +384,10 @@ func collect(res *Result, shards []*shardRun) {
 	case len(blocked) > 0:
 		res.Finish = sim.FinishDeadlock
 		res.Err = &sim.SimError{At: res.End, Blocked: blocked, Context: context}
-		return
 	default:
 		res.Finish = sim.FinishQuiescent
 	}
 	for _, s := range shards {
-		s.built.Sys.Shutdown()
+		s.built.Shutdown(res.Err)
 	}
 }

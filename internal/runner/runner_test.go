@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/batch"
 )
@@ -141,6 +143,57 @@ func TestStuckScenarioSameVerdictBothEngines(t *testing.T) {
 		} else if res.SimError != first.SimError {
 			t.Errorf("task engine %q error %q, goroutine engine %q", engine, res.SimError, first.SimError)
 		}
+	}
+}
+
+// Failed runs unwind their kernels: after a series of deadlocked and
+// panicked runs on goroutine task bodies, sequential and sharded, the
+// goroutine count is back at its baseline.
+func TestFailedRunsLeaveNoGoroutines(t *testing.T) {
+	// Task a on p1 fails (the op given), task b on p2 waits forever.
+	scenario := func(fail string) []byte {
+		return []byte(`{"horizon": "1ms",
+		  "processors": [{"name": "p1"}, {"name": "p2"}],
+		  "events": [{"name": "never"}],
+		  "constraints": [{"name": "c", "limit": "1us"}],
+		  "tasks": [
+		    {"name": "a", "processor": "p1", "body": [{"op": "execute", "for": "5us"}, ` + fail + `]},
+		    {"name": "b", "processor": "p2", "body": [{"op": "execute", "for": "5us"}, {"op": "wait", "event": "never"}]}
+		  ]}`)
+	}
+	deadlock := scenario(`{"op": "wait", "event": "never"}`)
+	panics := scenario(`{"op": "lat_stop", "constraint": "c"}`)
+	for _, c := range []struct {
+		name   string
+		data   []byte
+		shards int
+		finish string
+	}{
+		{"sequential-deadlock", deadlock, 0, "deadlock"},
+		{"sequential-panic", panics, 0, "panic"},
+		{"shards-deadlock", deadlock, 2, "deadlock"},
+		{"shards-panic", panics, 2, "panic"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			for range 20 {
+				res, err := Run(c.data, Options{TaskEngine: "goroutine", Shards: c.shards}, c.name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Finish != c.finish || res.ExitCode() != 1 {
+					t.Fatalf("finish %s, exit %d; want %s, exit 1", res.Finish, res.ExitCode(), c.finish)
+				}
+			}
+			// An unwound goroutine exits just after handing control back.
+			got := runtime.NumGoroutine()
+			for end := time.Now().Add(2 * time.Second); got > before && time.Now().Before(end); got = runtime.NumGoroutine() {
+				time.Sleep(time.Millisecond)
+			}
+			if got > before {
+				t.Errorf("%d goroutines after 20 failed runs, %d before", got, before)
+			}
+		})
 	}
 }
 

@@ -80,12 +80,13 @@ type CrossHooks struct {
 	Inbound func(channel string, q *comm.Queue[int])
 }
 
-// shardFilter restricts elaboration to one shard of a partition plan.
+// shardFilter restricts elaboration to one shard of a partition plan: its
+// processors and hardware tasks, and the objects the plan assigns to it.
 type shardFilter struct {
-	procs, hardware                                                      map[string]bool
-	events, queues, shared, constraints, servers, irqs, watchdogs, buses map[string]bool
-	chanLocal, chanOut, chanIn                                           map[string]bool
-	hooks                                                                *CrossHooks
+	plan            *ShardPlan
+	shard           int
+	procs, hardware map[string]bool
+	hooks           *CrossHooks
 }
 
 // Build elaborates the description into a simulation-ready system.
@@ -97,51 +98,17 @@ func (s *System) Build() (*Built, error) { return s.build(nil) }
 // plan is not sharded at all: callers run it with Build.
 func (s *System) BuildShard(plan *ShardPlan, shard int, hooks *CrossHooks) (*Built, error) {
 	f := &shardFilter{
-		procs:       map[string]bool{},
-		hardware:    map[string]bool{},
-		events:      map[string]bool{},
-		queues:      map[string]bool{},
-		shared:      map[string]bool{},
-		constraints: map[string]bool{},
-		servers:     map[string]bool{},
-		irqs:        map[string]bool{},
-		watchdogs:   map[string]bool{},
-		buses:       map[string]bool{},
-		chanLocal:   map[string]bool{},
-		chanOut:     map[string]bool{},
-		chanIn:      map[string]bool{},
-		hooks:       hooks,
+		plan:     plan,
+		shard:    shard,
+		procs:    map[string]bool{},
+		hardware: map[string]bool{},
+		hooks:    hooks,
 	}
 	for _, name := range plan.Groups[shard].Processors {
 		f.procs[name] = true
 	}
 	for _, name := range plan.Groups[shard].Hardware {
 		f.hardware[name] = true
-	}
-	keep := func(dst map[string]bool, owners map[string]int) {
-		for name, g := range owners {
-			if g == shard {
-				dst[name] = true
-			}
-		}
-	}
-	keep(f.events, plan.Events)
-	keep(f.queues, plan.Queues)
-	keep(f.shared, plan.Shared)
-	keep(f.constraints, plan.Constraints)
-	keep(f.servers, plan.Servers)
-	keep(f.irqs, plan.IRQs)
-	keep(f.watchdogs, plan.Watchdogs)
-	keep(f.buses, plan.Buses)
-	for name, route := range plan.Channels {
-		switch {
-		case route.From == shard && route.To == shard:
-			f.chanLocal[name] = true
-		case route.From == shard:
-			f.chanOut[name] = true
-		case route.To == shard:
-			f.chanIn[name] = true
-		}
 	}
 	return s.build(f)
 }
@@ -197,7 +164,7 @@ func (s *System) build(f *shardFilter) (*Built, error) {
 		b.Processors[p.Name] = b.Sys.NewProcessor(p.Name, cfg)
 	}
 	for _, e := range s.Events {
-		if f != nil && !f.events[e.Name] {
+		if f != nil && f.plan.Events[e.Name] != f.shard {
 			continue
 		}
 		pol := comm.Fugitive
@@ -210,13 +177,13 @@ func (s *System) build(f *shardFilter) (*Built, error) {
 		b.Events[e.Name] = comm.NewEvent(b.Sys.Rec, e.Name, pol)
 	}
 	for _, q := range s.Queues {
-		if f != nil && !f.queues[q.Name] {
+		if f != nil && f.plan.Queues[q.Name] != f.shard {
 			continue
 		}
 		b.Queues[q.Name] = comm.NewQueue[int](b.Sys.Rec, q.Name, q.Capacity)
 	}
 	for _, v := range s.Shared {
-		if f != nil && !f.shared[v.Name] {
+		if f != nil && f.plan.Shared[v.Name] != f.shard {
 			continue
 		}
 		if v.Inherit {
@@ -226,14 +193,14 @@ func (s *System) build(f *shardFilter) (*Built, error) {
 		}
 	}
 	for _, c := range s.Constraints {
-		if f != nil && !f.constraints[c.Name] {
+		if f != nil && f.plan.Constraints[c.Name] != f.shard {
 			continue
 		}
 		b.Constraints[c.Name] = b.Sys.Constraints.NewLatency(c.Name, c.Limit.Time())
 	}
 
 	for _, def := range s.Buses {
-		if f != nil && !f.buses[def.Name] {
+		if f != nil && f.plan.Buses[def.Name] != f.shard {
 			continue
 		}
 		b.Buses[def.Name] = bus.New(b.Sys.Rec, def.Name, bus.Config{
@@ -246,19 +213,25 @@ func (s *System) build(f *shardFilter) (*Built, error) {
 	}
 	for _, def := range s.Channels {
 		x := &link{name: def.Name, bus: b.Buses[def.Bus], size: max(1, def.MessageBytes)}
+		local, out, in := f == nil, false, false
+		if f != nil {
+			r := f.plan.Channels[def.Name]
+			out, in = r.From == f.shard, r.To == f.shard
+			local = out && in
+		}
 		switch {
-		case f != nil && f.chanLocal[def.Name] && x.bus == nil:
+		case f != nil && local && x.bus == nil:
 			// A senderless channel routes to its receivers' shard while its
 			// (never contended) bus elaborated elsewhere. A bare queue models
 			// it exactly: receivers block, nothing ever sends.
 			x.queue = comm.NewQueue[int](b.Sys.Rec, def.Name, def.Capacity)
-		case f == nil || f.chanLocal[def.Name]:
+		case local:
 			ch := bus.NewChannel(x.bus, def.Name, def.Capacity, func(int) int { return x.size })
 			b.Channels[def.Name] = ch
 			x.queue = ch.Queue()
-		case f.chanOut[def.Name]:
+		case out:
 			x.hooks = f.hooks
-		case f.chanIn[def.Name]:
+		case in:
 			// Receiver half: a bare delivery queue fed by the engine's
 			// injector. Receivers block on it exactly as on a local channel.
 			x.queue = comm.NewQueue[int](b.Sys.Rec, def.Name, def.Capacity)
@@ -269,7 +242,7 @@ func (s *System) build(f *shardFilter) (*Built, error) {
 		b.links[def.Name] = x
 	}
 	for _, def := range s.Servers {
-		if f != nil && !f.servers[def.Name] {
+		if f != nil && f.plan.Servers[def.Name] != f.shard {
 			continue
 		}
 		cfg := rtos.ServerConfig{
@@ -289,7 +262,7 @@ func (s *System) build(f *shardFilter) (*Built, error) {
 		}
 	}
 	for _, q := range s.IRQs {
-		if f != nil && !f.irqs[q.Name] {
+		if f != nil && f.plan.IRQs[q.Name] != f.shard {
 			continue
 		}
 		run := goBody(b, q.Body, false, 0)
@@ -340,7 +313,7 @@ func (s *System) build(f *shardFilter) (*Built, error) {
 	}
 
 	for _, w := range s.Watchdogs {
-		if f != nil && !f.watchdogs[w.Name] {
+		if f != nil && f.plan.Watchdogs[w.Name] != f.shard {
 			continue
 		}
 		b.Watchdogs[w.Name] = b.Processors[w.Processor].NewWatchdog(
@@ -396,17 +369,25 @@ func (b *Built) Run() {
 // RunChecked simulates the built scenario to its horizon (or to event
 // starvation) with failure diagnosis: model panics, deadlock and starvation
 // come back as a structured *sim.SimError instead of a panic or a silent
-// stop. On a clean finish the kernel is shut down and the report returned.
+// stop. Either way the kernel is shut down before it returns.
 func (b *Built) RunChecked() (sim.Report, error) {
 	limit := sim.TimeMax
 	if h := b.Desc.Horizon.Time(); h > 0 {
 		limit = h
 	}
 	rep, err := b.Sys.RunChecked(limit)
-	if err == nil {
-		b.Sys.Shutdown()
-	}
+	b.Shutdown(err)
 	return rep, err
+}
+
+// Shutdown unwinds the process goroutines still parked when a run is over.
+// After a failed run (err != nil) a secondary panic from the unwind is
+// swallowed: the failure is already reported.
+func (b *Built) Shutdown(err error) {
+	if err != nil {
+		defer func() { _ = recover() }()
+	}
+	b.Sys.Shutdown()
 }
 
 // program compiles a body for every kind of actor: run forever for a loop

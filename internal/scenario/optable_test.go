@@ -1,21 +1,20 @@
 package scenario
 
 import (
+	"encoding/json"
 	"fmt"
-	"go/ast"
-	"go/parser"
-	"go/token"
+	"maps"
 	"slices"
-	"strconv"
 	"strings"
 	"testing"
 )
 
-// opTable lists every op validateOps accepts, with the actor kinds that may
-// use it, a body exercising it and the objects that body references. Bodies
-// are one op long unless the op needs a partner to be legal (unlock after
-// lock, lat_stop or a measured submit after lat_start, nopreempt_end after nopreempt_begin) or a
-// second instance to block (put, send) or to show its state (execute_trace).
+// opTable lists every op the op-reference table (opRefs) accepts, with the
+// actor kinds that may use it, a body exercising it and the objects that
+// body references. Bodies are one op long unless the op needs a partner to
+// be legal (unlock after lock, lat_stop or a measured submit after
+// lat_start, nopreempt_end after nopreempt_begin) or a second instance to
+// block (put, send) or to show its state (execute_trace).
 var opTable = []struct {
 	op      string
 	kinds   string // the accepting actor kinds: sw, hw, isr
@@ -81,14 +80,14 @@ func opScenario(kind, body, objects string) string {
 // reference's trace and rtos_* metrics. Kinds an op is not listed for must be
 // rejected by validation, so the table is the whitelist.
 func TestOpCoverageTable(t *testing.T) {
-	accepted := validatedOps(t)
+	accepted := slices.Sorted(maps.Keys(opRefs))
 	var listed []string
 	for _, row := range opTable {
 		listed = append(listed, row.op)
 	}
 	slices.Sort(listed)
 	if !slices.Equal(listed, accepted) {
-		t.Fatalf("opTable lists %v, validateOps accepts %v", listed, accepted)
+		t.Fatalf("opTable lists %v, the op-reference table accepts %v", listed, accepted)
 	}
 	for _, row := range opTable {
 		for _, kind := range []string{"sw", "hw", "isr"} {
@@ -125,33 +124,46 @@ func TestOpCoverageTable(t *testing.T) {
 	}
 }
 
-// validatedOps reads the op names validateOps switches on from validate.go,
-// so a new op cannot be accepted without a row here.
-func validatedOps(t *testing.T) []string {
-	t.Helper()
-	f, err := parser.ParseFile(token.NewFileSet(), "validate.go", nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ops []string
-	ast.Inspect(f, func(n ast.Node) bool {
-		fn, ok := n.(*ast.FuncDecl)
-		if ok && fn.Name.Name != "validateOps" {
-			return false
+// TestOpRefsMatchObjects checks the op-reference table against the objects
+// column: the row's op names objects exactly when the row declares some, and
+// without those declarations validation reports one unknown.
+func TestOpRefsMatchObjects(t *testing.T) {
+	for _, row := range opTable {
+		var body []Op
+		if err := json.Unmarshal([]byte("["+row.body+"]"), &body); err != nil {
+			t.Fatal(err)
 		}
-		if cc, ok := n.(*ast.CaseClause); ok {
-			for _, e := range cc.List {
-				if lit, ok := e.(*ast.BasicLit); ok && lit.Kind == token.STRING {
-					s, _ := strconv.Unquote(lit.Value)
-					ops = append(ops, s)
-				}
+		n := 0
+		for _, op := range body {
+			if op.Op == row.op {
+				EachRef([]Op{op}, func(Ref) { n++ })
 			}
 		}
-		return true
-	})
-	slices.Sort(ops)
-	if len(ops) == 0 {
-		t.Fatal("found no op cases in validateOps")
+		if (n > 0) != (row.objects != "") {
+			t.Errorf("%s: op names %d object(s), objects column %q", row.op, n, row.objects)
+			continue
+		}
+		kind := strings.Fields(row.kinds)[0]
+		_, err := Parse([]byte(opScenario(kind, row.body, "")))
+		if n > 0 && (err == nil || !strings.Contains(err.Error(), ": unknown ")) {
+			t.Errorf("%s: undeclared objects gave %v, want an unknown-object error", row.op, err)
+		}
 	}
-	return ops
+}
+
+// The op-reference table is read once per op by validation, partitioning
+// and exploration: walking a body must not allocate.
+func TestEachRefDoesNotAllocate(t *testing.T) {
+	var body []Op
+	for _, row := range opTable {
+		var ops []Op
+		if err := json.Unmarshal([]byte("["+row.body+"]"), &ops); err != nil {
+			t.Fatal(err)
+		}
+		body = append(body, ops...)
+	}
+	n := 0
+	if allocs := testing.AllocsPerRun(10, func() { EachRef(body, func(Ref) { n++ }) }); allocs != 0 {
+		t.Errorf("EachRef allocated %v times per walk", allocs)
+	}
 }

@@ -99,13 +99,13 @@ func (d *dsu) union(a, b int) {
 // partitioner accumulates object usage while walking the scenario bodies.
 // Nodes are processors (0..P-1) then hardware tasks (P..P+H-1).
 type partitioner struct {
-	s     *System
-	d     *dsu
-	procs map[string]int // processor name -> node
+	d    *dsu
+	objs Objects
 
-	// firstUser records, per object kind and name, the first node that uses
-	// the object; subsequent users are unioned with it.
-	events, queues, shared, constraints, servers, irqs, watchdogs, traces map[string]int
+	// users records, per object kind and name, the first node that uses the
+	// object; subsequent users are unioned with it. Processor-owned objects
+	// (servers, IRQs, watchdogs) are seeded with their processor.
+	users [numRefKinds]map[string]int
 
 	// chanSenders/chanReceivers record the first sender/receiver node per
 	// channel; busSenders the first sender node per bus. Channels are the
@@ -124,64 +124,18 @@ func (p *partitioner) use(m map[string]int, name string, node int) {
 	m[name] = node
 }
 
-// channelBus returns the bus of a channel (validated to exist).
-func (p *partitioner) channelBus(name string) string {
-	for _, c := range p.s.Channels {
-		if c.Name == name {
-			return c.Bus
-		}
-	}
-	return ""
-}
-
 func (p *partitioner) walkOps(node int, ops []Op) {
-	for _, op := range ops {
-		switch op.Op {
-		case "wait", "signal":
-			p.use(p.events, op.Event, node)
-		case "put", "get", "tryput":
-			p.use(p.queues, op.Queue, node)
-		case "lock", "unlock", "read", "write":
-			p.use(p.shared, op.Shared, node)
-		case "lat_start", "lat_stop":
-			p.use(p.constraints, op.Constraint, node)
-		case "execute_trace":
-			// Trace cursors are shared build state: all consumers of one
-			// trace must see a single consumption order.
-			p.use(p.traces, op.Trace, node)
-		case "kick":
-			p.use(p.watchdogs, op.Watchdog, node)
-			for _, w := range p.s.Watchdogs {
-				if w.Name == op.Watchdog {
-					p.d.union(node, p.procs[w.Processor])
-				}
-			}
-		case "raise":
-			p.use(p.irqs, op.IRQ, node)
-			for _, irq := range p.s.IRQs {
-				if irq.Name == op.IRQ {
-					p.d.union(node, p.procs[irq.Processor])
-				}
-			}
-		case "submit":
-			p.use(p.servers, op.Server, node)
-			for _, sv := range p.s.Servers {
-				if sv.Name == op.Server {
-					p.d.union(node, p.procs[sv.Processor])
-				}
-			}
-			if op.Constraint != "" {
-				p.use(p.constraints, op.Constraint, node)
-			}
-		case "send":
-			p.use(p.chanSenders, op.Channel, node)
-			p.use(p.busSenders, p.channelBus(op.Channel), node)
-		case "recv":
-			p.use(p.chanReceivers, op.Channel, node)
-		case "repeat":
-			p.walkOps(node, op.Body)
+	EachRef(ops, func(r Ref) {
+		switch r.Role {
+		case RoleSend:
+			p.use(p.chanSenders, r.Name, node)
+			p.use(p.busSenders, p.objs[RefChannel][r.Name], node)
+		case RoleRecv:
+			p.use(p.chanReceivers, r.Name, node)
+		default:
+			p.use(p.users[r.Kind], r.Name, node)
 		}
-	}
+	})
 }
 
 // Partition computes the shard plan for this scenario. target selects the
@@ -204,53 +158,41 @@ func (s *System) Partition(target int) (*ShardPlan, error) {
 		return nil, fmt.Errorf("scenario: nothing to partition (no processors or hardware tasks)")
 	}
 	p := &partitioner{
-		s:             s,
 		d:             newDSU(nodes),
-		procs:         make(map[string]int, nproc),
-		events:        map[string]int{},
-		queues:        map[string]int{},
-		shared:        map[string]int{},
-		constraints:   map[string]int{},
-		servers:       map[string]int{},
-		irqs:          map[string]int{},
-		watchdogs:     map[string]int{},
-		traces:        map[string]int{},
+		objs:          s.Objects(),
 		chanSenders:   map[string]int{},
 		chanReceivers: map[string]int{},
 		busSenders:    map[string]int{},
 	}
+	for k := range p.users {
+		p.users[k] = map[string]int{}
+	}
+	procs := make(map[string]int, nproc)
 	for i, cpu := range s.Processors {
-		p.procs[cpu.Name] = i
+		procs[cpu.Name] = i
 	}
 
 	// Objects anchored to a processor couple their users to that processor.
-	for _, sv := range s.Servers {
-		p.use(p.servers, sv.Name, p.procs[sv.Processor])
+	for _, k := range []RefKind{RefServer, RefIRQ, RefWatchdog} {
+		for name, cpu := range p.objs[k] {
+			p.use(p.users[k], name, procs[cpu])
+		}
 	}
 	for _, irq := range s.IRQs {
-		node := p.procs[irq.Processor]
-		p.use(p.irqs, irq.Name, node)
-		p.walkOps(node, irq.Body)
-	}
-	for _, w := range s.Watchdogs {
-		p.use(p.watchdogs, w.Name, p.procs[w.Processor])
+		p.walkOps(procs[irq.Processor], irq.Body)
 	}
 	for _, t := range s.Tasks {
-		p.walkOps(p.procs[t.Processor], t.Body)
+		p.walkOps(procs[t.Processor], t.Body)
 	}
 	for i, h := range s.Hardware {
 		p.walkOps(nproc+i, h.Body)
 	}
 
-	// Co-locate all receivers of each channel (walkOps already unioned
-	// them via chanReceivers/use) and check per-bus sender co-location —
-	// both already enforced by use(); nothing further to union here.
-
 	// Resolve atoms and their shard labels.
-	atomOf := make([]int, nodes)       // node -> atom index
-	var atomRoots []int                // atom index -> root node
-	rootAtom := make(map[int]int, 8)   // root node -> atom index
-	atomLabel := make(map[int]string)  // atom index -> label
+	atomOf := make([]int, nodes)        // node -> atom index
+	var atomRoots []int                 // atom index -> root node
+	rootAtom := make(map[int]int, 8)    // root node -> atom index
+	atomLabel := make(map[int]string)   // atom index -> label
 	atomLabelBy := make(map[int]string) // atom index -> processor that set it
 	for n := 0; n < nodes; n++ {
 		r := p.d.find(n)
@@ -364,23 +306,39 @@ func (s *System) Partition(target int) (*ShardPlan, error) {
 		ngroups = len(order)
 	}
 
+	// Object ownership: the group of any user; unused objects land on
+	// group 0 so they still elaborate exactly once.
+	nodeGroup := func(n int) int { return groupOf[atomOf[n]] }
+	owners := func(users map[string]int, names map[string]string) map[string]int {
+		m := make(map[string]int, len(names))
+		for name := range names {
+			m[name] = 0
+			if n, ok := users[name]; ok {
+				m[name] = nodeGroup(n)
+			}
+		}
+		return m
+	}
+	buses := make(map[string]string, len(s.Buses))
+	for _, b := range s.Buses {
+		buses[b.Name] = ""
+	}
 	plan := &ShardPlan{
 		Groups:      make([]ShardGroup, ngroups),
 		Horizon:     sim.Time(s.Horizon),
-		Events:      map[string]int{},
-		Queues:      map[string]int{},
-		Shared:      map[string]int{},
-		Constraints: map[string]int{},
-		Servers:     map[string]int{},
-		IRQs:        map[string]int{},
-		Watchdogs:   map[string]int{},
-		Buses:       map[string]int{},
+		Events:      owners(p.users[RefEvent], p.objs[RefEvent]),
+		Queues:      owners(p.users[RefQueue], p.objs[RefQueue]),
+		Shared:      owners(p.users[RefShared], p.objs[RefShared]),
+		Constraints: owners(p.users[RefConstraint], p.objs[RefConstraint]),
+		Servers:     owners(p.users[RefServer], p.objs[RefServer]),
+		IRQs:        owners(p.users[RefIRQ], p.objs[RefIRQ]),
+		Watchdogs:   owners(p.users[RefWatchdog], p.objs[RefWatchdog]),
+		Buses:       owners(p.busSenders, buses),
 		Channels:    map[string]ChannelRoute{},
 	}
 	for g := range plan.Groups {
 		plan.Groups[g].Label = groupLabels[g]
 	}
-	nodeGroup := func(n int) int { return groupOf[atomOf[n]] }
 	for i, cpu := range s.Processors {
 		g := nodeGroup(i)
 		plan.Groups[g].Processors = append(plan.Groups[g].Processors, cpu.Name)
@@ -388,39 +346,6 @@ func (s *System) Partition(target int) (*ShardPlan, error) {
 	for i, h := range s.Hardware {
 		g := nodeGroup(nproc + i)
 		plan.Groups[g].Hardware = append(plan.Groups[g].Hardware, h.Name)
-	}
-
-	// Assign object ownership: the group of any user; unused objects land
-	// on group 0 so they still elaborate exactly once.
-	owner := func(users map[string]int, name string) int {
-		if n, ok := users[name]; ok {
-			return nodeGroup(n)
-		}
-		return 0
-	}
-	for _, e := range s.Events {
-		plan.Events[e.Name] = owner(p.events, e.Name)
-	}
-	for _, q := range s.Queues {
-		plan.Queues[q.Name] = owner(p.queues, q.Name)
-	}
-	for _, sv := range s.Shared {
-		plan.Shared[sv.Name] = owner(p.shared, sv.Name)
-	}
-	for _, c := range s.Constraints {
-		plan.Constraints[c.Name] = owner(p.constraints, c.Name)
-	}
-	for _, sv := range s.Servers {
-		plan.Servers[sv.Name] = owner(p.servers, sv.Name)
-	}
-	for _, irq := range s.IRQs {
-		plan.IRQs[irq.Name] = owner(p.irqs, irq.Name)
-	}
-	for _, w := range s.Watchdogs {
-		plan.Watchdogs[w.Name] = owner(p.watchdogs, w.Name)
-	}
-	for _, b := range s.Buses {
-		plan.Buses[b.Name] = owner(p.busSenders, b.Name)
 	}
 
 	// Route channels and derive the cross-shard links.

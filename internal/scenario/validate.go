@@ -43,41 +43,23 @@ func (s *System) validate() error {
 		}
 	}
 
-	events := map[string]bool{}
+	objs, err := s.objects()
+	if err != nil {
+		return err
+	}
 	for _, e := range s.Events {
-		if events[e.Name] {
-			return fmt.Errorf("scenario: duplicate event %q", e.Name)
-		}
-		events[e.Name] = true
 		switch e.Policy {
 		case "", "fugitive", "boolean", "counter":
 		default:
 			return fmt.Errorf("scenario: event %q: unknown policy %q", e.Name, e.Policy)
 		}
 	}
-	queues := map[string]bool{}
 	for _, q := range s.Queues {
-		if queues[q.Name] {
-			return fmt.Errorf("scenario: duplicate queue %q", q.Name)
-		}
-		queues[q.Name] = true
 		if q.Capacity < 1 {
 			return fmt.Errorf("scenario: queue %q: capacity must be at least 1", q.Name)
 		}
 	}
-	shared := map[string]bool{}
-	for _, v := range s.Shared {
-		if shared[v.Name] {
-			return fmt.Errorf("scenario: duplicate shared variable %q", v.Name)
-		}
-		shared[v.Name] = true
-	}
-	constraints := map[string]bool{}
 	for _, c := range s.Constraints {
-		if constraints[c.Name] {
-			return fmt.Errorf("scenario: duplicate constraint %q", c.Name)
-		}
-		constraints[c.Name] = true
 		if c.Limit <= 0 {
 			return fmt.Errorf("scenario: constraint %q: limit must be positive", c.Name)
 		}
@@ -90,12 +72,11 @@ func (s *System) validate() error {
 		}
 		buses[b.Name] = true
 	}
-	channels := map[string]bool{}
 	for _, c := range s.Channels {
-		if channels[c.Name] || queues[c.Name] {
+		// A channel elaborates a queue of its own name.
+		if _, ok := objs[RefQueue][c.Name]; ok {
 			return fmt.Errorf("scenario: duplicate channel %q", c.Name)
 		}
-		channels[c.Name] = true
 		if !buses[c.Bus] {
 			return fmt.Errorf("scenario: channel %q: unknown bus %q", c.Name, c.Bus)
 		}
@@ -106,8 +87,6 @@ func (s *System) validate() error {
 			return fmt.Errorf("scenario: channel %q: negative message size", c.Name)
 		}
 	}
-	servers := map[string]bool{}
-	traces := map[string]bool{}
 	for name, tr := range s.Traces {
 		if len(tr) == 0 {
 			return fmt.Errorf("scenario: trace %q is empty", name)
@@ -117,31 +96,13 @@ func (s *System) validate() error {
 				return fmt.Errorf("scenario: trace %q entry %d must be positive", name, i)
 			}
 		}
-		traces[name] = true
 	}
-	irqs := map[string]bool{}
-	// Watchdog names are collected up front so task and ISR bodies can kick
-	// them; the rest of each definition is checked after the tasks are known.
-	watchdogs := map[string]bool{}
 	for _, w := range s.Watchdogs {
 		if w.Name == "" {
 			return fmt.Errorf("scenario: watchdog with empty name")
 		}
-		if watchdogs[w.Name] {
-			return fmt.Errorf("scenario: duplicate watchdog %q", w.Name)
-		}
-		watchdogs[w.Name] = true
-	}
-	refs := refSets{
-		events: events, queues: queues, shared: shared,
-		constraints: constraints, irqs: irqs, channels: channels, servers: servers,
-		traces: traces, watchdogs: watchdogs,
 	}
 	for _, srv := range s.Servers {
-		if servers[srv.Name] {
-			return fmt.Errorf("scenario: duplicate server %q", srv.Name)
-		}
-		servers[srv.Name] = true
 		if !cpus[srv.Processor] {
 			return fmt.Errorf("scenario: server %q: unknown processor %q", srv.Name, srv.Processor)
 		}
@@ -155,17 +116,13 @@ func (s *System) validate() error {
 		}
 	}
 	for _, q := range s.IRQs {
-		if irqs[q.Name] {
-			return fmt.Errorf("scenario: duplicate irq %q", q.Name)
-		}
-		irqs[q.Name] = true
 		if !cpus[q.Processor] {
 			return fmt.Errorf("scenario: irq %q: unknown processor %q", q.Name, q.Processor)
 		}
 		if len(q.Body) == 0 {
 			return fmt.Errorf("scenario: irq %q has an empty body", q.Name)
 		}
-		if err := validateOps("irq:"+q.Name, q.Body, isrKind, refs); err != nil {
+		if err := validateOps("irq:"+q.Name, q.Body, isrKind, &objs); err != nil {
 			return err
 		}
 	}
@@ -219,7 +176,7 @@ func (s *System) validate() error {
 			return fmt.Errorf("scenario: task %q: unknown engine %q (want \"goroutine\" or \"continuation\")",
 				t.Name, t.Engine)
 		}
-		if err := validateOps(t.Name, t.Body, swKind, refs); err != nil {
+		if err := validateOps(t.Name, t.Body, swKind, &objs); err != nil {
 			return err
 		}
 	}
@@ -234,7 +191,7 @@ func (s *System) validate() error {
 		if err := validateRepeat(h.Name, h.Repeat, h.Loop, false); err != nil {
 			return err
 		}
-		if err := validateOps(h.Name, h.Body, hwKind, refs); err != nil {
+		if err := validateOps(h.Name, h.Body, hwKind, &objs); err != nil {
 			return err
 		}
 	}
@@ -260,7 +217,7 @@ func (s *System) validate() error {
 			}
 		}
 	}
-	if err := s.validateFaults(taskCPU, irqs); err != nil {
+	if err := s.validateFaults(taskCPU, objs[RefIRQ]); err != nil {
 		return err
 	}
 	if err := s.validateExplore(); err != nil {
@@ -323,7 +280,7 @@ func (s *System) validateExplore() error {
 
 // validateFaults mirrors the preconditions of the rtos fault injectors so a
 // bad description is an error, not an elaboration panic.
-func (s *System) validateFaults(taskCPU map[string]string, irqs map[string]bool) error {
+func (s *System) validateFaults(taskCPU map[string]string, irqs map[string]string) error {
 	for i, f := range s.Faults {
 		fail := func(format string, args ...any) error {
 			return fmt.Errorf("scenario: fault %d (%s): %s", i, f.Kind, fmt.Sprintf(format, args...))
@@ -369,11 +326,11 @@ func (s *System) validateFaults(taskCPU map[string]string, irqs map[string]bool)
 				return fail("negative time")
 			}
 		case "irq_drop":
-			if !irqs[f.IRQ] {
+			if _, ok := irqs[f.IRQ]; !ok {
 				return fail("unknown irq %q", f.IRQ)
 			}
 		case "irq_latency":
-			if !irqs[f.IRQ] {
+			if _, ok := irqs[f.IRQ]; !ok {
 				return fail("unknown irq %q", f.IRQ)
 			}
 			if f.Extra <= 0 {
@@ -386,10 +343,6 @@ func (s *System) validateFaults(taskCPU map[string]string, irqs map[string]bool)
 	return nil
 }
 
-type refSets struct {
-	events, queues, shared, constraints, irqs, channels, servers, traces, watchdogs map[string]bool
-}
-
 // opsKind selects the operation whitelist for a body.
 type opsKind uint8
 
@@ -399,10 +352,16 @@ const (
 	isrKind                // interrupt service routines: non-blocking only
 )
 
-func validateOps(task string, ops []Op, kind opsKind, refs refSets) error {
-	for i, op := range ops {
+// validateOps checks each op's actor kind and arguments, then that every
+// object it names (per the op-reference table) is declared.
+func validateOps(task string, ops []Op, kind opsKind, objs *Objects) error {
+	for i := range ops {
+		op := &ops[i]
 		fail := func(format string, args ...any) error {
 			return fmt.Errorf("scenario: task %q op %d (%s): %s", task, i, op.Op, fmt.Sprintf(format, args...))
+		}
+		if _, ok := opRefs[op.Op]; !ok {
+			return fail("unknown operation")
 		}
 		switch op.Op {
 		case "execute":
@@ -416,9 +375,6 @@ func validateOps(task string, ops []Op, kind opsKind, refs refSets) error {
 			if kind == hwKind {
 				return fail("hardware tasks use delay, not execute_trace")
 			}
-			if !refs.traces[op.Trace] {
-				return fail("unknown trace %q", op.Trace)
-			}
 		case "delay":
 			if kind == isrKind {
 				return fail("ISRs consume time with execute, not delay")
@@ -430,69 +386,33 @@ func validateOps(task string, ops []Op, kind opsKind, refs refSets) error {
 			if kind == isrKind {
 				return fail("ISRs must not block")
 			}
-			if !refs.events[op.Event] {
-				return fail("unknown event %q", op.Event)
-			}
-		case "signal":
-			if !refs.events[op.Event] {
-				return fail("unknown event %q", op.Event)
-			}
 		case "put", "get":
 			if kind == isrKind {
 				return fail("ISRs must not block; use tryput")
-			}
-			if !refs.queues[op.Queue] {
-				return fail("unknown queue %q", op.Queue)
-			}
-		case "tryput":
-			if !refs.queues[op.Queue] {
-				return fail("unknown queue %q", op.Queue)
 			}
 		case "lock", "unlock", "read", "write":
 			if kind == isrKind {
 				return fail("ISRs must not block on shared variables")
 			}
-			if !refs.shared[op.Shared] {
-				return fail("unknown shared variable %q", op.Shared)
-			}
 		case "nopreempt_begin", "nopreempt_end", "setprio", "yield":
 			if kind != swKind {
 				return fail("only available on software tasks")
-			}
-		case "lat_start", "lat_stop":
-			if !refs.constraints[op.Constraint] {
-				return fail("unknown constraint %q", op.Constraint)
 			}
 		case "kick":
 			if kind == hwKind {
 				return fail("watchdogs are kicked from software tasks or ISRs")
 			}
-			if !refs.watchdogs[op.Watchdog] {
-				return fail("unknown watchdog %q", op.Watchdog)
-			}
 		case "raise":
 			if kind == isrKind {
 				return fail("ISRs cannot raise interrupts in this model")
-			}
-			if !refs.irqs[op.IRQ] {
-				return fail("unknown irq %q", op.IRQ)
 			}
 		case "send", "recv":
 			if kind == isrKind {
 				return fail("ISRs must not block on bus channels")
 			}
-			if !refs.channels[op.Channel] {
-				return fail("unknown channel %q", op.Channel)
-			}
 		case "submit":
-			if !refs.servers[op.Server] {
-				return fail("unknown server %q", op.Server)
-			}
 			if op.For <= 0 {
 				return fail("needs a positive 'for' work duration")
-			}
-			if op.Constraint != "" && !refs.constraints[op.Constraint] {
-				return fail("unknown constraint %q", op.Constraint)
 			}
 		case "repeat":
 			if op.Count < 1 {
@@ -501,11 +421,14 @@ func validateOps(task string, ops []Op, kind opsKind, refs refSets) error {
 			if len(op.Body) == 0 {
 				return fail("needs a non-empty body")
 			}
-			if err := validateOps(task, op.Body, kind, refs); err != nil {
+			if err := validateOps(task, op.Body, kind, objs); err != nil {
 				return err
 			}
-		default:
-			return fail("unknown operation")
+		}
+		for r := range op.refs {
+			if _, ok := objs[r.Kind][r.Name]; !ok {
+				return fail("unknown %s %q", r.Kind, r.Name)
+			}
 		}
 	}
 	return nil
