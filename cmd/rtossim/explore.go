@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/explore"
 	"repro/internal/runner"
+	"repro/internal/scenario"
 )
 
 // exploreMain implements `rtossim explore [flags] scenario.json`: bounded
@@ -57,11 +58,12 @@ func exploreMain(args []string) {
 		return
 	}
 
+	desc, err := scenario.Parse(data)
+	if err != nil {
+		fatal(err)
+	}
 	if *replay != "" {
-		eng, err := explore.New(data)
-		if err != nil {
-			fatal(err)
-		}
+		eng := explore.New(desc)
 		if *depth > 0 {
 			eng.Cfg.MaxDepth = *depth
 		}
@@ -89,7 +91,7 @@ func exploreMain(args []string) {
 		return
 	}
 
-	res, err := runner.Explore(data, runner.ExploreOptions{
+	res, err := runner.Explore(desc, runner.ExploreOptions{
 		Runs:         *runs,
 		Depth:        *depth,
 		Workers:      *workers,

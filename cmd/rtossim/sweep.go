@@ -60,7 +60,8 @@ func sweepMain(args []string) {
 	if err != nil {
 		fatal(err)
 	}
-	if _, err := scenario.Parse(base); err != nil {
+	desc, err := scenario.Parse(base)
+	if err != nil {
 		fatal(fmt.Errorf("base scenario %s: %w", scenPath, err))
 	}
 
@@ -83,7 +84,7 @@ func sweepMain(args []string) {
 		}
 	}
 	stopCPUProfile := startCPUProfile(*cpuprof)
-	res, err := runner.Sweep(spec, base, opts)
+	res, err := runner.SweepParsed(spec, desc, opts)
 	stopCPUProfile()
 	writeMemProfile(*memprof)
 	if err != nil {

@@ -46,8 +46,9 @@ type Spec struct {
 	Speeds []float64 `json:"speeds"`
 	// Overheads lists RTOS overhead sets (applied to every processor).
 	Overheads []scenario.OverheadSpec `json:"overheads"`
-	// Cores lists core-count overrides (applied to every processor). Tasks
-	// with a non-zero affinity must fit the smallest swept count.
+	// Cores lists core-count overrides (applied to every processor). A
+	// variant whose count or domain breaks a task's affinity fails with the
+	// validation error, like any other invalid variant.
 	Cores []int `json:"cores"`
 	// Domains lists scheduling-domain overrides: "partitioned" or "global"
 	// (applied to every processor).
@@ -125,92 +126,25 @@ func (v Variant) Label() string {
 // engines, then task engines, then policies, speeds, overhead sets, core
 // counts, domains, and seeds. Variant indices follow that order.
 func (s *Spec) Expand() ([]Variant, error) {
-	for _, e := range s.Engines {
-		if e != "procedural" && e != "threaded" {
-			return nil, fmt.Errorf("batch: unknown engine %q (want procedural or threaded)", e)
-		}
-	}
-	for _, e := range s.TaskEngines {
-		if e != "goroutine" && e != "continuation" {
-			return nil, fmt.Errorf("batch: unknown task engine %q (want goroutine or continuation)", e)
-		}
-	}
-	for _, p := range s.Policies {
-		switch p {
-		case "priority", "fifo", "edf":
-		case "rr":
-			if s.Quantum <= 0 {
-				return nil, fmt.Errorf("batch: policy %q requires a positive quantum", p)
-			}
-		default:
-			return nil, fmt.Errorf("batch: unknown policy %q (want priority, fifo, rr or edf)", p)
-		}
-	}
-	for _, sp := range s.Speeds {
-		if sp <= 0 {
-			return nil, fmt.Errorf("batch: speed factor %g must be positive", sp)
-		}
-	}
-	for _, c := range s.Cores {
-		if c < 1 {
-			return nil, fmt.Errorf("batch: core count %d must be at least 1", c)
-		}
-	}
-	for _, d := range s.Domains {
-		if d != "partitioned" && d != "global" {
-			return nil, fmt.Errorf("batch: unknown domain %q (want partitioned or global)", d)
-		}
-	}
-	engines := orKeep(s.Engines)
-	taskEngines := orKeep(s.TaskEngines)
-	policies := orKeep(s.Policies)
-	speeds := s.Speeds
-	if len(speeds) == 0 {
-		speeds = []float64{0}
-	}
-	nOv := len(s.Overheads)
-	if nOv == 0 {
-		nOv = 1
-	}
-	cores := s.Cores
-	if len(cores) == 0 {
-		cores = []int{0}
-	}
-	domains := orKeep(s.Domains)
 	var variants []Variant
-	for _, eng := range engines {
-		for _, teng := range taskEngines {
-			for _, pol := range policies {
-				for _, sp := range speeds {
-					for ov := 0; ov < nOv; ov++ {
-						for _, nc := range cores {
-							for _, dom := range domains {
-								v := Variant{
-									Engine:      eng,
-									TaskEngine:  teng,
-									Policy:      pol,
-									Quantum:     s.Quantum.Time(),
-									Speed:       sp,
-									OverheadIdx: -1,
-									Cores:       nc,
-									Domain:      dom,
-								}
-								if len(s.Overheads) > 0 {
-									spec := s.Overheads[ov]
-									v.OverheadIdx = ov
-									v.Overheads = &spec
-								}
-								if len(s.Seeds) == 0 {
-									v.Index = len(variants)
+	for _, eng := range orKeep(s.Engines) {
+		for _, teng := range orKeep(s.TaskEngines) {
+			for _, pol := range orKeep(s.Policies) {
+				for _, sp := range orKeep(s.Speeds) {
+					for ov, ovs := range refs(s.Overheads) {
+						for _, nc := range orKeep(s.Cores) {
+							for _, dom := range orKeep(s.Domains) {
+								for _, seed := range refs(s.Seeds) {
+									v := Variant{Index: len(variants), Engine: eng, TaskEngine: teng,
+										Policy: pol, Quantum: s.Quantum.Time(), Speed: sp,
+										OverheadIdx: -1, Overheads: ovs, Cores: nc, Domain: dom, Seed: seed}
+									if ovs != nil {
+										v.OverheadIdx = ov
+									}
+									if err := s.override(v).Check(); err != nil {
+										return nil, fmt.Errorf("batch: %w", err)
+									}
 									variants = append(variants, v)
-									continue
-								}
-								for _, seed := range s.Seeds {
-									seed := seed
-									sv := v
-									sv.Seed = &seed
-									sv.Index = len(variants)
-									variants = append(variants, sv)
 								}
 							}
 						}
@@ -222,52 +156,44 @@ func (s *Spec) Expand() ([]Variant, error) {
 	return variants, nil
 }
 
-// orKeep turns an empty axis into the single keep-base-value element.
-func orKeep(axis []string) []string {
+// orKeep turns an empty axis into the single keep-base-value element, the
+// zero value.
+func orKeep[T any](axis []T) []T {
 	if len(axis) == 0 {
-		return []string{""}
+		return make([]T, 1)
 	}
 	return axis
 }
 
-// apply rewrites the freshly parsed scenario for the variant. Each run
-// re-parses the base bytes, so mutations never leak between runs.
-func (s *Spec) apply(desc *scenario.System, v Variant) {
-	if s.Horizon > 0 {
-		desc.Horizon = s.Horizon
+// refs is orKeep for the axes a variant refers to by pointer: nil keeps the
+// base value.
+func refs[T any](axis []T) []*T {
+	if len(axis) == 0 {
+		return []*T{nil}
 	}
-	for i := range desc.Processors {
-		p := &desc.Processors[i]
-		if v.Engine != "" {
-			p.Engine = v.Engine
-		}
-		if v.Policy != "" {
-			p.Policy = v.Policy
-			if v.Policy == "rr" {
-				p.Quantum = scenario.Duration(v.Quantum)
-			}
-		}
-		if v.Speed != 0 {
-			p.Speed = v.Speed
-		}
-		if v.Overheads != nil {
-			p.Overheads = *v.Overheads
-		}
-		if v.Cores != 0 {
-			p.Cores = v.Cores
-		}
-		if v.Domain != "" {
-			p.Domain = v.Domain
-		}
+	out := make([]*T, len(axis))
+	for i := range axis {
+		out[i] = &axis[i]
 	}
-	if v.TaskEngine != "" {
-		for i := range desc.Tasks {
-			desc.Tasks[i].Engine = v.TaskEngine
-		}
+	return out
+}
+
+// override is the variant's edit of the base description, the spec horizon
+// included.
+func (s *Spec) override(v Variant) scenario.Override {
+	o := scenario.Override{
+		Engine:     v.Engine,
+		TaskEngine: v.TaskEngine,
+		Policy:     v.Policy,
+		Quantum:    v.Quantum,
+		Speed:      v.Speed,
+		Overheads:  v.Overheads,
+		Cores:      v.Cores,
+		Domain:     v.Domain,
+		Seed:       v.Seed,
 	}
-	if v.Seed != nil {
-		for i := range desc.Faults {
-			desc.Faults[i].Seed = *v.Seed
-		}
+	if h := s.Horizon.Time(); h > 0 {
+		o.Horizon = &h
 	}
+	return o
 }

@@ -33,6 +33,26 @@ const baseScenario = `{
 	]
 }`
 
+// parse parses a test scenario.
+func parse(tb testing.TB, src string) *scenario.System {
+	tb.Helper()
+	desc, err := scenario.Parse([]byte(src))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return desc
+}
+
+// sweep expands the spec and runs every variant against the scenario.
+func sweep(tb testing.TB, spec *Spec, src string, opts Options) []Result {
+	tb.Helper()
+	variants, err := spec.Expand()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return spec.Run(parse(tb, src), variants, opts)
+}
+
 func testSpec() *Spec {
 	return &Spec{
 		Engines:  []string{"procedural", "threaded"},
@@ -126,8 +146,8 @@ func TestSerialParallelIdentity(t *testing.T) {
 	if len(variants) != 64 {
 		t.Fatalf("expanded %d variants, want 64", len(variants))
 	}
-	serial := spec.Run([]byte(baseScenario), variants, Options{Workers: 1})
-	parallel := spec.Run([]byte(baseScenario), variants, Options{Workers: 8})
+	serial := spec.Run(parse(t, baseScenario), variants, Options{Workers: 1})
+	parallel := spec.Run(parse(t, baseScenario), variants, Options{Workers: 8})
 	for i := range serial {
 		if serial[i].Err != "" {
 			t.Fatalf("variant %d (%s) failed: %s", i, serial[i].Variant.Label(), serial[i].Err)
@@ -144,12 +164,52 @@ func TestSerialParallelIdentity(t *testing.T) {
 	}
 }
 
-func TestEngineAxisPreservesTimingChangesEffort(t *testing.T) {
-	spec := &Spec{Engines: []string{"procedural", "threaded"}}
-	results, err := spec.Sweep([]byte(baseScenario), Options{Workers: 2})
+// TestSharedBaseConcurrentSweep runs a sweep over every axis on four
+// workers twice against one parsed base: every variant derives from the
+// shared description concurrently, so the race detector sees any write to
+// it, and the results and the base's canonical form must not move.
+func TestSharedBaseConcurrentSweep(t *testing.T) {
+	base := parse(t, baseScenario)
+	before, err := base.CanonicalJSON()
 	if err != nil {
 		t.Fatal(err)
 	}
+	spec := &Spec{
+		Horizon:     scenario.Duration(sim.Ms),
+		Engines:     []string{"procedural", "threaded"},
+		TaskEngines: []string{"goroutine", "continuation"},
+		Policies:    []string{"priority", "rr"},
+		Quantum:     scenario.Duration(20 * sim.Us),
+		Speeds:      []float64{1, 2},
+		Overheads:   []scenario.OverheadSpec{{}, {Scheduling: scenario.Duration(sim.Us)}},
+		Cores:       []int{1, 2},
+		Domains:     []string{"partitioned", "global"},
+		Seeds:       []int64{1, 2},
+	}
+	variants, err := spec.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial := spec.Run(base, variants, Options{Workers: 1})
+	for range 2 {
+		parallel := spec.Run(base, variants, Options{Workers: 4})
+		for i := range serial {
+			if serial[i].Err != "" {
+				t.Fatalf("variant %s failed: %s", serial[i].Variant.Label(), serial[i].Err)
+			}
+			if !reflect.DeepEqual(serial[i], parallel[i]) {
+				t.Fatalf("variant %s: serial %+v, parallel %+v", serial[i].Variant.Label(), serial[i], parallel[i])
+			}
+		}
+	}
+	if after, _ := base.CanonicalJSON(); string(after) != string(before) {
+		t.Error("the sweep changed its base description")
+	}
+}
+
+func TestEngineAxisPreservesTimingChangesEffort(t *testing.T) {
+	spec := &Spec{Engines: []string{"procedural", "threaded"}}
+	results := sweep(t, spec, baseScenario, Options{Workers: 2})
 	proc, thr := results[0].Metrics, results[1].Metrics
 	if proc.End != thr.End || proc.Dispatches != thr.Dispatches ||
 		proc.DeadlineMisses != thr.DeadlineMisses {
@@ -169,10 +229,7 @@ func TestTaskEngineAxis(t *testing.T) {
 		TaskEngines: []string{"goroutine", "continuation"},
 		Seeds:       []int64{1, 2},
 	}
-	results, err := spec.Sweep([]byte(baseScenario), Options{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	results := sweep(t, spec, baseScenario, Options{Workers: 2})
 	if len(results) != 4 {
 		t.Fatalf("expanded %d variants, want 4", len(results))
 	}
@@ -217,10 +274,7 @@ func TestTaskEngineAxisRevalidates(t *testing.T) {
 		]
 	}`
 	spec := &Spec{TaskEngines: []string{"goroutine", "continuation"}}
-	results, err := spec.Sweep([]byte(busScenario), Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	results := sweep(t, spec, busScenario, Options{Workers: 1})
 	if len(results) != 2 {
 		t.Fatalf("got %d results, want 2", len(results))
 	}
@@ -248,7 +302,7 @@ func TestProgressReporting(t *testing.T) {
 	var mu sync.Mutex
 	var dones []int
 	total := -1
-	spec.Run([]byte(baseScenario), variants, Options{
+	spec.Run(parse(t, baseScenario), variants, Options{
 		Workers: 4,
 		Progress: func(done, tot int) {
 			mu.Lock()
@@ -282,10 +336,7 @@ func TestFailedRunIsIsolated(t *testing.T) {
 		]
 	}`
 	spec := &Spec{Engines: []string{"procedural", "threaded"}}
-	results, err := spec.Sweep([]byte(deadlocked), Options{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	results := sweep(t, spec, deadlocked, Options{Workers: 2})
 	for _, r := range results {
 		if r.Err == "" {
 			t.Fatalf("variant %s: deadlock not reported", r.Variant.Label())
@@ -326,10 +377,7 @@ func TestForEach(t *testing.T) {
 
 func TestSummarizeAndTable(t *testing.T) {
 	spec := testSpec()
-	results, err := spec.Sweep([]byte(baseScenario), Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	results := sweep(t, spec, baseScenario, Options{Workers: 4})
 	sum := Summarize(results)
 	if sum.Runs != len(results) || sum.Failures != 0 {
 		t.Fatalf("summary = %+v", sum)
@@ -391,7 +439,7 @@ func TestRunContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var done int32
-	results := spec.Run([]byte(baseScenario), variants, Options{
+	results := spec.Run(parse(t, baseScenario), variants, Options{
 		Workers: 1,
 		Context: ctx,
 		Progress: func(d, total int) {
@@ -427,7 +475,7 @@ func TestRunContextCancel(t *testing.T) {
 		t.Fatalf("ok %d + canceled %d != %d", ok, canceled, len(results))
 	}
 	// A nil context (the zero Options) still runs everything.
-	all := spec.Run([]byte(baseScenario), variants[:2], Options{Workers: 2})
+	all := spec.Run(parse(t, baseScenario), variants[:2], Options{Workers: 2})
 	for _, r := range all {
 		if r.Err != "" {
 			t.Fatalf("uncanceled run failed: %s", r.Err)

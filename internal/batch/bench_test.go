@@ -16,7 +16,7 @@ func BenchmarkSweep(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	base := []byte(baseScenario)
+	base := parse(b, baseScenario)
 	counts := []int{1, 2, 4}
 	if n := runtime.GOMAXPROCS(0); n > 4 {
 		counts = append(counts, n)

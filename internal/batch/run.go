@@ -134,38 +134,36 @@ dispatch:
 	wg.Wait()
 }
 
-// Run simulates every variant of the sweep against the base scenario bytes
-// and returns the results ordered by variant index. Each run re-parses the
-// base bytes into a private scenario (deep copy) and owns a private kernel,
-// so runs share nothing; with Workers=1 the sweep is fully serial and yields
-// the same results as any parallel execution.
-func (s *Spec) Run(base []byte, variants []Variant, opts Options) []Result {
+// Run simulates every variant of the sweep against the parsed base scenario
+// and returns the results ordered by variant index. Each run derives its own
+// description from the shared, never-written base (scenario.System.With)
+// and owns a private kernel; with Workers=1 the sweep is fully serial and
+// yields the same results as any parallel execution.
+func (s *Spec) Run(base *scenario.System, variants []Variant, opts Options) []Result {
+	// A variant the sweep never starts — not dispatched, or dispatched after
+	// the context was canceled — keeps its canceled result.
 	results := make([]Result, len(variants))
+	for i, v := range variants {
+		results[i] = Result{Variant: v, Err: ErrCanceled}
+	}
 	ctx := opts.Context
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	ran := make([]bool, len(variants))
 	var progressMu sync.Mutex
 	done := 0
 	ForEachCtx(ctx, len(variants), opts.Workers, func(i int) {
-		ran[i] = true
-		switch {
-		case ctx.Err() != nil:
-			// Dispatched but not yet started when the sweep was canceled.
-			results[i] = Result{Variant: variants[i], Err: ErrCanceled}
-		default:
+		if v := variants[i]; ctx.Err() == nil {
+			r, hit := Result{}, false
 			if opts.Lookup != nil {
-				if r, ok := opts.Lookup(variants[i]); ok {
-					r.Variant = variants[i] // the cache may have normalized it
-					results[i] = r
-					break
-				}
+				r, hit = opts.Lookup(v)
 			}
-			results[i] = s.runOne(base, variants[i])
-			if opts.Store != nil && results[i].Err == "" {
-				opts.Store(variants[i], results[i])
+			if hit {
+				r.Variant = v // the cache may have normalized it
+			} else if r = s.runOne(base, v); opts.Store != nil && r.Err == "" {
+				opts.Store(v, r)
 			}
+			results[i] = r
 		}
 		if opts.Progress != nil {
 			progressMu.Lock()
@@ -174,36 +172,17 @@ func (s *Spec) Run(base []byte, variants []Variant, opts Options) []Result {
 			progressMu.Unlock()
 		}
 	})
-	for i := range results {
-		if !ran[i] {
-			results[i] = Result{Variant: variants[i], Err: ErrCanceled}
-		}
-	}
 	return results
 }
 
-// Sweep is the one-call form: expand the spec's axes and run them all.
-func (s *Spec) Sweep(base []byte, opts Options) ([]Result, error) {
-	variants, err := s.Expand()
-	if err != nil {
-		return nil, err
-	}
-	if opts.Workers == 0 {
-		opts.Workers = s.Workers
-	}
-	return s.Run(base, variants, opts), nil
-}
-
 // runOne simulates a single variant in isolation.
-func (s *Spec) runOne(base []byte, v Variant) Result {
+func (s *Spec) runOne(base *scenario.System, v Variant) Result {
 	res := Result{Variant: v}
-	desc, err := scenario.Parse(base)
-	if err != nil {
-		res.Err = err.Error()
-		return res
+	desc, err := base.With(s.override(v))
+	var built *scenario.Built
+	if err == nil {
+		built, err = desc.Build()
 	}
-	s.apply(desc, v)
-	built, err := desc.Build()
 	if err != nil {
 		res.Err = err.Error()
 		return res
@@ -233,7 +212,7 @@ func computeMetrics(built *scenario.Built, rep sim.Report) Metrics {
 	}
 	for _, v := range sys.Constraints.Violations() {
 		m.Violations++
-		if strings.HasSuffix(v.Name, ".deadline") {
+		if v.Task != "" {
 			m.DeadlineMisses++
 		}
 	}

@@ -8,7 +8,7 @@ import (
 
 // BenchmarkExplore measures full schedule-space exploration throughput on
 // the priority-inversion scenario: each iteration enumerates a bounded
-// frontier (parse, build, run, judge per interleaving) and reports how many
+// frontier (one parse, then build, run and judge per interleaving) and reports how many
 // interleavings one op covered, so ns/op divided by runs/op approximates the
 // per-interleaving cost.
 func BenchmarkExplore(b *testing.B) {
@@ -18,10 +18,7 @@ func BenchmarkExplore(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		eng, err := New(base)
-		if err != nil {
-			b.Fatal(err)
-		}
+		eng := newEngine(b, base)
 		eng.Cfg.MaxRuns = 16
 		eng.Cfg.MaxInversion = 0 // never violated: benchmark pure enumeration
 		eng.Cfg.Workers = 1

@@ -44,24 +44,23 @@ type Engine struct {
 	// Cfg is the effective configuration; adjust before calling Run.
 	Cfg Config
 
-	base  []byte
 	desc  *scenario.System
 	fp    *footprints
 	other string // the engine CheckEngines compares against
+
+	// run, runOther and injected are what every run shares (see derive).
+	run, runOther *scenario.System
+	injected      map[string]bool
 
 	// Metrics counts the exploration's own effort: runs by kind, choice
 	// points, pruned alternatives and violations.
 	Metrics *metrics.Registry
 }
 
-// New parses and validates the scenario and seeds the configuration from its
-// explore block (absent fields and an absent block get the documented
-// defaults).
-func New(base []byte) (*Engine, error) {
-	desc, err := scenario.Parse(base)
-	if err != nil {
-		return nil, err
-	}
+// New prepares the exploration of a parsed scenario, which it never writes,
+// and seeds the configuration from its explore block (absent fields and an
+// absent block get the documented defaults).
+func New(desc *scenario.System) *Engine {
 	e := &Engine{
 		Cfg: Config{
 			MaxRuns:     256,
@@ -70,7 +69,6 @@ func New(base []byte) (*Engine, error) {
 			MaxBranch:   24,
 			Jitter:      map[string]sim.Time{},
 		},
-		base:    base,
 		desc:    desc,
 		fp:      newFootprints(desc),
 		other:   "threaded",
@@ -102,7 +100,28 @@ func New(base []byte) (*Engine, error) {
 		e.Cfg.MaxInversion = x.MaxInversion.Time()
 		e.Cfg.CheckEngines = x.CheckEngines
 	}
-	return e, nil
+	return e
+}
+
+// derive prepares what every run of one exploration shares, from the
+// current Cfg: the description with the configured jitter bounds, its copy
+// on the other RTOS engine (CheckEngines only), and the jittered tasks whose
+// nominal jitter is zero.
+func (e *Engine) derive() error {
+	e.injected = map[string]bool{}
+	for _, t := range e.desc.Tasks {
+		if _, ok := e.Cfg.Jitter[t.Name]; ok && t.Jitter == 0 {
+			e.injected[t.Name] = true
+		}
+	}
+	var err error
+	if e.run, err = e.desc.With(scenario.Override{Jitter: e.Cfg.Jitter}); err == nil && e.Cfg.CheckEngines {
+		e.runOther, err = e.run.With(scenario.Override{Engine: e.other})
+	}
+	if err != nil {
+		return fmt.Errorf("explore: %w", err)
+	}
+	return nil
 }
 
 // RunResult is the outcome of one explored interleaving.
@@ -206,6 +225,9 @@ type Summary struct {
 // interleaving is generated exactly once; MaxRuns truncates the frontier
 // (truncation is counted, never silent).
 func (e *Engine) Run() (*Summary, error) {
+	if err := e.derive(); err != nil {
+		return nil, err
+	}
 	sum := &Summary{}
 	seen := map[string]bool{}
 	var base *baseline
@@ -218,7 +240,7 @@ func (e *Engine) Run() (*Summary, error) {
 			wave = wave[:room]
 		}
 		outs := make([]*RunResult, len(wave))
-		batch.ForEach(len(wave), e.Cfg.Workers, func(i int) { outs[i] = e.runOne(wave[i], "") })
+		batch.ForEach(len(wave), e.Cfg.Workers, func(i int) { outs[i] = e.runOne(e.run, wave[i]) })
 		for wi, r := range outs {
 			idx := sum.Explored
 			sum.Explored++
@@ -256,53 +278,32 @@ func (e *Engine) Run() (*Summary, error) {
 // the baseline's expectations, returning the run and the violation it
 // reproduces (nil when it satisfies every invariant).
 func (e *Engine) Replay(t Trace) (*RunResult, *Violation, error) {
-	br := e.runOne(nil, "")
+	if err := e.derive(); err != nil {
+		return nil, nil, err
+	}
+	br := e.runOne(e.run, nil)
 	if br.Err != "" {
 		return nil, nil, fmt.Errorf("explore: baseline run failed: %s", firstLine(br.Err))
 	}
-	r := e.runOne(t.Decisions, "")
+	r := e.runOne(e.run, t.Decisions)
 	return r, e.judge(r, e.newBaseline(br)), nil
 }
 
-// runOne simulates one interleaving: a fresh parse and build of the base
-// scenario (runs share nothing), the chooser installed at both choice
-// points, inversion tracking on.
-func (e *Engine) runOne(prefix []Decision, engine string) *RunResult {
+// runOne simulates one interleaving of desc (e.run or e.runOther): a fresh
+// build (runs share nothing but the read-only description), the chooser
+// installed at both choice points, inversion tracking on.
+func (e *Engine) runOne(desc *scenario.System, prefix []Decision) *RunResult {
 	res := &RunResult{
 		Misses:        map[string]bool{},
 		WatchdogFires: map[string]uint64{},
 		Constraints:   map[string]int{},
-	}
-	desc, err := scenario.Parse(e.base)
-	if err != nil {
-		res.Err = err.Error()
-		return res
-	}
-	if engine != "" {
-		for i := range desc.Processors {
-			desc.Processors[i].Engine = engine
-		}
-	}
-	bounds := map[string]sim.Time{}
-	injected := map[string]bool{}
-	for i := range desc.Tasks {
-		t := &desc.Tasks[i]
-		b, ok := e.Cfg.Jitter[t.Name]
-		if !ok {
-			continue
-		}
-		bounds[t.Name] = b
-		if t.Jitter.Time() == 0 {
-			injected[t.Name] = true
-		}
-		t.Jitter = scenario.Duration(b)
 	}
 	built, err := desc.Build()
 	if err != nil {
 		res.Err = err.Error()
 		return res
 	}
-	ch := newChooser(e.fp, e.Cfg.JitterSteps, e.Cfg.MaxBranch, bounds, injected, prefix)
+	ch := newChooser(e.fp, e.Cfg.JitterSteps, e.Cfg.MaxBranch, e.Cfg.Jitter, e.injected, prefix)
 	built.Sys.K.SetTimedPermuter(ch)
 	built.Sys.SetReleaseJitterHook(ch.jitterFor)
 	built.Sys.EnableInversionTracking()
@@ -323,8 +324,8 @@ func (e *Engine) runOne(prefix []Decision, engine string) *RunResult {
 	}
 	res.Sig = trace.Signature(built.Sys.Rec, res.End)
 	for _, viol := range built.Sys.Constraints.Violations() {
-		if task, ok := strings.CutSuffix(viol.Name, ".deadline"); ok {
-			res.Misses[task] = true
+		if viol.Task != "" {
+			res.Misses[viol.Task] = true
 		} else {
 			res.Constraints[viol.Name]++
 		}
@@ -381,7 +382,7 @@ func (e *Engine) judge(r *RunResult, base *baseline) *Violation {
 // the same model-level schedule aligns across engines; a key mismatch means
 // the engines disagree on the schedule itself.
 func (e *Engine) checkEngines(r *RunResult, sum *Summary) *Violation {
-	or := e.runOne(r.Trace.trimmed().Decisions, e.other)
+	or := e.runOne(e.runOther, r.Trace.trimmed().Decisions)
 	sum.EngineRuns++
 	switch {
 	case or.Mismatch:
@@ -440,7 +441,7 @@ func (e *Engine) minimize(v *Violation, r *RunResult, base *baseline, sum *Summa
 		}
 		trial := append([]Decision(nil), dec...)
 		trial[i].Value = 0
-		rr := e.runOne(trial, "")
+		rr := e.runOne(e.run, trial)
 		sum.ReplayRuns++
 		if matches(rr) {
 			dec = Trace{Decisions: trial}.trimmed().Decisions
@@ -450,8 +451,8 @@ func (e *Engine) minimize(v *Violation, r *RunResult, base *baseline, sum *Summa
 		}
 	}
 	min := Trace{Decisions: dec}.trimmed()
-	r1 := e.runOne(min.Decisions, "")
-	r2 := e.runOne(min.Decisions, "")
+	r1 := e.runOne(e.run, min.Decisions)
+	r2 := e.runOne(e.run, min.Decisions)
 	sum.ReplayRuns += 2
 	v.Trace = min.Encode()
 	v.Replayed = matches(r1) && matches(r2) &&

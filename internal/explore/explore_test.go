@@ -12,6 +12,16 @@ import (
 	"repro/internal/trace"
 )
 
+// newEngine parses a scenario and prepares its exploration.
+func newEngine(tb testing.TB, data []byte) *Engine {
+	tb.Helper()
+	desc, err := scenario.Parse(data)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return New(desc)
+}
+
 func readScenario(t *testing.T, name string) []byte {
 	t.Helper()
 	data, err := os.ReadFile(filepath.Join("..", "..", "examples", "scenarios", name))
@@ -76,10 +86,7 @@ func TestIdentityChooserMatchesSeedRuns(t *testing.T) {
 // starve the watchdog, and the exploration must find that, minimize the
 // trace, and verify its replay.
 func TestExploreFindsSeededWatchdogViolation(t *testing.T) {
-	eng, err := New(readScenario(t, "faults.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := newEngine(t, readScenario(t, "faults.json"))
 	eng.Cfg.MaxRuns = 64
 	eng.Cfg.Workers = 2
 	sum, err := eng.Run()
@@ -136,10 +143,7 @@ func TestReplayRecordedTraces(t *testing.T) {
 		{"inversion.json", "xt1:AQLGvMP8CAGgp2lL",
 			"inversion", "task hi endured a 663us priority inversion (bound 500us)"},
 	} {
-		eng, err := New(readScenario(t, c.scenario))
-		if err != nil {
-			t.Fatal(err)
-		}
+		eng := newEngine(t, readScenario(t, c.scenario))
 		tr, err := Decode(c.trace)
 		if err != nil {
 			t.Fatalf("%s: recorded trace does not decode: %v", c.scenario, err)
@@ -172,10 +176,7 @@ func TestExploreSpaceIsGoroutineEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(data []byte) *Summary {
-		eng, err := New(data)
-		if err != nil {
-			t.Fatal(err)
-		}
+		eng := newEngine(t, data)
 		eng.Cfg.MaxRuns = 16
 		sum, err := eng.Run()
 		if err != nil {
@@ -202,10 +203,7 @@ func TestExploreFindsSameInstantRaces(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng, err := New(data)
-		if err != nil {
-			t.Fatal(err)
-		}
+		eng := newEngine(t, data)
 		sum, err := eng.Run()
 		if err != nil {
 			t.Fatal(err)
@@ -221,10 +219,7 @@ func TestExploreFindsSameInstantRaces(t *testing.T) {
 // that lands the medium task inside the low task's critical section must be
 // found and its minimized trace must replay.
 func TestExploreFindsInversionViolation(t *testing.T) {
-	eng, err := New(readScenario(t, "inversion.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := newEngine(t, readScenario(t, "inversion.json"))
 	sum, err := eng.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -249,10 +244,7 @@ func TestExploreFindsInversionViolation(t *testing.T) {
 // violations with the same traces and counts.
 func TestExploreWorkerCountInvariant(t *testing.T) {
 	run := func(workers int) *Summary {
-		eng, err := New(readScenario(t, "inversion.json"))
-		if err != nil {
-			t.Fatal(err)
-		}
+		eng := newEngine(t, readScenario(t, "inversion.json"))
 		eng.Cfg.Workers = workers
 		sum, err := eng.Run()
 		if err != nil {
@@ -278,10 +270,7 @@ func TestExploreWorkerCountInvariant(t *testing.T) {
 // same trace signature. The seed scenarios satisfy it, so no divergence may
 // be reported.
 func TestExploreCrossEngineCheck(t *testing.T) {
-	eng, err := New(readScenario(t, "inversion.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := newEngine(t, readScenario(t, "inversion.json"))
 	eng.Cfg.MaxRuns = 8
 	eng.Cfg.MaxInversion = 0 // isolate the engine check
 	eng.Cfg.CheckEngines = true
@@ -304,10 +293,7 @@ func TestExploreCrossEngineCheck(t *testing.T) {
 // commute, so the pruned alternative count must be strictly below the naive
 // factorial count.
 func TestDPORPruningReducesScheduleSpace(t *testing.T) {
-	eng, err := New(readScenario(t, "soc_bus.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := newEngine(t, readScenario(t, "soc_bus.json"))
 	eng.Cfg.MaxRuns = 8
 	sum, err := eng.Run()
 	if err != nil {

@@ -32,6 +32,9 @@ type Violation struct {
 	Limit sim.Time
 	// Measured is the observed latency or completion time.
 	Measured sim.Time
+	// Task names the periodic task of a deadline miss; empty for a latency
+	// constraint, whatever its name.
+	Task string
 }
 
 func (v Violation) String() string {
@@ -172,15 +175,8 @@ func (c *Constraint) Histogram(buckets int) string {
 // deadline".
 func (cs *ConstraintSet) report(task string, deadline, detected sim.Time) {
 	cs.violations = append(cs.violations, Violation{
-		Name: task + ".deadline", At: detected, Limit: deadline, Measured: 0,
+		Name: task + ".deadline", At: detected, Limit: deadline, Measured: 0, Task: task,
 	})
-}
-
-// deadlineViolationTask reports whether a violation name marks a periodic
-// deadline miss (the "<task>.deadline" convention of report), returning the
-// task name.
-func deadlineViolationTask(name string) (string, bool) {
-	return strings.CutSuffix(name, ".deadline")
 }
 
 // Violations returns every recorded violation in detection order.

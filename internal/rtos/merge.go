@@ -52,13 +52,12 @@ func MergeConstraintSets(sets []*ConstraintSet, nameOrder []string) *ConstraintS
 }
 
 // PerfettoMisses maps the set's periodic deadline-miss violations onto
-// Perfetto instant markers (the "<task>.deadline" naming convention of the
-// periodic-task watchdog).
+// Perfetto instant markers.
 func (cs *ConstraintSet) PerfettoMisses() []trace.MissMark {
 	var misses []trace.MissMark
 	for _, v := range cs.violations {
-		if task, ok := deadlineViolationTask(v.Name); ok {
-			misses = append(misses, trace.MissMark{At: v.At, Task: task})
+		if v.Task != "" {
+			misses = append(misses, trace.MissMark{At: v.At, Task: v.Task})
 		}
 	}
 	return misses

@@ -13,6 +13,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -114,53 +115,41 @@ func (r *Result) ExitCode() int {
 	return 0
 }
 
-// Prepare parses the scenario bytes and applies the option overrides,
-// returning the ready-to-build description. Split from Run so callers that
-// need the description early (content hashing, job validation) share the
-// exact override semantics.
+// Prepare parses the scenario bytes and derives the description the options
+// select. Split from Run so callers that need the description early (content
+// hashing, job validation) share the exact override semantics.
 func Prepare(data []byte, opts Options) (*scenario.System, error) {
 	desc, err := scenario.Parse(data)
 	if err != nil {
 		return nil, err
 	}
-	if opts.Until != "" {
-		h, err := scenario.ParseDuration(opts.Until)
+	return opts.Derive(desc)
+}
+
+// Derive checks the options and applies their overrides to a parsed
+// description through scenario.System.With; desc itself is not modified.
+func (o Options) Derive(desc *scenario.System) (*scenario.System, error) {
+	ov := scenario.Override{Engine: o.Engine, TaskEngine: o.TaskEngine}
+	if o.Until != "" {
+		until, err := scenario.ParseDuration(o.Until)
 		if err != nil {
 			return nil, err
 		}
-		desc.Horizon = scenario.Duration(h)
+		ov.Horizon = &until
 	}
-	switch opts.Engine {
-	case "":
-	case "procedural", "threaded":
-		for i := range desc.Processors {
-			desc.Processors[i].Engine = opts.Engine
-		}
-	default:
-		return nil, fmt.Errorf("unknown engine %q (want procedural or threaded)", opts.Engine)
+	derived, err := desc.With(ov)
+	if err != nil {
+		return nil, err
 	}
-	switch opts.TaskEngine {
-	case "":
-	case "goroutine", "continuation":
-		for i := range desc.Tasks {
-			desc.Tasks[i].Engine = opts.TaskEngine
-		}
-	default:
-		return nil, fmt.Errorf("unknown task engine %q (want goroutine or continuation)", opts.TaskEngine)
+	if o.Width < 0 || o.Width > MaxTimelineWidth {
+		return nil, fmt.Errorf("timeline width %d out of range (want 0 to %d columns; 0 means 100)", o.Width, MaxTimelineWidth)
 	}
-	if opts.Width < 0 || opts.Width > MaxTimelineWidth {
-		return nil, fmt.Errorf("timeline width %d out of range (want 0 to %d columns; 0 means 100)", opts.Width, MaxTimelineWidth)
-	}
-	for _, a := range opts.Artifacts {
-		known := false
-		for _, k := range KnownArtifacts {
-			known = known || a == k
-		}
-		if !known {
+	for _, a := range o.Artifacts {
+		if !slices.Contains(KnownArtifacts, a) {
 			return nil, fmt.Errorf("unknown artifact %q (want one of %s)", a, strings.Join(KnownArtifacts, ", "))
 		}
 	}
-	return desc, nil
+	return derived, nil
 }
 
 // Run executes the full pipeline on one scenario. A non-nil error is a
@@ -247,7 +236,7 @@ func RunPrepared(desc *scenario.System, opts Options, fallbackName string) (*Res
 		m.Jobs += v.jobs
 		m.AbortedJobs += v.abortedJobs
 		for _, vi := range v.constraints.Violations() {
-			if strings.HasSuffix(vi.Name, ".deadline") {
+			if vi.Task != "" {
 				m.Misses++
 			}
 		}

@@ -11,6 +11,8 @@ import (
 	"time"
 
 	"repro/internal/batch"
+	"repro/internal/explore"
+	"repro/internal/scenario"
 )
 
 func readScenario(t *testing.T, name string) []byte {
@@ -142,6 +144,39 @@ func TestStuckScenarioSameVerdictBothEngines(t *testing.T) {
 			first = res
 		} else if res.SimError != first.SimError {
 			t.Errorf("task engine %q error %q, goroutine engine %q", engine, res.SimError, first.SimError)
+		}
+	}
+}
+
+// A model panic names the task that raised it on either task engine: with
+// lat_race.json's tasks swapped, b stops constraint c before a starts it.
+// The continuation engine runs b as a kernel strand; its report must not
+// list the dead strand as blocked either.
+func TestPanicNamesTaskBothEngines(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("..", "explore", "testdata", "lat_race.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	desc, err := scenario.Parse(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	desc.Tasks[0], desc.Tasks[1] = desc.Tasks[1], desc.Tasks[0]
+	if data, err = desc.CanonicalJSON(); err != nil {
+		t.Fatal(err)
+	}
+	const want = `sim: process "b" panicked at 10us: rtos: constraint "c" stopped with no outstanding start`
+	for _, engine := range []string{"goroutine", "continuation"} {
+		res, err := Run(data, Options{TaskEngine: engine}, "swapped")
+		if err != nil {
+			t.Fatal(err)
+		}
+		first, _, _ := strings.Cut(res.SimError, "\n")
+		if res.Finish != "panic" || first != want {
+			t.Errorf("task engine %s: finish %s, first error line %q; want panic, %q", engine, res.Finish, first, want)
+		}
+		if strings.Contains(res.SimError, "blocked: b ") {
+			t.Errorf("task engine %s lists the panicked task as blocked:\n%s", engine, res.SimError)
 		}
 	}
 }
@@ -328,8 +363,11 @@ func TestSweepBadBase(t *testing.T) {
 }
 
 func TestExploreFindsExpectedViolations(t *testing.T) {
-	data := readScenario(t, "faults.json")
-	res, err := Explore(data, ExploreOptions{Runs: 16, Workers: 2}, "faults.json")
+	desc, err := scenario.Parse(readScenario(t, "faults.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Explore(desc, ExploreOptions{Runs: 16, Workers: 2}, "faults.json")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,5 +389,65 @@ func TestExploreFindsExpectedViolations(t *testing.T) {
 		}
 	} else if got != want {
 		t.Errorf("exit code = %d, want %d", got, want)
+	}
+}
+
+// A latency constraint whose name ends in ".deadline" is a constraint, not a
+// periodic deadline miss: sweep metrics, Perfetto instants and the
+// explorer's miss set count only the periodic watchdog's misses.
+func TestDeadlineNamedConstraintIsNotAMiss(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "deadline_name.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw, err := Sweep(&batch.Spec{}, data, SweepOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := sw.Results[0].Metrics; m.Violations != 1 || m.DeadlineMisses != 0 {
+		t.Errorf("sweep metrics: %d violation(s), %d miss(es); want 1, 0", m.Violations, m.DeadlineMisses)
+	}
+	res, err := Run(data, Options{Artifacts: []string{"perfetto"}}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(res.Artifacts["perfetto"], []byte("deadline-miss")) {
+		t.Error("Perfetto trace marks a deadline miss for a latency constraint")
+	}
+	desc, err := scenario.Parse(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, _, err := explore.New(desc).Replay(explore.Trace{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r.Misses) != 0 || r.Constraints["a.deadline"] != 1 {
+		t.Errorf("explore: misses %v, constraint violations %v; want none, a.deadline 1", r.Misses, r.Constraints)
+	}
+}
+
+// A sweep axis that breaks the base scenario (a core count below a task's
+// affinity, the global domain for a pinned task) fails those variants with
+// the validation error instead of panicking the sweep.
+func TestSweepInvalidVariantIsFailedRow(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "aff.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		spec *batch.Spec
+		want string
+	}{
+		{&batch.Spec{Cores: []int{1}}, `affinity 1 out of range for processor "p" with 1 core(s)`},
+		{&batch.Spec{Domains: []string{"global"}}, `affinity requires the partitioned domain on processor "p"`},
+	} {
+		res, err := Sweep(c.spec, data, SweepOptions{Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.ExitCode() != 1 || !strings.Contains(string(res.Report), "FAILED: scenario: task \"a\": "+c.want) {
+			t.Errorf("exit %d, report:\n%s\nwant exit 1 and a FAILED row with %q", res.ExitCode(), res.Report, c.want)
+		}
 	}
 }

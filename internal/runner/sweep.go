@@ -71,10 +71,17 @@ func (r *SweepResult) ResultsJSON() ([]byte, error) {
 // filesystem is the CLI's business; the daemon embeds the base scenario in
 // the job payload instead.
 func Sweep(spec *batch.Spec, base []byte, opts SweepOptions) (*SweepResult, error) {
-	start := time.Now()
-	if _, err := scenario.Parse(base); err != nil {
+	desc, err := scenario.Parse(base)
+	if err != nil {
 		return nil, fmt.Errorf("base scenario: %w", err)
 	}
+	return SweepParsed(spec, desc, opts)
+}
+
+// SweepParsed is Sweep for an already parsed base: every variant derives
+// its description from base, which is never written.
+func SweepParsed(spec *batch.Spec, base *scenario.System, opts SweepOptions) (*SweepResult, error) {
+	start := time.Now()
 	variants, err := spec.Expand()
 	if err != nil {
 		return nil, err
@@ -135,14 +142,11 @@ func (r *ExploreResult) ExitCode() int {
 	return 0
 }
 
-// Explore runs bounded schedule-space exploration of one scenario.
+// Explore runs bounded schedule-space exploration of one parsed scenario.
 // fallbackName labels the report when the scenario has no name.
-func Explore(data []byte, opts ExploreOptions, fallbackName string) (*ExploreResult, error) {
+func Explore(desc *scenario.System, opts ExploreOptions, fallbackName string) (*ExploreResult, error) {
 	start := time.Now()
-	eng, err := explore.New(data)
-	if err != nil {
-		return nil, err
-	}
+	eng := explore.New(desc)
 	if opts.Runs > 0 {
 		eng.Cfg.MaxRuns = opts.Runs
 	}
@@ -157,9 +161,9 @@ func Explore(data []byte, opts ExploreOptions, fallbackName string) (*ExploreRes
 	if err != nil {
 		return nil, err
 	}
-	name := fallbackName
-	if desc, err := scenario.Parse(data); err == nil && desc.Name != "" {
-		name = desc.Name
+	name := desc.Name
+	if name == "" {
+		name = fallbackName
 	}
 	var report bytes.Buffer
 	fmt.Fprintf(&report, "scenario %s\n", name)

@@ -2,23 +2,29 @@ package scenario
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/analysis"
 	"repro/internal/sim"
 )
 
 // WCET statically computes a task body's processor demand: the sum of its
-// execute durations, with repeat blocks multiplied out. Blocking operations
-// contribute no processor time. This is the WCET a periodic task's analysis
-// uses, assuming the annotated durations are worst-case.
-func WCET(ops []Op) sim.Time {
+// execute durations, each execute_trace charged the largest entry of its
+// trace (looked up in traces), with repeat blocks multiplied out. Blocking
+// operations contribute no processor time. This is the WCET a periodic
+// task's analysis uses, assuming the annotated durations are worst-case.
+func WCET(ops []Op, traces map[string][]Duration) sim.Time {
 	var total sim.Time
 	for _, op := range ops {
 		switch op.Op {
 		case "execute":
 			total += op.For.Time()
+		case "execute_trace":
+			if tr := traces[op.Trace]; len(tr) > 0 {
+				total += slices.Max(tr).Time()
+			}
 		case "repeat":
-			total += sim.Time(op.Count) * WCET(op.Body)
+			total += sim.Time(op.Count) * WCET(op.Body, traces)
 		}
 	}
 	return total
@@ -36,7 +42,7 @@ func (s *System) AnalyzeProcessor(cpu string) ([]analysis.TaskSpec, error) {
 		if t.Processor != cpu || t.Period <= 0 {
 			continue
 		}
-		wcet := WCET(t.Body)
+		wcet := WCET(t.Body, s.Traces)
 		if wcet <= 0 {
 			return nil, fmt.Errorf("scenario: periodic task %q has no execute time to analyse", t.Name)
 		}

@@ -56,8 +56,35 @@ func TestWCETExtraction(t *testing.T) {
 		}},
 		{Op: "execute", For: Duration(2 * sim.Us)},
 	}
-	if got := WCET(ops); got != 27*sim.Us {
+	if got := WCET(ops, nil); got != 27*sim.Us {
 		t.Fatalf("WCET = %v, want 27us", got)
+	}
+	// An execute_trace costs its trace's largest entry.
+	traces := map[string][]Duration{"frames": {Duration(3 * sim.Us), Duration(9 * sim.Us), Duration(5 * sim.Us)}}
+	ops = append(ops, Op{Op: "repeat", Count: 2, Body: []Op{{Op: "execute_trace", Trace: "frames"}}})
+	if got := WCET(ops, traces); got != 45*sim.Us {
+		t.Fatalf("WCET with trace = %v, want 45us", got)
+	}
+}
+
+// TestAnalysisReportChargesTraces checks that a trace-driven periodic task is
+// analysed at its trace's largest entry and does not hide the other periodic
+// tasks of its processor.
+func TestAnalysisReportChargesTraces(t *testing.T) {
+	s, err := Parse([]byte(`{"processors": [{"name": "p"}],
+	  "traces": {"frames": ["300us", "900us", "500us"]},
+	  "tasks": [
+	    {"name": "a", "processor": "p", "priority": 2, "period": "1ms", "body": [{"op": "execute_trace", "trace": "frames"}]},
+	    {"name": "b", "processor": "p", "priority": 1, "period": "2ms", "body": [{"op": "execute", "for": "500us"}]}
+	  ]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := s.AnalysisReport()
+	for _, want := range []string{"--- processor p ---", "2 tasks", "a                C=900us", "b                C=500us"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("report missing %q:\n%s", want, out)
+		}
 	}
 }
 

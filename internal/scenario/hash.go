@@ -51,22 +51,3 @@ func HashBytes(data []byte) (string, error) {
 	}
 	return s.Hash()
 }
-
-// Canonicalize parses a scenario document and returns both its canonical
-// JSON form and its content hash in one pass. The rtossimd job journal uses
-// it as its record codec anchor: submit records carry the hash alongside the
-// scenario bytes, and replay recomputes the hash to reject records whose
-// scenario no longer matches what was journaled (semantic corruption the
-// per-record CRC cannot see).
-func Canonicalize(data []byte) (canonical []byte, hash string, err error) {
-	s, err := Parse(data)
-	if err != nil {
-		return nil, "", err
-	}
-	canonical, err = s.CanonicalJSON()
-	if err != nil {
-		return nil, "", fmt.Errorf("scenario: canonicalize: %w", err)
-	}
-	sum := sha256.Sum256(canonical)
-	return canonical, hex.EncodeToString(sum[:]), nil
-}

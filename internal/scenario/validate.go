@@ -16,30 +16,9 @@ func (s *System) validate() error {
 		}
 		cpus[p.Name] = true
 		cpuDefs[p.Name] = p
-		switch p.Engine {
-		case "", "procedural", "threaded":
-		default:
-			return fmt.Errorf("scenario: processor %q: unknown engine %q", p.Name, p.Engine)
-		}
-		if p.Speed < 0 {
-			return fmt.Errorf("scenario: processor %q: speed must be positive", p.Name)
-		}
-		if p.Cores < 0 {
-			return fmt.Errorf("scenario: processor %q: cores must be positive", p.Name)
-		}
-		switch p.Domain {
-		case "", "partitioned", "global":
-		default:
-			return fmt.Errorf("scenario: processor %q: domain must be \"partitioned\" or \"global\"", p.Name)
-		}
-		switch p.Policy {
-		case "", "priority", "fifo", "edf":
-		case "rr":
-			if p.Quantum <= 0 {
-				return fmt.Errorf("scenario: processor %q: rr policy needs a positive quantum", p.Name)
-			}
-		default:
-			return fmt.Errorf("scenario: processor %q: unknown policy %q", p.Name, p.Policy)
+		if err := (Override{Engine: p.Engine, Policy: p.Policy, Quantum: p.Quantum.Time(),
+			Speed: p.Speed, Cores: p.Cores, Domain: p.Domain}).Check(); err != nil {
+			return fmt.Errorf("scenario: processor %q: %w", p.Name, err)
 		}
 	}
 
@@ -170,11 +149,8 @@ func (s *System) validate() error {
 		if len(t.Body) == 0 {
 			return fmt.Errorf("scenario: task %q has an empty body", t.Name)
 		}
-		switch t.Engine {
-		case "", "goroutine", "continuation":
-		default:
-			return fmt.Errorf("scenario: task %q: unknown engine %q (want \"goroutine\" or \"continuation\")",
-				t.Name, t.Engine)
+		if err := (Override{TaskEngine: t.Engine}).Check(); err != nil {
+			return fmt.Errorf("scenario: task %q: %w", t.Name, err)
 		}
 		if err := validateOps(t.Name, t.Body, swKind, &objs); err != nil {
 			return err

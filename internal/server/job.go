@@ -8,6 +8,7 @@ import (
 	"repro/internal/batch"
 	"repro/internal/explore"
 	"repro/internal/runner"
+	"repro/internal/scenario"
 )
 
 // JobKind names what a job runs: one simulation, a parameter sweep, or a
@@ -110,7 +111,7 @@ type Job struct {
 	explore  *runner.ExploreResult
 	restored *storedOutputs // journal-replayed outputs of a prior life
 	req      Request
-	scenario []byte
+	desc     *scenario.System // what the job runs; nil once terminal
 	spec     *batch.Spec
 	cacheKey string
 

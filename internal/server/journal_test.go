@@ -102,7 +102,7 @@ func TestJournalReenqueuesUnfinishedJobs(t *testing.T) {
 	rec := journalRecord{Op: "submit", ID: "j000007", Time: time.Now(),
 		Kind: KindSimulate, Req: &Request{Kind: KindSimulate, Scenario: data}}
 	var err error
-	if _, rec.Hash, err = scenario.Canonicalize(data); err != nil {
+	if rec.Hash, err = scenario.HashBytes(data); err != nil {
 		t.Fatal(err)
 	}
 	if err := encodeRecord(&buf, &rec); err != nil {
@@ -132,7 +132,7 @@ func TestJournalCancelRecordHonoredOnReplay(t *testing.T) {
 	rec := journalRecord{Op: "submit", ID: "j000001", Time: time.Now(),
 		Kind: KindSimulate, Req: &Request{Kind: KindSimulate, Scenario: data}}
 	var err error
-	if _, rec.Hash, err = scenario.Canonicalize(data); err != nil {
+	if rec.Hash, err = scenario.HashBytes(data); err != nil {
 		t.Fatal(err)
 	}
 	if err := encodeRecord(&buf, &rec); err != nil {
@@ -430,4 +430,50 @@ func TestJournalSingleWriter(t *testing.T) {
 		ts.Close()
 		s.Close()
 	}
+}
+
+// A sweep whose axis breaks the base scenario (cores below a task's
+// affinity, the global domain for a pinned task) ends done with failed
+// variants, and the daemon keeps serving. Replaying the journaled job after
+// a restart runs it the same way.
+func TestSweepInvalidVariantKeepsServing(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("..", "runner", "testdata", "aff.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := Request{Kind: KindSweep, Scenario: data,
+		Sweep: json.RawMessage(`{"cores": [1, 2], "domains": ["partitioned", "global"]}`)}
+	check := func(ts *httptest.Server, id string) {
+		t.Helper()
+		done := waitTerminal(t, ts, id)
+		if done.State != StateDone || done.SweepSummary == nil || done.SweepSummary.Failures != 3 {
+			t.Fatalf("sweep %s: state %s, summary %+v; want done with 3 failures", id, done.State, done.SweepSummary)
+		}
+		report, _ := getBytes(t, ts, "/v1/jobs/"+id+"/report")
+		if !strings.Contains(string(report), `FAILED: scenario: task "a": affinity 1 out of range`) {
+			t.Errorf("report lacks the validation failure:\n%s", report)
+		}
+		if _, code := getBytes(t, ts, "/healthz"); code != http.StatusOK {
+			t.Errorf("/healthz: %d after the sweep", code)
+		}
+	}
+	_, ts := newTestServer(t, Config{})
+	check(ts, postJob(t, ts, req).ID)
+
+	// A journal holding the submit and no end record: the job is replayed
+	// and re-run on restart.
+	dir := t.TempDir()
+	rec := journalRecord{Op: "submit", ID: "j000001", Time: time.Now(), Kind: KindSweep, Req: &req}
+	if rec.Hash, err = scenario.HashBytes(data); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := encodeRecord(&buf, &rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, journalFile), buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, ts2 := newTestServer(t, Config{Journal: dir})
+	check(ts2, "j000001")
 }

@@ -220,9 +220,10 @@ func (s *Server) Close() {
 }
 
 // buildJob validates a request and builds the (not yet registered) job:
-// scenario parse, canonical hash, per-kind validation, cache key and shard
-// routing. Shared verbatim between Submit and journal replay so a replayed
-// job revalidates exactly like a fresh one.
+// the job's one scenario parse, canonical hash, per-kind validation (a
+// simulate job derives its description here), cache key and shard routing.
+// Shared verbatim between Submit and journal replay so a replayed job
+// revalidates exactly like a fresh one.
 func (s *Server) buildJob(req Request) (*Job, error) {
 	kind := req.Kind
 	if kind == "" {
@@ -232,14 +233,17 @@ func (s *Server) buildJob(req Request) (*Job, error) {
 		return nil, fmt.Errorf("request has no scenario document")
 	}
 
-	job := &Job{Kind: kind, State: StateQueued, Created: time.Now(), req: req,
-		scenario: append([]byte(nil), req.Scenario...)}
+	job := &Job{Kind: kind, State: StateQueued, Created: time.Now(), req: req}
 	job.req.Kind = kind
 
-	var err error
-	if _, job.Hash, err = scenario.Canonicalize(job.scenario); err != nil {
+	desc, err := scenario.Parse(req.Scenario)
+	if err != nil {
 		return nil, fmt.Errorf("scenario: %w", err)
 	}
+	if job.Hash, err = desc.Hash(); err != nil {
+		return nil, fmt.Errorf("scenario: %w", err)
+	}
+	job.desc = desc
 
 	switch kind {
 	case KindSimulate:
@@ -249,7 +253,7 @@ func (s *Server) buildJob(req Request) (*Job, error) {
 		if job.req.Options.Artifacts == nil {
 			job.req.Options.Artifacts = []string{"perfetto", "metrics"}
 		}
-		if _, err := runner.Prepare(job.scenario, job.req.Options); err != nil {
+		if job.desc, err = job.req.Options.Derive(desc); err != nil {
 			return nil, err
 		}
 		optJSON, err := json.Marshal(job.req.Options)
@@ -474,9 +478,9 @@ func (s *Server) runJob(job *Job) {
 	)
 	switch job.Kind {
 	case KindSimulate:
-		result, err = runner.Run(job.scenario, job.req.Options, job.Hash[:12])
+		result, err = runner.RunPrepared(job.desc, job.req.Options, job.Hash[:12])
 	case KindSweep:
-		sweep, err = runner.Sweep(job.spec, job.scenario, runner.SweepOptions{
+		sweep, err = runner.SweepParsed(job.spec, job.desc, runner.SweepOptions{
 			Workers:  job.spec.Workers,
 			Progress: progress,
 			Context:  job.ctx,
@@ -484,7 +488,7 @@ func (s *Server) runJob(job *Job) {
 			Store:    s.sweepStore(job),
 		})
 	case KindExplore:
-		explore, err = runner.Explore(job.scenario, job.req.Explore, job.Hash[:12])
+		explore, err = runner.Explore(job.desc, job.req.Explore, job.Hash[:12])
 	}
 
 	s.mu.Lock()
@@ -532,6 +536,7 @@ func (s *Server) fillSummariesLocked(job *Job) {
 // s.mu.
 func (s *Server) finishLocked(job *Job, state JobState, msg string) {
 	job.State = state
+	job.desc = nil
 	job.Finished = time.Now()
 	job.QueuePosition = nil
 	job.cancel()
@@ -651,6 +656,7 @@ func (s *Server) replayLocked(recs []journalRecord) {
 			job.Finished = end.Time
 			job.Error = end.Error
 			job.CacheHit = end.CacheHit
+			job.desc = nil
 			job.cancel()
 			s.terminal++
 			job.restoreOutputs(end.Out)

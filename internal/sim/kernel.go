@@ -66,12 +66,14 @@ type Kernel struct {
 	// mainPk parks the Run caller while a process goroutine has control; the
 	// goroutine that finishes a scheduling pass (or panics, or unwinds at
 	// shutdown) signals it. panicVal carries a panic back to the Run caller
-	// for re-raising there: a model panic when panicProc is set (wrapped in
-	// *SimError), otherwise a panic from kernel-phase code (a method body,
-	// an update callback), re-raised as-is.
+	// for re-raising there: a model panic when panicProc is set or a strand
+	// was stepping (wrapped in *SimError), otherwise a panic from
+	// kernel-phase code (a method body, an update callback), re-raised as-is.
 	mainPk    *parker
 	panicProc *Proc
 	panicVal  any
+	// stepping is the strand whose step is running; a panic leaves it set.
+	stepping *Strand
 
 	running       bool
 	stopRequested bool
@@ -232,12 +234,17 @@ func (k *Kernel) run(limit Time) {
 		k.mainPk.wait()
 	}
 	if r := k.panicVal; r != nil {
-		p := k.panicProc
-		k.panicProc, k.panicVal = nil, nil
-		if p == nil {
-			panic(r) // kernel-phase panic, re-raised as-is
+		p, st := k.panicProc, k.stepping
+		k.panicProc, k.panicVal, k.stepping = nil, nil, nil
+		switch {
+		case p != nil:
+			panic(&SimError{At: k.now, Proc: p.name, PanicValue: r})
+		case st != nil:
+			// A panicked strand is dead, not blocked.
+			st.finished = true
+			panic(&SimError{At: k.now, Proc: st.name, PanicValue: r})
 		}
-		panic(&SimError{At: k.now, Proc: p.name, PanicValue: r})
+		panic(r) // kernel-phase panic, re-raised as-is
 	}
 }
 

@@ -58,11 +58,14 @@ func (k *Kernel) NewStrand(name string, fn func(*Strand), initial bool, sensitiv
 // forever (like a daemon process): it no longer counts as blocked.
 func (s *Strand) Finish() { s.finished = true }
 
-// step counts the resume and advances the state machine.
+// step counts the resume and advances the state machine, marking the
+// strand as stepping so a panic out of fn names it.
 func (s *Strand) step() {
 	s.k.strandResumes++
 	s.k.mStrandResumes.Inc()
+	s.k.stepping = s
 	s.fn(s)
+	s.k.stepping = nil
 }
 
 // Name returns the strand's name.

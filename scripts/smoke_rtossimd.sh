@@ -3,7 +3,8 @@
 # start the daemon, submit a scenario, poll to completion, assert the served
 # report is byte-identical to the rtossim CLI's stdout, resubmit and require
 # a cache hit with zero additional simulation runs, scrape /metrics, cancel a
-# long sweep mid-flight, and run the same scenario through `rtossim -remote`.
+# long sweep mid-flight, run the same scenario through `rtossim -remote`, and
+# run a sweep with invalid variants without the daemon going down.
 #
 # The daemon listens on an ephemeral port (parsed from its own "listening on"
 # line), so concurrent CI jobs cannot collide. Set SMOKE_LOG_DIR to keep the
@@ -131,5 +132,15 @@ done
 "$WORK/rtossim" -remote "$ADDR" examples/scenarios/figure6.json >"$WORK/remote.report"
 cmp "$WORK/remote.report" "$WORK/cli.report" || {
   echo "rtossim -remote output differs from local run" >&2; exit 1; }
+
+# 6. A sweep whose variants break the base scenario (cores below a task's
+#    affinity, the global domain for a pinned task) ends with FAILED rows
+#    (exit 1), and the daemon keeps serving.
+"$WORK/rtossim" sweep -quiet -remote "$ADDR" internal/runner/testdata/aff_sweep.json \
+  >"$WORK/aff.report" 2>&1 && rc=0 || rc=$?
+[ "$rc" = 1 ] && grep -q 'FAILED: scenario: task "a": affinity' "$WORK/aff.report" || {
+  echo "invalid-variant sweep: exit $rc, want 1 with FAILED rows" >&2; cat "$WORK/aff.report" >&2; exit 1; }
+curl -fsS "$BASE/healthz" >/dev/null || {
+  echo "daemon stopped serving after the invalid-variant sweep" >&2; cat "$WORK/daemon.log" >&2; exit 1; }
 
 echo "rtossimd smoke: ok"
