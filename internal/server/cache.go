@@ -11,9 +11,9 @@ import (
 
 // resultCache is a plain LRU over finished simulate results, keyed by the
 // scenario's canonical content hash plus the canonical options JSON. Entries
-// are immutable once inserted — the cached *runner.Result and its byte
-// slices are shared between jobs, never mutated — so a hit costs a map
-// lookup and a list splice. The cache is guarded by the server mutex.
+// are immutable once inserted — a cached *storedResult and its byte slices
+// are shared between jobs as their output form, never mutated — so a hit
+// costs a map lookup and a list splice. The cache is guarded by the server mutex.
 type resultCache struct {
 	cap     int
 	entries map[string]*list.Element

@@ -99,6 +99,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	case errors.As(err, &qf):
 		s.writeQueueFull(w, qf)
 		return
+	case errors.Is(err, errNotJournaled):
+		httpError(w, http.StatusServiceUnavailable, "%v", err)
+		return
 	case err != nil:
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -263,8 +266,10 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleStream serves the job's event log as NDJSON and keeps the response
-// open, flushing new events as the job progresses, until the job reaches a
-// terminal state or the client goes away.
+// open, flushing new events as the job progresses, until it has written the
+// terminal event or the client goes away. The log is append-only, so each
+// pass writes exactly the events after the last one written: a slow reader
+// falls behind but never loses an event.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	job := s.lookupJob(w, r)
 	if job == nil {
@@ -275,48 +280,33 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
 
-	past, ch := s.subscribe(job)
-	lastSeq := -1
-	for _, ev := range past {
-		enc.Encode(ev)
-		lastSeq = ev.Seq
-	}
-	if flusher != nil {
-		flusher.Flush()
-	}
-	if ch == nil {
-		return
-	}
+	next := 0
 	for {
+		s.mu.Lock()
+		// Logged events are never rewritten, so the slice is safe to read
+		// after unlocking while later appends grow the log.
+		events := job.events[next:]
+		done := job.State.terminal()
+		if !done && job.changed == nil {
+			job.changed = make(chan struct{})
+		}
+		changed := job.changed
+		s.mu.Unlock()
+
+		for _, ev := range events {
+			enc.Encode(ev)
+		}
+		next += len(events)
+		if flusher != nil {
+			flusher.Flush()
+		}
+		if done {
+			return
+		}
 		select {
 		case <-r.Context().Done():
 			return
-		case ev, ok := <-ch:
-			if !ok {
-				// Terminal: emit any events a full buffer dropped, so the
-				// stream always ends with the terminal transition.
-				s.mu.Lock()
-				tail := append([]Event(nil), job.events...)
-				s.mu.Unlock()
-				for _, ev := range tail {
-					if ev.Seq > lastSeq {
-						enc.Encode(ev)
-						lastSeq = ev.Seq
-					}
-				}
-				if flusher != nil {
-					flusher.Flush()
-				}
-				return
-			}
-			if ev.Seq <= lastSeq {
-				continue
-			}
-			enc.Encode(ev)
-			lastSeq = ev.Seq
-			if flusher != nil {
-				flusher.Flush()
-			}
+		case <-changed:
 		}
 	}
 }

@@ -100,127 +100,82 @@ type Job struct {
 	// Error is the load/validate/build-class failure of a failed job.
 	Error string `json:"error,omitempty"`
 
-	// Exactly one of the three results is set on a done job, matching Kind.
+	// The status view of the job's output form: Result for simulate jobs,
+	// SweepSummary for sweeps, ExploreSummary and Violations for
+	// explorations. Set once, with out, when the job turns terminal.
 	Result         *runner.Result   `json:"result,omitempty"`
 	SweepSummary   *batch.Summary   `json:"sweepSummary,omitempty"`
 	ExploreSummary *explore.Summary `json:"exploreSummary,omitempty"`
 	// Violations counts an explore job's invariant violations.
 	Violations int `json:"violations,omitempty"`
 
-	sweep    *runner.SweepResult
-	explore  *runner.ExploreResult
-	restored *storedOutputs // journal-replayed outputs of a prior life
+	// out is the terminal job's servable bytes, in the form the journal
+	// stores: rendered once when a live job finishes, or decoded from the
+	// journal when a job is restored. Every byte endpoint reads only this.
+	out      *storedOutputs
 	req      Request
 	desc     *scenario.System // what the job runs; nil once terminal
 	spec     *batch.Spec
 	cacheKey string
 
-	events []Event
-	subs   []chan Event
+	// events is the job's append-only progress log; changed, when a stream
+	// reader is waiting, is closed (and cleared) by the next append.
+	events  []Event
+	changed chan struct{}
 
 	ctx    context.Context
 	cancel context.CancelFunc
 }
 
-// report returns the job's human report bytes, nil when not (yet) available.
-func (j *Job) report() []byte {
-	switch {
-	case j.Result != nil && j.Result.Report != nil:
-		return j.Result.Report
-	case j.explore != nil:
-		return j.explore.Report
-	case j.sweep != nil:
-		return j.sweep.Report
-	case j.restored != nil && j.restored.ExploreReport != nil:
-		return j.restored.ExploreReport
-	case j.restored != nil && j.restored.SweepReport != nil:
-		return j.restored.SweepReport
-	}
-	return nil
-}
-
-// artifact returns one named artifact of a done job.
-func (j *Job) artifact(name string) []byte {
-	if j.Result == nil {
-		return nil
-	}
-	return j.Result.Artifacts[name]
-}
-
-// sweepResults returns a sweep job's per-variant rows as JSON, falling back
-// to the journaled rendering for jobs restored from a prior life.
-func (j *Job) sweepResults() []byte {
-	if j.sweep != nil {
-		data, err := j.sweep.ResultsJSON()
-		if err != nil {
-			return nil
-		}
-		return data
-	}
-	if j.restored != nil {
-		return j.restored.SweepResults
-	}
-	return nil
-}
-
-// exploreMetrics returns an explore job's metrics registry JSON.
-func (j *Job) exploreMetrics() []byte {
-	if j.explore != nil {
-		return j.explore.MetricsJSON
-	}
-	if j.restored != nil {
-		return j.restored.ExploreMetrics
-	}
-	return nil
-}
-
-// outputs renders the job's servable bytes for its journal terminal record.
-// Cache-hit jobs store result metadata only — the payload lives in the
-// original job's record and is relinked through the cache on replay.
-func (j *Job) outputs() *storedOutputs {
-	if j.restored != nil {
-		return j.restored
-	}
-	out := &storedOutputs{}
-	switch {
-	case j.CacheHit && j.Result != nil:
-		out.Result = &storedResult{Meta: *j.Result}
-		out.Result.Meta.Report = nil
-		out.Result.Meta.Artifacts = nil
-	case j.Result != nil:
-		out.Result = storeResult(j.Result)
-	case j.sweep != nil:
-		sum := j.sweep.Summary
-		out.SweepSummary = &sum
-		out.SweepReport = j.sweep.Report
-		out.SweepResults = j.sweepResults()
-	case j.explore != nil:
-		sum := j.explore.Summary
-		out.ExploreSummary = &sum
-		out.ExploreReport = j.explore.Report
-		out.ExploreMetrics = j.explore.MetricsJSON
-	default:
-		return nil
-	}
-	return out
-}
-
-// restoreOutputs rehydrates a replayed terminal job from its journal record.
-func (j *Job) restoreOutputs(out *storedOutputs) {
-	j.restored = out
+// setOutputs installs a terminal job's output form and the status fields
+// derived from it.
+func (j *Job) setOutputs(out *storedOutputs) {
+	j.out = out
 	if out == nil {
 		return
 	}
 	if out.Result != nil {
-		j.Result = out.Result.toResult()
+		j.Result = &out.Result.Meta
 	}
-	if out.SweepSummary != nil {
-		sum := *out.SweepSummary
-		j.SweepSummary = &sum
+	j.SweepSummary = out.SweepSummary
+	if j.ExploreSummary = out.ExploreSummary; j.ExploreSummary != nil {
+		j.Violations = len(j.ExploreSummary.Violations)
 	}
-	if out.ExploreSummary != nil {
-		sum := *out.ExploreSummary
-		j.ExploreSummary = &sum
-		j.Violations = len(sum.Violations)
+}
+
+// report returns the job's human report bytes, nil when not available.
+func (j *Job) report() []byte {
+	switch {
+	case j.out == nil:
+		return nil
+	case j.out.Result != nil:
+		return j.out.Result.Report
+	case j.out.ExploreReport != nil:
+		return j.out.ExploreReport
 	}
+	return j.out.SweepReport
+}
+
+// artifact returns one named artifact of a simulate job.
+func (j *Job) artifact(name string) []byte {
+	if j.out == nil || j.out.Result == nil {
+		return nil
+	}
+	return j.out.Result.Artifacts[name]
+}
+
+// sweepResults returns a sweep job's per-variant rows as JSON.
+func (j *Job) sweepResults() []byte {
+	if j.out == nil {
+		return nil
+	}
+	return j.out.SweepResults
+}
+
+// exploreMetrics returns an explore job's metrics registry JSON.
+func (j *Job) exploreMetrics() []byte {
+	if j.out == nil {
+		return nil
+	}
+	return j.out.ExploreMetrics
 }

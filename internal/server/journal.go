@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -66,25 +67,27 @@ type journalRecord struct {
 	Out      *storedOutputs `json:"out,omitempty"`
 }
 
-// storedOutputs is the journal form of a terminal job's servable bytes: the
-// exact payloads the report/trace/metrics/results endpoints return, so a
-// restarted daemon serves byte-identical artifacts for jobs that finished in
-// a previous life. Exactly one group is set, matching the job kind.
+// storedOutputs is a terminal job's servable bytes: the exact payloads the
+// report/trace/metrics/results endpoints return. It is both the in-memory
+// output form of every terminal job and its journal form, so a restarted
+// daemon serves byte-identical artifacts for jobs that finished in a
+// previous life. Exactly one group is set, matching the job kind.
 type storedOutputs struct {
 	Result *storedResult `json:"result,omitempty"`
 
 	SweepSummary *batch.Summary `json:"sweepSummary,omitempty"`
 	SweepReport  []byte         `json:"sweepReport,omitempty"`
 	SweepResults []byte         `json:"sweepResults,omitempty"`
-	SweepCancel  bool           `json:"sweepCanceled,omitempty"`
 
 	ExploreSummary *explore.Summary `json:"exploreSummary,omitempty"`
 	ExploreReport  []byte           `json:"exploreReport,omitempty"`
 	ExploreMetrics []byte           `json:"exploreMetrics,omitempty"`
 }
 
-// storedResult journals a runner.Result: the struct's JSON fields plus the
-// report and artifact bytes its own marshalling deliberately omits.
+// storedResult holds a runner.Result: the struct's JSON fields in Meta
+// (whose own Report and Artifacts stay nil) plus the report and artifact
+// bytes its marshalling deliberately omits. Stored results are immutable;
+// the result cache shares them between jobs.
 type storedResult struct {
 	Meta      runner.Result     `json:"meta"`
 	Report    []byte            `json:"report,omitempty"`
@@ -92,20 +95,9 @@ type storedResult struct {
 }
 
 func storeResult(r *runner.Result) *storedResult {
-	if r == nil {
-		return nil
-	}
-	return &storedResult{Meta: *r, Report: r.Report, Artifacts: r.Artifacts}
-}
-
-func (s *storedResult) toResult() *runner.Result {
-	if s == nil {
-		return nil
-	}
-	r := s.Meta
-	r.Report = s.Report
-	r.Artifacts = s.Artifacts
-	return &r
+	s := &storedResult{Meta: *r, Report: r.Report, Artifacts: r.Artifacts}
+	s.Meta.Report, s.Meta.Artifacts = nil, nil
+	return s
 }
 
 // journal owns the open journal file. It is guarded by the server mutex like
@@ -117,7 +109,8 @@ type journal struct {
 	path    string
 	f       *os.File
 	lock    *os.File
-	records int // valid records currently in the file
+	records int   // valid records currently in the file
+	size    int64 // length of the file's valid prefix
 	logf    func(format string, args ...any)
 }
 
@@ -182,6 +175,7 @@ func openJournal(dir string, logf func(string, ...any)) (*journal, []journalReco
 		return nil, nil, fmt.Errorf("journal: %w", err)
 	}
 	j.records = len(recs)
+	j.size = valid
 	return j, recs, nil
 }
 
@@ -216,8 +210,12 @@ func encodeRecord(buf *bytes.Buffer, rec *journalRecord) error {
 	return nil
 }
 
-// append writes one record and fsyncs. Errors are reported to the caller;
-// the server logs and keeps serving (degraded durability beats an outage).
+// append writes one record and fsyncs. Errors are reported to the caller:
+// the server rejects a submission it cannot journal, and logs a failed end
+// or cancel record. A failed write or sync may leave part of the record in
+// the file, and replay stops at the first bad line, so the file is cut back
+// to its last known-good length — by path, since the handle may be what
+// failed — before the error returns.
 func (j *journal) append(rec *journalRecord) error {
 	if j == nil {
 		return nil
@@ -227,13 +225,24 @@ func (j *journal) append(rec *journalRecord) error {
 		return fmt.Errorf("journal: encoding %s/%s: %w", rec.Op, rec.ID, err)
 	}
 	if _, err := j.f.Write(buf.Bytes()); err != nil {
-		return fmt.Errorf("journal: appending %s/%s: %w", rec.Op, rec.ID, err)
+		return j.undo(fmt.Errorf("journal: appending %s/%s: %w", rec.Op, rec.ID, err))
 	}
 	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("journal: sync: %w", err)
+		return j.undo(fmt.Errorf("journal: sync: %w", err))
 	}
 	j.records++
+	j.size += int64(buf.Len())
 	return nil
+}
+
+// undo truncates the file back to its valid prefix after a failed append
+// and returns err, joined with any truncation failure.
+func (j *journal) undo(err error) error {
+	if terr := os.Truncate(j.path, j.size); terr != nil {
+		return errors.Join(err, fmt.Errorf("journal: truncating failed append: %w", terr))
+	}
+	j.f.Seek(j.size, io.SeekStart)
+	return err
 }
 
 // rewrite atomically replaces the journal with the given records: write a
@@ -275,6 +284,7 @@ func (j *journal) rewrite(recs []journalRecord) error {
 	old.Close()
 	j.f = nf
 	j.records = len(recs)
+	j.size = int64(buf.Len())
 	return nil
 }
 

@@ -5,10 +5,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -476,4 +478,161 @@ func TestSweepInvalidVariantKeepsServing(t *testing.T) {
 	}
 	_, ts2 := newTestServer(t, Config{Journal: dir})
 	check(ts2, "j000001")
+}
+
+// A submission whose journal append fails is rejected with 503 and leaves no
+// trace: no job, no used-up ID, and no partial line that would stop replay
+// before later records.
+func TestJournalAppendFailureRejectsSubmission(t *testing.T) {
+	full, err := os.OpenFile("/dev/full", os.O_WRONLY, 0)
+	if err != nil {
+		t.Skipf("no /dev/full: %v", err)
+	}
+	defer full.Close()
+	dir := t.TempDir()
+	s, ts := newTestServer(t, Config{Journal: dir})
+
+	// A torn record already at the tail, as a crashed append leaves it.
+	f, err := os.OpenFile(filepath.Join(dir, journalFile), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`deadbeef {"op":"sub`); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	s.mu.Lock()
+	good := s.jnl.f
+	s.jnl.f = full
+	s.mu.Unlock()
+	body, _ := json.Marshal(Request{Scenario: readScenario(t, "figure6.json")})
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable || !strings.Contains(string(msg), "journal") {
+		t.Fatalf("submit with a failing journal: status %d: %s; want 503 naming the journal", resp.StatusCode, msg)
+	}
+	if list, _ := getBytes(t, ts, "/v1/jobs"); strings.TrimSpace(string(list)) != "[]" {
+		t.Errorf("rejected submission is listed: %s", list)
+	}
+	if v := promValue(t, ts, "rtossimd_jobs_submitted_total"); v != 0 {
+		t.Errorf("submitted counter = %v after a rejected submission", v)
+	}
+
+	s.mu.Lock()
+	s.jnl.f = good
+	s.mu.Unlock()
+	tiny := []byte(`{"name": "tiny", "horizon": "1ms", "processors": [{"name": "cpu0"}],
+		"tasks": [{"name": "t", "processor": "cpu0", "priority": 2, "period": "100us",
+		           "body": [{"op": "execute", "for": "10us"}]}]}`)
+	job := postJob(t, ts, Request{Scenario: tiny})
+	if job.ID != "j000001" {
+		t.Errorf("accepted job is %s, want j000001: the rejected submission used up an ID", job.ID)
+	}
+	waitTerminal(t, ts, job.ID)
+	ts.Close()
+	s.Close()
+
+	_, ts2 := newTestServer(t, Config{Journal: dir})
+	var jobs []Job
+	list, _ := getBytes(t, ts2, "/v1/jobs")
+	if err := json.Unmarshal(list, &jobs); err != nil {
+		t.Fatal(err)
+	}
+	if len(jobs) != 1 || jobs[0].ID != job.ID || jobs[0].Hash != job.Hash || jobs[0].State != StateDone {
+		t.Fatalf("replayed jobs = %+v, want exactly the accepted %s done", jobs, job.ID)
+	}
+}
+
+// Live and restored jobs serve one output form: every byte endpoint, and the
+// status JSON with its timestamps masked, answers the same bytes before and
+// after a restart on the journal, for each kind of terminal job.
+func TestRestoredJobsServeLiveBytes(t *testing.T) {
+	dir := t.TempDir()
+	data := readScenario(t, "figure6.json")
+	s, ts := newTestServer(t, Config{Shards: 1, Journal: dir})
+
+	running := func(id string) {
+		t.Helper()
+		deadline := time.Now().Add(30 * time.Second)
+		for getJob(t, ts, id).State == StateQueued && time.Now().Before(deadline) {
+			time.Sleep(2 * time.Millisecond)
+		}
+	}
+	cases := []struct {
+		name string
+		run  func() string // submits the job and returns its ID once terminal
+	}{
+		{"simulate", func() string { return waitTerminal(t, ts, postJob(t, ts, Request{Scenario: data}).ID).ID }},
+		{"cache hit", func() string { return postJob(t, ts, Request{Scenario: data}).ID }},
+		{"sweep", func() string {
+			return waitTerminal(t, ts, postJob(t, ts, Request{Kind: KindSweep, Scenario: data,
+				Sweep: json.RawMessage(`{"engines": ["procedural", "threaded"], "speeds": [1, 2]}`)}).ID).ID
+		}},
+		{"explore", func() string {
+			return waitTerminal(t, ts, postJob(t, ts, Request{Kind: KindExplore,
+				Scenario: readScenario(t, "faults.json"), Explore: runner.ExploreOptions{Runs: 8, Workers: 2}}).ID).ID
+		}},
+		{"canceled queued", func() string {
+			blocker := postJob(t, ts, slowSweepRequest(t))
+			running(blocker.ID)
+			id := postJob(t, ts, Request{Scenario: data, Options: optionsVariant(1)}).ID
+			s.Cancel(id)
+			s.Cancel(blocker.ID)
+			waitTerminal(t, ts, blocker.ID)
+			return id
+		}},
+		{"canceled sweep", func() string {
+			id := postJob(t, ts, slowSweepRequest(t)).ID
+			running(id)
+			s.Cancel(id)
+			return waitTerminal(t, ts, id).ID
+		}},
+	}
+	stamps := regexp.MustCompile(`"(created|started|finished)": "[^"]*"`)
+	paths := func(id string) []string {
+		p := []string{"", "/report", "/trace", "/metrics", "/results"}
+		for _, name := range runner.KnownArtifacts {
+			p = append(p, "/artifacts/"+name)
+		}
+		for i := range p {
+			p[i] = "/v1/jobs/" + id + p[i]
+		}
+		return p
+	}
+	fetch := func(ts *httptest.Server, path string) string {
+		data, code := getBytes(t, ts, path)
+		return fmt.Sprintf("%d %s", code, stamps.ReplaceAll(data, []byte(`"$1": "T"`)))
+	}
+
+	ids := make([]string, len(cases))
+	live := map[string]string{}
+	for i, c := range cases {
+		ids[i] = c.run()
+		for _, p := range paths(ids[i]) {
+			live[p] = fetch(ts, p)
+		}
+	}
+	if got := getJob(t, ts, ids[1]); !got.CacheHit {
+		t.Fatalf("cache-hit case was not served from the cache: %+v", got)
+	}
+	list := fetch(ts, "/v1/jobs")
+	ts.Close()
+	s.Close()
+
+	_, ts2 := newTestServer(t, Config{Shards: 1, Journal: dir})
+	for i, c := range cases {
+		for _, p := range paths(ids[i]) {
+			if got := fetch(ts2, p); got != live[p] {
+				t.Errorf("%s: GET %s after restart differs:\n--- live\n%.400s\n--- restored\n%.400s", c.name, p, live[p], got)
+			}
+		}
+	}
+	if got := fetch(ts2, "/v1/jobs"); got != list {
+		t.Errorf("job list differs after restart:\n--- live\n%s\n--- restored\n%s", list, got)
+	}
 }

@@ -16,6 +16,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"runtime"
 	"strconv"
@@ -88,10 +89,10 @@ type Server struct {
 	seq   int
 	cache *resultCache
 
-	queues []chan *Job
-	// waiting mirrors each shard queue's still-queued jobs in order; it
-	// backs the queuePosition field in job status and stream events.
+	// waiting is each shard's queue, oldest first; a job's index is its
+	// queuePosition. wake holds one pending wake-up per shard worker.
 	waiting [][]*Job
+	wake    []chan struct{}
 	// busy marks shards currently executing a job (feeds the wait estimate).
 	busy []bool
 	est  *shardEstimator
@@ -132,16 +133,16 @@ func New(cfg Config) (*Server, error) {
 		cfg:         cfg,
 		jobs:        make(map[string]*Job),
 		cache:       newResultCache(cfg.CacheEntries),
-		queues:      make([]chan *Job, cfg.Shards),
 		waiting:     make([][]*Job, cfg.Shards),
+		wake:        make([]chan struct{}, cfg.Shards),
 		busy:        make([]bool, cfg.Shards),
 		est:         newShardEstimator(cfg.Shards),
 		reg:         metrics.NewRegistry(),
 		workersDone: make(chan struct{}),
 	}
 	s.ctx, s.cancel = context.WithCancel(context.Background())
-	for i := range s.queues {
-		s.queues[i] = make(chan *Job, cfg.QueueDepth)
+	for i := range s.wake {
+		s.wake[i] = make(chan struct{}, 1)
 	}
 
 	// Create every metric up front: Registry lookups mutate its maps, so
@@ -288,7 +289,9 @@ func (s *Server) buildJob(req Request) (*Job, error) {
 // Submit validates a request, routes it to a shard by content hash, and
 // returns the job. Cache hits complete synchronously. The returned error is
 // a client error (bad request); queue overflow returns a *QueueFullError
-// (matching ErrQueueFull) carrying the shard's depth and estimated wait.
+// (matching ErrQueueFull) carrying the shard's depth and estimated wait, and
+// a journal that cannot make the submission durable returns an error
+// matching errNotJournaled.
 func (s *Server) Submit(req Request) (*Job, error) {
 	job, err := s.buildJob(req)
 	if err != nil {
@@ -298,60 +301,70 @@ func (s *Server) Submit(req Request) (*Job, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
-	// Reserve the queue slot before registering or journaling anything: a
-	// rejected submission must leave no trace.
-	var hit any
-	var ok bool
+	// Reserve the queue slot and make the submission durable before
+	// registering anything: a rejected submission must leave no trace.
+	var hit *storedResult
 	if job.cacheKey != "" {
-		hit, ok = s.cache.get(job.cacheKey)
-	}
-	if !ok {
-		select {
-		case s.queues[job.Shard] <- job:
-		default:
-			depth := len(s.waiting[job.Shard])
-			ahead := depth
-			if s.busy[job.Shard] {
-				ahead++
-			}
-			return nil, &QueueFullError{
-				Shard:         job.Shard,
-				Depth:         depth,
-				EstimatedWait: s.est.wait(job.Shard, ahead),
-			}
+		if v, ok := s.cache.get(job.cacheKey); ok {
+			hit = v.(*storedResult)
 		}
 	}
+	if depth := len(s.waiting[job.Shard]); hit == nil && depth >= s.cfg.QueueDepth {
+		ahead := depth
+		if s.busy[job.Shard] {
+			ahead++
+		}
+		return nil, &QueueFullError{
+			Shard:         job.Shard,
+			Depth:         depth,
+			EstimatedWait: s.est.wait(job.Shard, ahead),
+		}
+	}
+	job.ID = fmt.Sprintf("j%06d", s.seq+1)
+	if err := s.jnl.append(submitRecord(job)); err != nil {
+		return nil, fmt.Errorf("%w: %w", errNotJournaled, err)
+	}
+	s.appended++
 
 	s.seq++
-	job.ID = fmt.Sprintf("j%06d", s.seq)
 	s.jobs[job.ID] = job
 	s.order = append(s.order, job.ID)
 	s.m.submitted.Inc()
-	s.journalLocked(&journalRecord{Op: "submit", ID: job.ID, Time: job.Created,
-		Kind: job.Kind, Hash: job.Hash, Req: &job.req})
 
 	// Cache check (simulate only): a hit completes the job immediately, on
 	// the caller's goroutine, without entering a queue.
-	if ok {
-		res := hit.(*runner.Result)
+	if hit != nil {
 		job.CacheHit = true
 		job.Started = time.Now()
-		job.Result = res
 		s.m.cacheHits.Inc()
-		s.finishLocked(job, StateDone, "served from cache")
+		s.finishLocked(job, StateDone, "served from cache", &storedOutputs{Result: hit})
 		return job, nil
 	}
 	if job.cacheKey != "" {
 		s.m.cacheMiss.Inc()
 	}
+	s.enqueueLocked(job)
+	return job, nil
+}
 
-	s.m.queued.Add(1)
-	s.m.shardDepth[job.Shard].Add(1)
+// errNotJournaled matches the error Submit returns when the journal append
+// or fsync of the submit record fails: the submission is rejected (503)
+// rather than acknowledged without durability.
+var errNotJournaled = errors.New("submission not journaled")
+
+// enqueueLocked appends a job to its shard queue, publishes its position
+// and wakes the shard worker. Caller holds s.mu and has checked capacity.
+func (s *Server) enqueueLocked(job *Job) {
 	pos := len(s.waiting[job.Shard])
 	s.waiting[job.Shard] = append(s.waiting[job.Shard], job)
+	s.m.queued.Add(1)
+	s.m.shardDepth[job.Shard].Add(1)
 	job.QueuePosition = &pos
 	s.pushEventLocked(job, Event{State: StateQueued, QueuePosition: &pos})
-	return job, nil
+	select {
+	case s.wake[job.Shard] <- struct{}{}:
+	default:
+	}
 }
 
 // ErrQueueFull matches the error Submit returns when the job's shard queue
@@ -418,10 +431,10 @@ func (s *Server) Cancel(id string) bool {
 	}
 	j.cancel()
 	if j.State == StateQueued {
-		// The worker will skip it when dequeued; finish it now so pollers
-		// and streams see the terminal state immediately.
+		// Leave the queue now, freeing the slot, so pollers and streams
+		// see the terminal state immediately.
 		s.unqueueLocked(j)
-		s.finishLocked(j, StateCanceled, "canceled while queued")
+		s.finishLocked(j, StateCanceled, "canceled while queued", nil)
 	} else {
 		// Running: journal the request so a crash before the terminal
 		// record replays this job as canceled instead of re-running it.
@@ -430,31 +443,35 @@ func (s *Server) Cancel(id string) bool {
 	return true
 }
 
-// shardLoop is one worker: it drains its shard queue until shutdown.
+// shardLoop is one worker: it runs its shard's queue head whenever there is
+// one and otherwise sleeps until an enqueue or shutdown wakes it.
 func (s *Server) shardLoop(shard int) {
 	for {
+		if s.runNext(shard) {
+			continue
+		}
 		select {
 		case <-s.ctx.Done():
 			return
-		case job := <-s.queues[shard]:
-			s.runJob(job)
+		case <-s.wake[shard]:
 		}
 	}
 }
 
-// runJob executes one dequeued job through internal/runner.
-func (s *Server) runJob(job *Job) {
+// runNext dequeues a shard's oldest job and executes it through
+// internal/runner. It reports false, running nothing, when the queue is
+// empty or the server is shutting down.
+func (s *Server) runNext(shard int) bool {
 	s.mu.Lock()
-	s.m.queued.Add(-1)
-	s.m.shardDepth[job.Shard].Add(-1)
-	if job.State.terminal() { // canceled while queued
+	if s.ctx.Err() != nil || len(s.waiting[shard]) == 0 {
 		s.mu.Unlock()
-		return
+		return false
 	}
+	job := s.waiting[shard][0]
 	s.unqueueLocked(job)
 	job.State = StateRunning
 	job.Started = time.Now()
-	s.busy[job.Shard] = true
+	s.busy[shard] = true
 	s.m.running.Add(1)
 	s.m.workersBusy.Add(1)
 	if job.Kind != KindSweep {
@@ -470,91 +487,87 @@ func (s *Server) runJob(job *Job) {
 	}
 	s.mu.Unlock()
 
+	// The run and the rendering of its output form happen outside the lock.
 	var (
-		result  *runner.Result
-		sweep   *runner.SweepResult
-		explore *runner.ExploreResult
-		err     error
+		out      *storedOutputs
+		canceled bool
+		err      error
 	)
 	switch job.Kind {
 	case KindSimulate:
-		result, err = runner.RunPrepared(job.desc, job.req.Options, job.Hash[:12])
+		var res *runner.Result
+		if res, err = runner.RunPrepared(job.desc, job.req.Options, job.Hash[:12]); res != nil {
+			out = &storedOutputs{Result: storeResult(res)}
+		}
 	case KindSweep:
-		sweep, err = runner.SweepParsed(job.spec, job.desc, runner.SweepOptions{
+		var res *runner.SweepResult
+		res, err = runner.SweepParsed(job.spec, job.desc, runner.SweepOptions{
 			Workers:  job.spec.Workers,
 			Progress: progress,
 			Context:  job.ctx,
 			Lookup:   s.sweepLookup(job),
 			Store:    s.sweepStore(job),
 		})
+		if res != nil {
+			canceled = res.Canceled
+			sum := res.Summary
+			results, _ := res.ResultsJSON()
+			out = &storedOutputs{SweepSummary: &sum, SweepReport: res.Report, SweepResults: results}
+		}
 	case KindExplore:
-		explore, err = runner.Explore(job.desc, job.req.Explore, job.Hash[:12])
+		var res *runner.ExploreResult
+		if res, err = runner.Explore(job.desc, job.req.Explore, job.Hash[:12]); res != nil {
+			sum := res.Summary
+			out = &storedOutputs{ExploreSummary: &sum, ExploreReport: res.Report, ExploreMetrics: res.MetricsJSON}
+		}
 	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.busy[job.Shard] = false
+	s.busy[shard] = false
 	s.m.running.Add(-1)
 	s.m.workersBusy.Add(-1)
 	s.m.wallMS.Observe(time.Since(job.Started).Milliseconds())
-	s.est.observe(job.Shard, time.Since(job.Started))
+	s.est.observe(shard, time.Since(job.Started))
 	switch {
 	case err != nil:
 		job.Error = err.Error()
-		s.finishLocked(job, StateFailed, job.Error)
-	case job.ctx.Err() != nil || (sweep != nil && sweep.Canceled):
-		job.Result, job.sweep, job.explore = result, sweep, explore
-		s.fillSummariesLocked(job)
-		s.finishLocked(job, StateCanceled, "canceled")
+		s.finishLocked(job, StateFailed, job.Error, nil)
+	case job.ctx.Err() != nil || canceled:
+		s.finishLocked(job, StateCanceled, "canceled", out)
 	default:
-		job.Result, job.sweep, job.explore = result, sweep, explore
-		s.fillSummariesLocked(job)
-		if job.cacheKey != "" && result != nil && result.SimError == "" {
-			if s.cache.put(job.cacheKey, result) {
+		if job.cacheKey != "" && out != nil && out.Result != nil && out.Result.Meta.SimError == "" {
+			if s.cache.put(job.cacheKey, out.Result) {
 				s.m.cacheEvict.Inc()
 			}
 			s.m.cacheSize.Set(int64(s.cache.len()))
 		}
-		s.finishLocked(job, StateDone, "")
+		s.finishLocked(job, StateDone, "", out)
 	}
+	return true
 }
 
-func (s *Server) fillSummariesLocked(job *Job) {
-	if job.sweep != nil {
-		sum := job.sweep.Summary
-		job.SweepSummary = &sum
-	}
-	if job.explore != nil {
-		sum := job.explore.Summary
-		job.ExploreSummary = &sum
-		job.Violations = len(sum.Violations)
-	}
-}
-
-// finishLocked moves a job to a terminal state, emits the final event,
-// journals the outcome, and closes every stream subscription. Caller holds
-// s.mu.
-func (s *Server) finishLocked(job *Job, state JobState, msg string) {
+// finishLocked moves a job to a terminal state with its output form (nil
+// when it produced none), emits the final event and journals the outcome.
+// Caller holds s.mu.
+func (s *Server) finishLocked(job *Job, state JobState, msg string, out *storedOutputs) {
 	job.State = state
 	job.desc = nil
 	job.Finished = time.Now()
 	job.QueuePosition = nil
+	job.setOutputs(out)
 	job.cancel()
 	s.terminal++
 	s.m.completed[state].Inc()
 	s.pushEventLocked(job, Event{State: state, Message: msg})
-	for _, ch := range job.subs {
-		close(ch)
-	}
-	job.subs = nil
 	rec := endRecord(job)
 	s.journalLocked(&rec)
 	s.maybeCompactLocked()
 }
 
-// journalLocked appends one record, logging (not failing) on error: a
-// broken disk degrades durability, it must not take serving down with it.
-// Caller holds s.mu.
+// journalLocked appends an end or cancel record, logging (not failing) on
+// error: the job's outcome is decided already, and a broken disk degrades
+// durability, it must not take serving down with it. Caller holds s.mu.
 func (s *Server) journalLocked(rec *journalRecord) {
 	if s.jnl == nil {
 		return
@@ -565,15 +578,27 @@ func (s *Server) journalLocked(rec *journalRecord) {
 	s.appended++
 }
 
-// endRecord renders a job's terminal state as its journal record.
-func endRecord(job *Job) journalRecord {
-	return journalRecord{Op: "end", ID: job.ID, Time: job.Finished,
-		State: job.State, Started: job.Started, Error: job.Error,
-		CacheHit: job.CacheHit, Out: job.outputs()}
+// submitRecord renders a job's submission as its journal record.
+func submitRecord(job *Job) *journalRecord {
+	return &journalRecord{Op: "submit", ID: job.ID, Time: job.Created,
+		Kind: job.Kind, Hash: job.Hash, Req: &job.req}
 }
 
-// unqueueLocked removes a job from its shard's waiting list and renumbers
-// the jobs behind it, emitting a position event for each. Caller holds s.mu.
+// endRecord renders a job's terminal state as its journal record. Cache-hit
+// jobs store result metadata only — the payload lives in the original job's
+// record and is relinked through the cache on replay.
+func endRecord(job *Job) journalRecord {
+	out := job.out
+	if job.CacheHit && out != nil && out.Result != nil {
+		out = &storedOutputs{Result: &storedResult{Meta: out.Result.Meta}}
+	}
+	return journalRecord{Op: "end", ID: job.ID, Time: job.Finished,
+		State: job.State, Started: job.Started, Error: job.Error,
+		CacheHit: job.CacheHit, Out: out}
+}
+
+// unqueueLocked removes a job from its shard queue and renumbers the jobs
+// behind it, emitting a position event for each. Caller holds s.mu.
 func (s *Server) unqueueLocked(job *Job) {
 	w := s.waiting[job.Shard]
 	for i, q := range w {
@@ -581,8 +606,11 @@ func (s *Server) unqueueLocked(job *Job) {
 			continue
 		}
 		copy(w[i:], w[i+1:])
+		w[len(w)-1] = nil
 		w = w[:len(w)-1]
 		s.waiting[job.Shard] = w
+		s.m.queued.Add(-1)
+		s.m.shardDepth[job.Shard].Add(-1)
 		for k := i; k < len(w); k++ {
 			pos := k
 			w[k].QueuePosition = &pos
@@ -659,19 +687,21 @@ func (s *Server) replayLocked(recs []journalRecord) {
 			job.desc = nil
 			job.cancel()
 			s.terminal++
-			job.restoreOutputs(end.Out)
-			if job.State == StateDone && !job.CacheHit && job.cacheKey != "" &&
-				job.Result != nil && job.Result.SimError == "" && job.Result.Report != nil {
-				s.cache.put(job.cacheKey, job.Result)
-			}
-			if job.CacheHit && job.cacheKey != "" && (job.Result == nil || job.Result.Report == nil) {
+			out := end.Out
+			payload := out != nil && out.Result != nil && out.Result.Report != nil
+			switch {
+			case job.cacheKey == "":
+			case job.CacheHit && !payload:
 				// Cache-hit jobs journal only result metadata; relink the
 				// payload from the original job's cached result when it is
 				// still resident.
 				if v, ok := s.cache.get(job.cacheKey); ok {
-					job.Result = v.(*runner.Result)
+					out = &storedOutputs{Result: v.(*storedResult)}
 				}
+			case job.State == StateDone && !job.CacheHit && payload && out.Result.Meta.SimError == "":
+				s.cache.put(job.cacheKey, out.Result)
 			}
+			job.setOutputs(out)
 			// A minimal event log so streams of restored jobs still end
 			// with the terminal transition.
 			job.events = []Event{
@@ -682,20 +712,12 @@ func (s *Server) replayLocked(recs []journalRecord) {
 		case sl.canceled:
 			// Cancel was requested but the daemon died before the terminal
 			// record: honor the cancellation rather than re-running.
-			s.finishLocked(job, StateCanceled, "canceled before shutdown")
+			s.finishLocked(job, StateCanceled, "canceled before shutdown", nil)
+		case len(s.waiting[job.Shard]) < s.cfg.QueueDepth:
+			s.enqueueLocked(job)
+			requeued++
 		default:
-			select {
-			case s.queues[job.Shard] <- job:
-				s.m.queued.Add(1)
-				s.m.shardDepth[job.Shard].Add(1)
-				pos := len(s.waiting[job.Shard])
-				s.waiting[job.Shard] = append(s.waiting[job.Shard], job)
-				job.QueuePosition = &pos
-				s.pushEventLocked(job, Event{State: StateQueued, QueuePosition: &pos})
-				requeued++
-			default:
-				s.finishLocked(job, StateFailed, "recovered job exceeds queue capacity")
-			}
+			s.finishLocked(job, StateFailed, "recovered job exceeds queue capacity", nil)
 		}
 	}
 	s.m.cacheSize.Set(int64(s.cache.len()))
@@ -742,8 +764,7 @@ func (s *Server) compactLocked() {
 	recs := make([]journalRecord, 0, len(s.order)+s.terminal)
 	for _, id := range s.order {
 		job := s.jobs[id]
-		recs = append(recs, journalRecord{Op: "submit", ID: job.ID, Time: job.Created,
-			Kind: job.Kind, Hash: job.Hash, Req: &job.req})
+		recs = append(recs, *submitRecord(job))
 		if job.State.terminal() {
 			recs = append(recs, endRecord(job))
 		}
@@ -764,33 +785,16 @@ func (s *Server) CompactJournal() {
 	s.compactLocked()
 }
 
-// pushEventLocked appends an event to the job log and fans it out to
-// subscribers. Caller holds s.mu. A slow stream reader loses intermediate
-// progress events rather than blocking the worker.
+// pushEventLocked appends an event to the job log and wakes the job's
+// stream readers. Caller holds s.mu.
 func (s *Server) pushEventLocked(job *Job, ev Event) {
 	ev.Seq = len(job.events)
 	ev.Time = time.Now()
 	job.events = append(job.events, ev)
-	for _, ch := range job.subs {
-		select {
-		case ch <- ev:
-		default:
-		}
+	if job.changed != nil {
+		close(job.changed)
+		job.changed = nil
 	}
-}
-
-// subscribe registers a stream reader: it returns the events so far and a
-// channel for subsequent ones (nil when the job is already terminal).
-func (s *Server) subscribe(job *Job) ([]Event, chan Event) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	past := append([]Event(nil), job.events...)
-	if job.State.terminal() {
-		return past, nil
-	}
-	ch := make(chan Event, 64)
-	job.subs = append(job.subs, ch)
-	return past, ch
 }
 
 // Jobs returns every job in submission order.

@@ -670,3 +670,30 @@ func TestShardOf(t *testing.T) {
 		}
 	}
 }
+
+// A job canceled while queued leaves the queue at once: its slot serves the
+// next submission and the queued gauge drops back to zero.
+func TestCanceledQueuedJobFreesSlot(t *testing.T) {
+	s, ts := newTestServer(t, Config{Shards: 1, QueueDepth: 1})
+	blocker := postJob(t, ts, slowSweepRequest(t))
+	deadline := time.Now().Add(30 * time.Second)
+	for getJob(t, ts, blocker.ID).State == StateQueued && time.Now().Before(deadline) {
+		time.Sleep(2 * time.Millisecond)
+	}
+	data := readScenario(t, "figure6.json")
+	queued := postJob(t, ts, Request{Scenario: data})
+	if !s.Cancel(queued.ID) {
+		t.Fatal("cancel reported unknown job")
+	}
+	if v := promValue(t, ts, "rtossimd_jobs_queued"); v != 0 {
+		t.Errorf("queued gauge = %v after canceling the only queued job, want 0", v)
+	}
+	next := postJob(t, ts, Request{Scenario: data, Options: optionsVariant(1)})
+	if got := getJob(t, ts, next.ID); got.State != StateQueued || got.QueuePosition == nil || *got.QueuePosition != 0 {
+		t.Errorf("submission after the cancel: state %s, position %v; want queued at 0", got.State, got.QueuePosition)
+	}
+	s.Cancel(blocker.ID)
+	if done := waitTerminal(t, ts, next.ID); done.State != StateDone {
+		t.Errorf("job in the freed slot: %s (%s)", done.State, done.Error)
+	}
+}

@@ -25,7 +25,6 @@ func MergeRecorders(recs []*Recorder, end sim.Time) *Recorder {
 		out.depths = append(out.depths, r.depths...)
 		out.faults = append(out.faults, r.faults...)
 		out.migrations = append(out.migrations, r.migrations...)
-		out.dropped += r.dropped
 	}
 	// Per-shard streams are already chronological; a stable sort by
 	// timestamp interleaves them while keeping shard order on ties.

@@ -76,12 +76,8 @@ type FaultRecord struct {
 // code can trace unconditionally and tracing is zero-cost when disabled.
 //
 // A Recorder is bound to a simulation clock at construction; record methods
-// timestamp with the current simulated time.
-//
-// By default the trace grows without bound with the simulation. Long-running
-// simulations that only need the recent past (or only the statistics) can
-// cap it with SetLimit; Reserve pre-sizes the buffers so a simulation of a
-// known magnitude records without growth reallocations.
+// timestamp with the current simulated time. The trace grows with the
+// simulation: every record is kept.
 type Recorder struct {
 	now func() sim.Time
 
@@ -91,11 +87,6 @@ type Recorder struct {
 	depths     []DepthSample
 	faults     []FaultRecord
 	migrations []Migration
-
-	// limit caps each record category to the most recent limit entries
-	// (0: unbounded); dropped counts records discarded by the cap.
-	limit   int
-	dropped uint64
 
 	// tasks and objects hold the names in first-appearance order; the
 	// index maps give each name's position there, so renderers can keep
@@ -114,82 +105,6 @@ func NewRecorder(now func() sim.Time) *Recorder {
 		taskIndex: make(map[string]int),
 		objIndex:  make(map[string]int),
 	}
-}
-
-// Reserve pre-sizes the recorder's buffers for a simulation expected to
-// produce about the given numbers of state changes, overhead segments and
-// communication accesses, eliminating growth reallocations during the run.
-func (r *Recorder) Reserve(stateChanges, overheads, accesses int) {
-	if r == nil {
-		return
-	}
-	if stateChanges > cap(r.changes) {
-		r.changes = append(make([]StateChange, 0, stateChanges), r.changes...)
-	}
-	if overheads > cap(r.overheads) {
-		r.overheads = append(make([]OverheadSegment, 0, overheads), r.overheads...)
-	}
-	if accesses > cap(r.accesses) {
-		r.accesses = append(make([]Access, 0, accesses), r.accesses...)
-	}
-}
-
-// SetLimit caps every record category to the most recent n entries (ring
-// mode): long simulations keep a bounded window of trace history instead of
-// growing without bound. Older records are discarded and counted by Dropped.
-// Segments/StateAt/Stats then only see the retained window. n <= 0 removes
-// the cap.
-func (r *Recorder) SetLimit(n int) {
-	if r == nil {
-		return
-	}
-	if n <= 0 {
-		n = 0
-	}
-	r.limit = n
-	r.changes = trimTail(r.changes, n, &r.dropped)
-	r.overheads = trimTail(r.overheads, n, &r.dropped)
-	r.accesses = trimTail(r.accesses, n, &r.dropped)
-	r.depths = trimTail(r.depths, n, &r.dropped)
-	r.faults = trimTail(r.faults, n, &r.dropped)
-	r.migrations = trimTail(r.migrations, n, &r.dropped)
-}
-
-// Limit returns the per-category record cap (0: unbounded).
-func (r *Recorder) Limit() int {
-	if r == nil {
-		return 0
-	}
-	return r.limit
-}
-
-// Dropped returns how many records the SetLimit cap has discarded so far —
-// zero means the trace is complete.
-func (r *Recorder) Dropped() uint64 {
-	if r == nil {
-		return 0
-	}
-	return r.dropped
-}
-
-// capped applies the ring-mode cap after an append: once a category reaches
-// twice the limit, the oldest half is discarded in one copy, keeping the
-// most recent limit entries with amortized O(1) cost and no reallocation.
-func capped[T any](s []T, limit int, dropped *uint64) []T {
-	if limit <= 0 || len(s) < 2*limit {
-		return s
-	}
-	return trimTail(s, limit, dropped)
-}
-
-// trimTail keeps the most recent limit entries of s in place.
-func trimTail[T any](s []T, limit int, dropped *uint64) []T {
-	if limit <= 0 || len(s) <= limit {
-		return s
-	}
-	*dropped += uint64(len(s) - limit)
-	n := copy(s, s[len(s)-limit:])
-	return s[:n]
 }
 
 // Now returns the recorder's current timestamp source value.
@@ -212,7 +127,7 @@ func (r *Recorder) TaskStateOn(task, cpu string, core int, state TaskState) {
 		return
 	}
 	ti := r.noteTask(task)
-	r.changes = capped(append(r.changes, StateChange{At: r.now(), Task: task, CPU: cpu, Core: core, State: state, task: int32(ti)}), r.limit, &r.dropped)
+	r.changes = append(r.changes, StateChange{At: r.now(), Task: task, CPU: cpu, Core: core, State: state, task: int32(ti)})
 }
 
 // Migrate records that task's dispatch moved it from one core of cpu to
@@ -221,9 +136,9 @@ func (r *Recorder) Migrate(task, cpu string, from, to int) {
 	if r == nil {
 		return
 	}
-	r.migrations = capped(append(r.migrations, Migration{
+	r.migrations = append(r.migrations, Migration{
 		At: r.now(), Task: task, CPU: cpu, From: from, To: to,
-	}), r.limit, &r.dropped)
+	})
 }
 
 // Migrations returns all recorded core migrations in chronological order.
@@ -245,9 +160,9 @@ func (r *Recorder) OverheadOn(cpu, task string, core int, kind OverheadKind, sta
 	if r == nil {
 		return
 	}
-	r.overheads = capped(append(r.overheads, OverheadSegment{
+	r.overheads = append(r.overheads, OverheadSegment{
 		CPU: cpu, Task: task, Core: core, Kind: kind, Start: start, End: end,
-	}), r.limit, &r.dropped)
+	})
 }
 
 // Access records an interaction between actor and a communication object.
@@ -256,7 +171,7 @@ func (r *Recorder) Access(actor, object string, kind AccessKind) {
 		return
 	}
 	oi := r.noteObject(object)
-	r.accesses = capped(append(r.accesses, Access{At: r.now(), Actor: actor, Object: object, Kind: kind, object: int32(oi)}), r.limit, &r.dropped)
+	r.accesses = append(r.accesses, Access{At: r.now(), Actor: actor, Object: object, Kind: kind, object: int32(oi)})
 }
 
 // Fault records a fault-subsystem event (fault injection, recovery action,
@@ -265,9 +180,9 @@ func (r *Recorder) Fault(kind FaultEventKind, task, label, detail string) {
 	if r == nil {
 		return
 	}
-	r.faults = capped(append(r.faults, FaultRecord{
+	r.faults = append(r.faults, FaultRecord{
 		At: r.now(), Kind: kind, Task: task, Label: label, Detail: detail,
-	}), r.limit, &r.dropped)
+	})
 }
 
 // FaultEvents returns all recorded fault-subsystem events in chronological
@@ -285,7 +200,7 @@ func (r *Recorder) Depth(object string, depth, capacity int) {
 		return
 	}
 	oi := r.noteObject(object)
-	r.depths = capped(append(r.depths, DepthSample{At: r.now(), Object: object, Depth: depth, Capacity: capacity, object: int32(oi)}), r.limit, &r.dropped)
+	r.depths = append(r.depths, DepthSample{At: r.now(), Object: object, Depth: depth, Capacity: capacity, object: int32(oi)})
 }
 
 // noteTask registers task on first sight and returns its position in

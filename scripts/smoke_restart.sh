@@ -4,7 +4,8 @@
 # journal tail the way a torn append would, restart on the same journal, and
 # require the unfinished job to re-run to completion with a report
 # byte-identical to an uninterrupted run. A third (graceful) restart must
-# then restore everything from the journal without re-running.
+# then restore everything from the journal without re-running, serving the
+# same report and per-variant results bytes.
 #
 # Set SMOKE_LOG_DIR to keep the per-life daemon logs (CI uploads them on
 # failure).
@@ -101,6 +102,7 @@ STATE=$(waitdone "$SID")
 grep -q "re-enqueued" "$WORK/life2.log" || {
   echo "daemon log shows no journal replay" >&2; cat "$WORK/life2.log" >&2; exit 1; }
 curl -fsS "$BASE/v1/jobs/$SID/report" >"$WORK/recovered.report"
+curl -fsS "$BASE/v1/jobs/$SID/results" >"$WORK/recovered.results"
 
 # Uninterrupted reference run of the identical request: byte-identical report.
 curl -fsS "$BASE/v1/jobs" --data-binary @"$WORK/sweep.json" >"$WORK/job2.json"
@@ -120,5 +122,7 @@ curl -fsS "$BASE/v1/jobs/$SID" >"$WORK/restored.json"
   echo "job not restored done after graceful restart" >&2; cat "$WORK/life3.log" >&2; exit 1; }
 curl -fsS "$BASE/v1/jobs/$SID/report" | cmp - "$WORK/recovered.report" || {
   echo "restored report differs from pre-restart bytes" >&2; exit 1; }
+curl -fsS "$BASE/v1/jobs/$SID/results" | cmp - "$WORK/recovered.results" || {
+  echo "restored sweep results differ from pre-restart bytes" >&2; exit 1; }
 
 echo "rtossimd restart smoke: ok"
