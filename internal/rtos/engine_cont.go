@@ -1,8 +1,6 @@
 package rtos
 
 import (
-	"fmt"
-
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -13,7 +11,10 @@ import (
 // sim.Strand — a kernel Method with a private timer — so every resume runs
 // inline in the evaluate phase on the kernel's own goroutine.
 //
-// The driver replays, state for state and delta for delta, the exact
+// The task lifecycle above the scheduler — construction, the periodic
+// release schedule, job completion and abort bookkeeping, the hang entry —
+// is shared with the goroutine engine (lifecycle.go); only the waiting
+// differs. The driver runs, state for state and delta for delta, the
 // protocol the goroutine engine runs in Task.awaitDispatch, Execute, Delay
 // and the switch-out halves of engine_proc.go: the same settle deltas, the
 // same overhead charges at the same instants with the same formula inputs,
@@ -134,13 +135,6 @@ type contDriver struct {
 	// remaining/sliceStart track the Compute slice in flight.
 	remaining  sim.Time
 	sliceStart sim.Time
-
-	// Periodic-wrapper state, mirroring the goroutine NewPeriodicTask loop.
-	periodic    bool
-	relDeadline sim.Time
-	cycle       int
-	release     sim.Time
-	watch       *deadlineWatch
 }
 
 // NewContTask creates a task running a continuation body on the processor.
@@ -151,61 +145,21 @@ func (cpu *Processor) NewContTask(name string, cfg TaskConfig, body Continuation
 	if body == nil {
 		panic("rtos: NewContTask with nil continuation")
 	}
-	return cpu.newContTask(name, cfg, body, false, 0, nil)
+	return cpu.newContTask(name, cfg, body)
 }
 
 // NewPeriodicContTask creates a periodic task running a continuation body
-// each cycle, with the exact release, deadline-watch, jitter and recovery
+// each cycle, with the release, deadline-watch, jitter and recovery
 // semantics of NewPeriodicTask.
 func (cpu *Processor) NewPeriodicContTask(name string, cfg TaskConfig, body Continuation) *Task {
-	if cfg.Period <= 0 {
-		panic("rtos: NewPeriodicContTask requires a positive period")
-	}
 	if body == nil {
 		panic("rtos: NewPeriodicContTask with nil continuation")
 	}
-	if cfg.Jitter < 0 || cfg.Jitter >= cfg.Period {
-		if cfg.Jitter != 0 {
-			panic("rtos: periodic release jitter must be in [0, period)")
-		}
-	}
-	relDeadline := cfg.Deadline
-	if relDeadline == 0 {
-		relDeadline = cfg.Period
-	}
-	w := newDeadlineWatch(cpu, name, cfg.StartAt+relDeadline)
-	t := cpu.newContTask(name, cfg, body, true, relDeadline, w)
-	w.tsk = t
-	t.registerTaskMetrics(cpu.sys.Metrics)
-	return t
+	return cpu.newPeriodic(name, cfg, func() *Task { return cpu.newContTask(name, cfg, body) })
 }
 
-func (cpu *Processor) newContTask(name string, cfg TaskConfig, body Continuation, periodic bool, relDeadline sim.Time, w *deadlineWatch) *Task {
-	if cfg.Affinity < 0 || cfg.Affinity >= len(cpu.cores) {
-		panic(fmt.Sprintf("rtos: task %q affinity %d out of range for %d-core processor %q",
-			name, cfg.Affinity, len(cpu.cores), cpu.name))
-	}
-	if cfg.Affinity != 0 && cpu.domain == DomainGlobal {
-		panic(fmt.Sprintf("rtos: task %q sets a core affinity but processor %q schedules globally", name, cpu.name))
-	}
-	t := &Task{
-		name:      name,
-		cpu:       cpu,
-		cfg:       cfg,
-		basePrio:  cfg.Priority,
-		deadline:  sim.TimeMax,
-		period:    cfg.Period,
-		state:     trace.StateCreated,
-		affinity:  cfg.Affinity,
-		lastCore:  -1,
-		claimedBy: -1,
-	}
-	if cfg.Deadline > 0 {
-		t.deadline = cfg.StartAt + cfg.Deadline
-	}
-	t.ctx = &TaskCtx{t: t}
-	t.evRun = cpu.k.NewEvent(name + ".TaskRun")
-	t.evPreempt = cpu.k.NewEvent(name + ".TaskPreempt")
+func (cpu *Processor) newContTask(name string, cfg TaskConfig, body Continuation) *Task {
+	t := cpu.newTask(name, cfg)
 	// The strand must be sensitive to ISR completion, so the controller (an
 	// inert bundle of events until an IRQ is declared) is forced into
 	// existence here. Creating it records nothing and schedules nothing.
@@ -216,15 +170,10 @@ func (cpu *Processor) newContTask(name string, cfg TaskConfig, body Continuation
 	cpu.k.NewMethod(name+".delayWake", func() {
 		cpu.eng.taskIsReady(t)
 	}, false, t.delayEvent)
-	d := &contDriver{
-		t: t, cpu: cpu, cont: body,
-		periodic: periodic, relDeadline: relDeadline, watch: w,
-		release: cfg.StartAt, after: afStart,
-	}
+	d := &contDriver{t: t, cpu: cpu, cont: body, after: afStart}
 	d.prog, _ = body.(*Program)
 	t.cont = d
 	d.s = cpu.k.NewStrand(name, d.step, true, t.evRun, t.evPreempt, ic.doneEv)
-	cpu.tasks = append(cpu.tasks, t)
 	return t
 }
 
@@ -406,12 +355,10 @@ func (d *contDriver) afterDispatch() {
 	t := d.t
 	switch d.after {
 	case afStart:
-		t.inJob = true // runBehaviour's entry
-		if d.periodic {
+		if t.sched != nil {
 			d.advance(nextCycle)
 		} else {
-			d.cont.Reset()
-			d.advance(nextProgram)
+			d.advance(nextBody) // runBehaviour's entry
 		}
 	case afExec:
 		d.advance(d.sliceStep())
@@ -420,27 +367,20 @@ func (d *contDriver) afterDispatch() {
 		d.advance(d.sliceStep())
 	case afYield:
 		d.advance(nextProgram)
-	case afBodySleep:
-		// Delay's post-dispatch abort checkpoint.
+	case afBodySleep, afJitterSleep:
+		// Delay's post-dispatch abort checkpoint: an abort landing at the
+		// release-jitter sleep aborts the cycle, as one inside the body does.
 		if t.abortPending {
 			d.advance(d.jobAbort())
 			return
 		}
-		d.advance(nextProgram)
-	case afJitterSleep, afReleaseSleep:
-		// An abort landing at a wrapper-level sleep unwinds the whole
-		// goroutine behaviour, past the cycle recovery scope: the task
-		// terminates (the "one-shot job aborted" quirk, replicated exactly).
-		if t.abortPending {
-			t.abortPending = false
-			d.advance(d.terminalAbort())
-			return
-		}
-		if d.after == afJitterSleep {
-			d.advance(nextBody)
+		if d.after == afBodySleep {
+			d.advance(nextProgram)
 		} else {
-			d.advance(nextCycle)
+			d.advance(nextBody)
 		}
+	case afReleaseSleep:
+		d.advance(nextCycle)
 	case afAcquire:
 		// Re-attempt op (mutex, queue): another waiter may have won the
 		// race while we were dispatched; block again if so.
@@ -498,13 +438,7 @@ func (d *contDriver) runOps() contNext {
 			if y.kind == yieldComputeFn {
 				dur = y.dur(t.ctx)
 			}
-			if dur < 0 {
-				panic("rtos: Execute with negative duration")
-			}
-			if t.state != trace.StateRunning {
-				panic(fmt.Sprintf("rtos: Execute called by task %q in state %v", t.name, t.state))
-			}
-			d.remaining = t.inflateWCET(t.cpu.scaleExec(dur))
+			d.remaining = t.execBudget(dur)
 			if n := d.sliceStep(); n != nextProgram {
 				return n
 			}
@@ -515,9 +449,7 @@ func (d *contDriver) runOps() contNext {
 			if y.d == 0 {
 				continue
 			}
-			t.delayEvent.NotifyIn(y.d)
-			d.after = afBodySleep
-			d.switchOut(trace.StateWaiting, dcParked)
+			d.sleep(y.d, afBodySleep)
 			return nextParked
 		case yieldYieldCPU:
 			d.after = afYield
@@ -562,7 +494,9 @@ func (d *contDriver) sliceStep() contNext {
 			return d.jobAbort()
 		}
 		if t.hangPending {
-			d.enterHangCont()
+			t.hang()
+			d.after = afHang
+			d.switchOut(trace.StateWaiting, dcParked)
 			return nextParked
 		}
 		if ic := cpu.irqCtrl; ic != nil && ic.active != nil {
@@ -613,23 +547,11 @@ func (d *contDriver) isrWake() {
 	d.advance(d.sliceStep())
 }
 
-// enterHangCont replicates enterHang for the driver: record the fault, park
-// in Waiting with the remaining slice duration preserved, arm the finite-
-// hang wake if any.
-func (d *contDriver) enterHangCont() {
-	t := d.t
-	t.hangPending = false
-	dur := t.hangDur
-	detail := "stuck forever (watchdog recovery required)"
-	if dur > 0 {
-		detail = fmt.Sprintf("stuck for %v", dur)
-	}
-	t.cpu.rec.Fault(trace.FaultInjected, t.name, "hang", detail)
-	t.hung = true
-	if dur > 0 {
-		t.delayEvent.NotifyIn(dur)
-	}
-	d.after = afHang
+// sleep parks the task in Waiting until its delay event fires in dur, then
+// resumes the lifecycle at after: the driver's Task.sleep.
+func (d *contDriver) sleep(dur sim.Time, after afterKind) {
+	d.t.delayEvent.NotifyIn(dur)
+	d.after = after
 	d.switchOut(trace.StateWaiting, dcParked)
 }
 
@@ -725,131 +647,50 @@ func (d *contDriver) finishOut() {
 	d.maybeGrant()
 }
 
-// cycleStart opens one periodic cycle: fresh deadline, deadline watch,
-// release jitter — the head of NewPeriodicTask's loop.
+// cycleStart opens one periodic cycle and sleeps out its release jitter:
+// the head of runCycle.
 func (d *contDriver) cycleStart() contNext {
-	t, cpu := d.t, d.cpu
-	deadline := d.release + d.relDeadline
-	t.ctx.SetDeadline(deadline)
-	d.watch.armCycle(d.cycle, deadline, cpu.k.Now())
-	if j := cpu.sys.releaseJitterFor(t.name, d.cycle, t.cfg.Jitter); j > 0 {
-		if at := d.release + j; at > cpu.k.Now() {
-			// Jittered activation; the deadline stays nominal.
-			t.delayEvent.NotifyIn(at - cpu.k.Now())
-			d.after = afJitterSleep
-			d.switchOut(trace.StateWaiting, dcParked)
-			return nextParked
-		}
+	if dur := d.t.sched.open(); dur > 0 {
+		d.sleep(dur, afJitterSleep)
+		return nextParked
 	}
 	return nextBody
 }
 
-// startBody enters the cycle body (runCycle's entry).
+// startBody enters the job body: a one-shot task's behaviour, a periodic
+// task's cycle body (runCycle's body call).
 func (d *contDriver) startBody() contNext {
 	d.t.inJob = true
 	d.cont.Reset()
 	return nextProgram
 }
 
-// jobEnd completes a job: runCycle's normal-return epilogue for periodic
-// tasks, runBehaviour's for one-shot tasks.
+// jobEnd completes a job: runCycle's and runBehaviour's normal return.
 func (d *contDriver) jobEnd() contNext {
-	t := d.t
-	if !d.periodic {
-		t.completedCycles++
-		t.inJob = false
-		d.finishTask()
-		return nextParked
-	}
-	t.inJob = false
-	t.hangPending = false
-	// The job completed before a requested abort reached a checkpoint: the
-	// request is stale, drop it.
-	t.abortPending = false
-	t.restartPending = false
-	t.abortReason = ""
-	d.watch.completed = d.cycle
-	t.completedCycles++
-	t.observeResponse(d.cpu.k.Now() - d.release)
-	return d.nextRelease()
+	d.t.completeJob()
+	return d.jobClosed(false)
 }
 
-// nextRelease advances the release schedule and sleeps until the next
-// release (or chains straight into the next cycle on overrun) — the tail of
-// NewPeriodicTask's loop.
-func (d *contDriver) nextRelease() contNext {
-	t, cpu := d.t, d.cpu
-	d.release += t.cfg.Period
-	if t.skipNext {
-		// Skip-next recovery: surrender one release to catch up.
-		t.skipNext = false
-		d.release += t.cfg.Period
-	}
-	d.cycle++
-	now := cpu.k.Now()
-	if d.release > now {
-		t.delayEvent.NotifyIn(d.release - now)
-		d.after = afReleaseSleep
-		d.switchOut(trace.StateWaiting, dcParked)
-		return nextParked
-	}
-	d.release = now // overrun: re-release immediately
-	return nextCycle
-}
-
-// jobAbort lands a requested abort at a body checkpoint: the continuation
-// analogue of abortJob's panic unwinding into the recovery scope.
+// jobAbort lands a requested abort at a checkpoint: the continuation
+// analogue of abortJob's panic unwinding into runCycle or runBehaviour.
 func (d *contDriver) jobAbort() contNext {
-	t := d.t
-	t.abortPending = false
-	if !d.periodic {
-		return d.terminalAbort()
-	}
-	return d.cycleAbort()
+	d.t.abortPending = false
+	d.t.landAbort()
+	return d.jobClosed(true)
 }
 
-// cycleAbort is runCycle's recover branch plus the wrapper's abort handling.
-func (d *contDriver) cycleAbort() contNext {
-	t := d.t
-	t.inJob = false
-	t.hangPending = false
-	label := t.abortReason
-	if label == "" {
-		label = "abort"
+// jobClosed follows the end of a job: a one-shot task terminates, leaving
+// the processor for good; a periodic task closes the cycle and sleeps until
+// its next release or chains straight into it (NewPeriodicTask's loop).
+func (d *contDriver) jobClosed(aborted bool) contNext {
+	s := d.t.sched
+	if s == nil {
+		d.switchOut(trace.StateTerminated, dcDone)
+		return nextParked
 	}
-	t.abortReason = ""
-	t.cpu.rec.Fault(trace.RecoveryTaken, t.name, label, fmt.Sprintf("cycle %d aborted", d.cycle))
-	d.watch.completed = d.cycle
-	t.abortedCycles++
-	if t.restartPending {
-		// Restart recovery: re-release immediately with a fresh deadline
-		// counted from now.
-		t.restartPending = false
-		d.release = t.cpu.k.Now()
-		d.cycle++
-		return nextCycle
+	if dur := s.close(aborted); dur > 0 {
+		d.sleep(dur, afReleaseSleep)
+		return nextParked
 	}
-	return d.nextRelease()
-}
-
-// terminalAbort is runBehaviour's recover branch: the job dies and the task
-// terminates.
-func (d *contDriver) terminalAbort() contNext {
-	t := d.t
-	t.inJob = false
-	t.abortedCycles++
-	label := t.abortReason
-	if label == "" {
-		label = "abort"
-	}
-	t.abortReason = ""
-	t.cpu.rec.Fault(trace.RecoveryTaken, t.name, label, "one-shot job aborted; task terminates")
-	d.finishTask()
-	return nextParked
-}
-
-// finishTask is taskFinished for the driver: leave the processor into the
-// Terminated state; the strand never resumes meaningfully again.
-func (d *contDriver) finishTask() {
-	d.switchOut(trace.StateTerminated, dcDone)
+	return nextCycle
 }

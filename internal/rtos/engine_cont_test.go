@@ -325,9 +325,8 @@ func TestContEquivalenceComm(t *testing.T) {
 func buildContFaultMatrix(eng rtos.EngineKind, injector string, policy rtos.MissPolicy, horizon sim.Time) (string, *trace.Recorder) {
 	sys := rtos.NewSystem()
 	cpu := sys.NewProcessor("cpu0", rtos.Config{Engine: eng, Overheads: rtos.UniformOverheads(sim.Us)})
-	load := newPeriodicForm(cpu, bodyContinuation, "load", rtos.TaskConfig{
-		Period: 100 * sim.Us, Priority: 5, OnMiss: policy,
-	}, cycleBody{{opExecute, 60 * sim.Us}})
+	load := newPeriodicForm(cpu, bodyContinuation, "load", faultMatrixLoad(injector, policy),
+		cycleBody{{opExecute, 60 * sim.Us}})
 	newPeriodicForm(cpu, bodyContinuation, "rival", rtos.TaskConfig{
 		Period: 130 * sim.Us, Priority: 7,
 	}, cycleBody{{opExecute, 30 * sim.Us}})
@@ -366,12 +365,13 @@ func buildContFaultMatrix(eng rtos.EngineKind, injector string, policy rtos.Miss
 // TestContEquivalenceFaultMatrix runs the directed fault matrix (every
 // injector × every miss policy) with continuation bodies against the
 // goroutine-bodied reference: WCET inflation, crash aborts, hangs, watchdog
-// restarts and ISR interference must hit continuation tasks at the same
-// instants with the same recovery actions.
+// restarts, ISR interference and deadline misses during the release-jitter
+// sleep must hit continuation tasks at the same instants with the same
+// recovery actions.
 func TestContEquivalenceFaultMatrix(t *testing.T) {
 	const horizon = sim.Ms
 	for _, eng := range engines() {
-		for _, inj := range faultMatrixInjectors {
+		for _, inj := range append([]string{"jitter"}, faultMatrixInjectors...) {
 			for _, pol := range faultMatrixPolicies {
 				sigG, recG := buildFaultMatrix(eng, inj, pol, horizon)
 				sigC, recC := buildContFaultMatrix(eng, inj, pol, horizon)

@@ -270,6 +270,18 @@ var faultMatrixPolicies = []rtos.MissPolicy{
 	rtos.MissContinue, rtos.MissAbortJob, rtos.MissSkipNextRelease, rtos.MissRestartTask,
 }
 
+// faultMatrixLoad is the fault matrix's "load" task configuration. The
+// "jitter" injector, outside faultMatrixInjectors, gives it release jitter
+// reaching past its deadline, so misses also land while the task sleeps out
+// its jitter.
+func faultMatrixLoad(injector string, policy rtos.MissPolicy) rtos.TaskConfig {
+	cfg := rtos.TaskConfig{Period: 100 * sim.Us, Priority: 5, OnMiss: policy}
+	if injector == "jitter" {
+		cfg.Deadline, cfg.Jitter = 30*sim.Us, 90*sim.Us
+	}
+	return cfg
+}
+
 // buildFaultMatrix runs one directed fault scenario (one injector, one miss
 // policy) on the given engine and returns its trace signature and recorder.
 // It is shared by the fault-matrix equivalence test and the trace-export
@@ -277,9 +289,8 @@ var faultMatrixPolicies = []rtos.MissPolicy{
 func buildFaultMatrix(eng rtos.EngineKind, injector string, policy rtos.MissPolicy, horizon sim.Time) (string, *trace.Recorder) {
 	sys := rtos.NewSystem()
 	cpu := sys.NewProcessor("cpu0", rtos.Config{Engine: eng, Overheads: rtos.UniformOverheads(sim.Us)})
-	load := cpu.NewPeriodicTask("load", rtos.TaskConfig{
-		Period: 100 * sim.Us, Priority: 5, OnMiss: policy,
-	}, func(c *rtos.TaskCtx, cycle int) { c.Execute(60 * sim.Us) })
+	load := cpu.NewPeriodicTask("load", faultMatrixLoad(injector, policy),
+		func(c *rtos.TaskCtx, cycle int) { c.Execute(60 * sim.Us) })
 	cpu.NewPeriodicTask("rival", rtos.TaskConfig{
 		Period: 130 * sim.Us, Priority: 7,
 	}, func(c *rtos.TaskCtx, cycle int) { c.Execute(30 * sim.Us) })

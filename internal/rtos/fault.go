@@ -181,7 +181,7 @@ func (t *Task) requestAbort(reason string) {
 }
 
 // jobAborted is panicked inside a task goroutine at an abort checkpoint and
-// recovered by the job scope (the periodic-task wrapper or threadBody).
+// recovered by the job scope (runCycle or runBehaviour).
 type jobAborted struct{}
 
 // abortJob unwinds the current job. Runs on the task's own goroutine.
@@ -193,18 +193,7 @@ func (t *Task) abortJob() {
 // enterHang blocks the task in place (Waiting state) for its pending hang.
 // Called from inside Execute on the task's own thread.
 func (t *Task) enterHang() {
-	t.hangPending = false
-	d := t.hangDur
-	detail := "stuck forever (watchdog recovery required)"
-	if d > 0 {
-		detail = fmt.Sprintf("stuck for %v", d)
-	}
-	t.cpu.rec.Fault(trace.FaultInjected, t.name, "hang", detail)
-	t.hung = true
-	if d > 0 {
-		t.armDelayWake()
-		t.delayEvent.NotifyIn(d)
-	}
+	t.hang()
 	t.cpu.eng.taskIsBlocked(t, trace.StateWaiting)
 	t.awaitDispatch()
 	t.hung = false

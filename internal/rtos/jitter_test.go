@@ -1,6 +1,7 @@
 package rtos_test
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/rtos"
@@ -87,5 +88,41 @@ func TestJitterDeadlinesStayNominal(t *testing.T) {
 	sys.Shutdown()
 	if misses == 0 {
 		t.Fatal("no misses despite jitter pushing past the nominal deadline")
+	}
+}
+
+// TestJitterSleepAbortsOnlyTheCycle pins the abort rule at a periodic task's
+// release-jitter sleep on both body forms: the sleep holds no job (a crash
+// there finds the task idle), and a deadline miss while the task sleeps
+// aborts that cycle only, after which the task keeps its release schedule.
+func TestJitterSleepAbortsOnlyTheCycle(t *testing.T) {
+	for _, form := range []bodyForm{bodyGoroutine, bodyContinuation} {
+		t.Run(form.String(), func(t *testing.T) {
+			sys := rtos.NewSystem()
+			sys.SetReleaseJitterHook(func(string, int, sim.Time) sim.Time { return 50 * sim.Us })
+			cpu := sys.NewProcessor("cpu", rtos.Config{})
+			task := newPeriodicForm(cpu, form, "j", rtos.TaskConfig{
+				Period: 100 * sim.Us, Deadline: 30 * sim.Us, Jitter: 90 * sim.Us, OnMiss: rtos.MissAbortJob,
+			}, cycleBody{{opExecute, 10 * sim.Us}})
+			task.InjectCrashAt(10 * sim.Us)  // cycle 0's jitter sleep
+			task.InjectCrashAt(110 * sim.Us) // cycle 1's
+			sys.RunUntil(sim.Ms)
+			defer sys.Shutdown()
+			var idle, aborted int
+			for _, f := range sys.Rec.FaultEvents() {
+				switch {
+				case f.Label == "crash" && f.Detail == "while idle: no job to kill":
+					idle++
+				case f.Label == "miss-abort" && f.Detail == fmt.Sprintf("cycle %d aborted", aborted):
+					aborted++
+				default:
+					t.Errorf("unexpected fault record %+v", f)
+				}
+			}
+			if idle != 2 || aborted != 10 || task.AbortedCycles() != 10 || task.State() == rtos.StateTerminated {
+				t.Errorf("%d idle crashes, %d cycle aborts (%d counted), state %v; want 2, 10 and a live task",
+					idle, aborted, task.AbortedCycles(), task.State())
+			}
+		})
 	}
 }

@@ -306,35 +306,9 @@ func (cpu *Processor) NewTask(name string, cfg TaskConfig, fn func(*TaskCtx)) *T
 	if fn == nil {
 		panic("rtos: NewTask with nil behaviour")
 	}
-	if cfg.Affinity < 0 || cfg.Affinity >= len(cpu.cores) {
-		panic(fmt.Sprintf("rtos: task %q affinity %d out of range for %d-core processor %q",
-			name, cfg.Affinity, len(cpu.cores), cpu.name))
-	}
-	if cfg.Affinity != 0 && cpu.domain == DomainGlobal {
-		panic(fmt.Sprintf("rtos: task %q sets a core affinity but processor %q schedules globally", name, cpu.name))
-	}
-	t := &Task{
-		name:      name,
-		cpu:       cpu,
-		cfg:       cfg,
-		fn:        fn,
-		basePrio:  cfg.Priority,
-		deadline:  sim.TimeMax,
-		period:    cfg.Period,
-		state:     trace.StateCreated,
-		affinity:  cfg.Affinity,
-		lastCore:  -1,
-		claimedBy: -1,
-	}
-	if cfg.Deadline > 0 {
-		// The configured relative deadline counts from the first release.
-		t.deadline = cfg.StartAt + cfg.Deadline
-	}
-	t.ctx = &TaskCtx{t: t}
-	t.evRun = cpu.k.NewEvent(name + ".TaskRun")
-	t.evPreempt = cpu.k.NewEvent(name + ".TaskPreempt")
+	t := cpu.newTask(name, cfg)
+	t.fn = fn
 	t.proc = cpu.k.Spawn(name, t.threadBody)
-	cpu.tasks = append(cpu.tasks, t)
 	return t
 }
 
@@ -347,129 +321,19 @@ func (cpu *Processor) NewTask(name string, cfg TaskConfig, fn func(*TaskCtx)) *T
 // completes (a starved task). If a cycle overruns its period the next
 // release happens immediately.
 func (cpu *Processor) NewPeriodicTask(name string, cfg TaskConfig, body func(c *TaskCtx, cycle int)) *Task {
-	if cfg.Period <= 0 {
-		panic("rtos: NewPeriodicTask requires a positive period")
-	}
 	if body == nil {
 		panic("rtos: NewPeriodicTask with nil body")
 	}
-	if cfg.Jitter < 0 || cfg.Jitter >= cfg.Period {
-		if cfg.Jitter != 0 {
-			panic("rtos: periodic release jitter must be in [0, period)")
-		}
-	}
-	relDeadline := cfg.Deadline
-	if relDeadline == 0 {
-		relDeadline = cfg.Period
-	}
-	w := newDeadlineWatch(cpu, name, cfg.StartAt+relDeadline)
-	tsk := cpu.NewTask(name, cfg, func(c *TaskCtx) {
-		t := c.Task()
-		// The release schedule anchors at the configured first release, not
-		// at the first dispatch: a task dispatched late (higher-priority
-		// load) still owes its work against the nominal period boundaries.
-		release := cfg.StartAt
-		for cycle := 0; ; cycle++ {
-			deadline := release + relDeadline
-			c.SetDeadline(deadline)
-			w.armCycle(cycle, deadline, c.Now())
-			if j := cpu.sys.releaseJitterFor(name, cycle, cfg.Jitter); j > 0 {
-				// Jittered activation; the deadline stays nominal.
-				c.DelayUntil(release + j)
-			}
-			aborted := t.runCycle(c, cycle, body)
-			w.completed = cycle
-			if aborted {
-				t.abortedCycles++
-				if t.restartPending {
-					// Restart recovery: re-release immediately with a fresh
-					// deadline counted from now.
-					t.restartPending = false
-					release = c.Now()
-					continue
+	return cpu.newPeriodic(name, cfg, func() *Task {
+		return cpu.NewTask(name, cfg, func(c *TaskCtx) {
+			t := c.t
+			for {
+				if d := t.sched.close(t.runCycle(body)); d > 0 {
+					t.sleep(d)
 				}
-			} else {
-				t.completedCycles++
-				t.observeResponse(c.Now() - release)
 			}
-			release += cfg.Period
-			if t.skipNext {
-				// Skip-next recovery: surrender one release to catch up.
-				t.skipNext = false
-				release += cfg.Period
-			}
-			if release > c.Now() {
-				c.DelayUntil(release)
-			} else {
-				release = c.Now() // overrun: re-release immediately
-			}
-		}
+		})
 	})
-	w.tsk = tsk
-	tsk.registerTaskMetrics(cpu.sys.Metrics)
-	return tsk
-}
-
-// deadlineWatch is a periodic task's deadline watchdog: a kernel method
-// armed at each cycle's absolute deadline instant — not at completion — so a
-// miss is reported even for a cycle that never completes (a starved task).
-// Shared between the goroutine periodic wrapper (NewPeriodicTask) and the
-// continuation driver's periodic machinery (engine_cont.go).
-type deadlineWatch struct {
-	cpu  *Processor
-	name string
-	tsk  *Task // assigned after task creation; the method only runs during simulation
-
-	dlEvent       *sim.Event
-	completed     int
-	armed         int
-	grace         bool
-	armedDeadline sim.Time
-}
-
-// newDeadlineWatch creates the watch and arms the first cycle at
-// elaboration: a task so starved that it never even dispatches must still
-// have its deadline miss detected.
-func newDeadlineWatch(cpu *Processor, name string, firstDeadline sim.Time) *deadlineWatch {
-	w := &deadlineWatch{cpu: cpu, name: name, completed: -1, armed: -1}
-	w.dlEvent = cpu.k.NewEvent(name + ".deadlineWatch")
-	cpu.k.NewMethod(name+".deadlineCheck", w.check, false, w.dlEvent)
-	w.armed, w.armedDeadline = 0, firstDeadline
-	w.dlEvent.NotifyAt(firstDeadline)
-	return w
-}
-
-func (w *deadlineWatch) check() {
-	if w.completed >= w.armed {
-		w.grace = false
-		return
-	}
-	// Completing exactly at the deadline instant is a meet: give the
-	// task's same-instant completion one delta cycle to land before
-	// declaring the miss.
-	if !w.grace {
-		w.grace = true
-		w.dlEvent.NotifyDelta()
-		return
-	}
-	w.grace = false
-	w.cpu.sys.Constraints.report(w.name, w.armedDeadline, w.cpu.k.Now())
-	w.tsk.deadlineMissed(w.armed, w.armedDeadline)
-}
-
-// armCycle re-arms the watch for one cycle (or reports the miss immediately
-// when the task was dispatched past its deadline already).
-func (w *deadlineWatch) armCycle(cycle int, deadline, now sim.Time) {
-	w.armed, w.armedDeadline = cycle, deadline
-	if deadline < now {
-		// Dispatched after the deadline already passed: immediate miss, no
-		// point arming the watchdog.
-		w.cpu.sys.Constraints.report(w.name, deadline, now)
-		w.tsk.deadlineMissed(cycle, deadline)
-	} else {
-		w.dlEvent.Cancel()
-		w.dlEvent.NotifyAt(deadline)
-	}
 }
 
 // DefaultReleaseJitter returns the jitter value a periodic task uses when no

@@ -23,7 +23,8 @@ const (
 	// run to completion; the release schedule is unchanged.
 	MissContinue MissPolicy = iota
 	// MissAbortJob: abandon the late job at its next abort checkpoint (an
-	// Execute or Delay call) and wait for the next scheduled release.
+	// Execute or Delay call, or the end of the release-jitter sleep) and
+	// wait for the next scheduled release.
 	MissAbortJob
 	// MissSkipNextRelease: let the late job run to completion but skip the
 	// next release, giving the task a full extra period to catch up.
@@ -89,35 +90,19 @@ func (t *Task) deadlineMissed(cycle int, deadline sim.Time) {
 	}
 }
 
-// runCycle runs one periodic cycle body, turning a job abort (injected
-// crash, miss policy, watchdog restart) into a recorded recovery and a
-// normal return instead of a dead simulation thread.
-func (t *Task) runCycle(c *TaskCtx, cycle int, body func(*TaskCtx, int)) (aborted bool) {
+// runCycle runs the current periodic cycle on the task's goroutine: open
+// it, sleep out its release jitter, run body. A job abort (injected crash,
+// miss policy, watchdog restart) landing at the jitter sleep or inside body
+// unwinds to here and aborts the cycle, a recorded recovery instead of a
+// dead simulation thread.
+func (t *Task) runCycle(body func(*TaskCtx, int)) (aborted bool) {
+	defer t.catchAbort(&aborted)
+	if d := t.sched.open(); d > 0 {
+		t.ctx.Delay(d) // an abort checkpoint
+	}
 	t.inJob = true
-	defer func() {
-		t.inJob = false
-		t.hangPending = false // a hang that never reached a checkpoint is moot
-		if r := recover(); r != nil {
-			if _, ok := r.(jobAborted); !ok {
-				panic(r)
-			}
-			aborted = true
-			label := t.abortReason
-			if label == "" {
-				label = "abort"
-			}
-			t.abortReason = ""
-			t.cpu.rec.Fault(trace.RecoveryTaken, t.name, label,
-				fmt.Sprintf("cycle %d aborted", cycle))
-		} else {
-			// The job completed before a requested abort reached a
-			// checkpoint: the request is stale, drop it.
-			t.abortPending = false
-			t.restartPending = false
-			t.abortReason = ""
-		}
-	}()
-	body(c, cycle)
+	body(t.ctx, t.sched.cycle)
+	t.completeJob()
 	return false
 }
 

@@ -119,8 +119,9 @@ type Task struct {
 	// instead (engine_cont.go).
 	proc      *sim.Proc
 	cont      *contDriver
-	evRun     *sim.Event // the paper's TaskRun event
-	evPreempt *sim.Event // the paper's TaskPreempt event
+	sched     *releaseSchedule // periodic tasks only (lifecycle.go)
+	evRun     *sim.Event       // the paper's TaskRun event
+	evPreempt *sim.Event       // the paper's TaskPreempt event
 
 	pendingGrant   grantKind
 	grantCore      int // core the pending grant dispatches onto
@@ -332,27 +333,27 @@ func (t *Task) threadBody(p *sim.Proc) {
 }
 
 // runBehaviour runs the task function. A job abort that unwinds all the way
-// here (a one-shot task, or a crash outside the periodic cycle wrapper)
-// terminates the task early instead of killing the simulation.
-func (t *Task) runBehaviour() {
-	defer func() {
-		t.inJob = false
-		if r := recover(); r != nil {
-			if _, ok := r.(jobAborted); !ok {
-				panic(r)
-			}
-			t.abortedCycles++
-			label := t.abortReason
-			if label == "" {
-				label = "abort"
-			}
-			t.abortReason = ""
-			t.cpu.rec.Fault(trace.RecoveryTaken, t.name, label, "one-shot job aborted; task terminates")
-		}
-	}()
-	t.inJob = true
+// here (a one-shot task's) terminates the task early instead of killing the
+// simulation.
+func (t *Task) runBehaviour() (aborted bool) {
+	defer t.catchAbort(&aborted)
+	t.inJob = t.sched == nil // a periodic task's jobs are its cycles (runCycle)
 	t.fn(t.ctx)
-	t.completedCycles++
+	t.completeJob()
+	return false
+}
+
+// catchAbort is deferred around a job on the task's goroutine: a job abort
+// unwinding from a checkpoint lands here and sets *aborted; any other panic
+// keeps unwinding.
+func (t *Task) catchAbort(aborted *bool) {
+	if r := recover(); r != nil {
+		if _, ok := r.(jobAborted); !ok {
+			panic(r)
+		}
+		t.landAbort()
+		*aborted = true
+	}
 }
 
 // TaskCtx is the API a task behaviour uses to interact with the RTOS model:
@@ -410,14 +411,8 @@ func (c *TaskCtx) Recorder() *trace.Recorder {
 // clock resolution.
 func (c *TaskCtx) Execute(d sim.Time) {
 	c.requireThread("Execute")
-	if d < 0 {
-		panic("rtos: Execute with negative duration")
-	}
 	t := c.t
-	if t.state != trace.StateRunning {
-		panic(fmt.Sprintf("rtos: Execute called by task %q in state %v", t.name, t.state))
-	}
-	remaining := t.inflateWCET(t.cpu.scaleExec(d))
+	remaining := t.execBudget(d)
 	for remaining > 0 {
 		// Abort and hang checkpoints: an injected crash, a deadline-miss
 		// recovery or a watchdog restart takes effect here; an injected hang
@@ -456,6 +451,19 @@ func (c *TaskCtx) Execute(d sim.Time) {
 	}
 }
 
+// execBudget checks an Execute of d and returns the processor time it
+// consumes: d scaled to the processor's speed, inflated by an injected WCET
+// overrun.
+func (t *Task) execBudget(d sim.Time) sim.Time {
+	if d < 0 {
+		panic("rtos: Execute with negative duration")
+	}
+	if t.state != trace.StateRunning {
+		panic(fmt.Sprintf("rtos: Execute called by task %q in state %v", t.name, t.state))
+	}
+	return t.inflateWCET(t.cpu.scaleExec(d))
+}
+
 // Delay suspends the task for duration d (Waiting state): the task does not
 // use the processor and becomes ready again when the delay expires.
 func (c *TaskCtx) Delay(d sim.Time) {
@@ -467,13 +475,19 @@ func (c *TaskCtx) Delay(d sim.Time) {
 	if d == 0 {
 		return
 	}
+	t.sleep(d)
+	if t.abortPending {
+		t.abortJob()
+	}
+}
+
+// sleep blocks the task's thread in Waiting for d > 0 without using the
+// processor: Delay without its abort checkpoint.
+func (t *Task) sleep(d sim.Time) {
 	t.armDelayWake()
 	t.delayEvent.NotifyIn(d)
 	t.cpu.eng.taskIsBlocked(t, trace.StateWaiting)
 	t.awaitDispatch()
-	if t.abortPending {
-		t.abortJob()
-	}
 }
 
 // armDelayWake lazily creates the event (and wake method) that ends a Delay;

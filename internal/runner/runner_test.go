@@ -13,6 +13,7 @@ import (
 	"repro/internal/batch"
 	"repro/internal/explore"
 	"repro/internal/scenario"
+	"repro/internal/sim"
 )
 
 func readScenario(t *testing.T, name string) []byte {
@@ -148,37 +149,89 @@ func TestStuckScenarioSameVerdictBothEngines(t *testing.T) {
 	}
 }
 
-// A model panic names the task that raised it on either task engine: with
-// lat_race.json's tasks swapped, b stops constraint c before a starts it.
-// The continuation engine runs b as a kernel strand; its report must not
-// list the dead strand as blocked either.
+// A model panic names the task that raised it on either task engine:
+// panic_swapped.json is lat_race.json with its tasks swapped, so b stops
+// constraint c before a starts it. The whole failure text is the same on
+// both engines: the continuation engine runs b as a kernel strand and must
+// not list the dead strand as blocked, nor a as waiting while its strand is
+// queued to run (the goroutine engine does not list a runnable process).
 func TestPanicNamesTaskBothEngines(t *testing.T) {
-	data, err := os.ReadFile(filepath.Join("..", "explore", "testdata", "lat_race.json"))
+	data, err := os.ReadFile(filepath.Join("testdata", "panic_swapped.json"))
 	if err != nil {
-		t.Fatal(err)
-	}
-	desc, err := scenario.Parse(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	desc.Tasks[0], desc.Tasks[1] = desc.Tasks[1], desc.Tasks[0]
-	if data, err = desc.CanonicalJSON(); err != nil {
 		t.Fatal(err)
 	}
 	const want = `sim: process "b" panicked at 10us: rtos: constraint "c" stopped with no outstanding start`
+	var first *Result
 	for _, engine := range []string{"goroutine", "continuation"} {
 		res, err := Run(data, Options{TaskEngine: engine}, "swapped")
 		if err != nil {
 			t.Fatal(err)
 		}
-		first, _, _ := strings.Cut(res.SimError, "\n")
-		if res.Finish != "panic" || first != want {
-			t.Errorf("task engine %s: finish %s, first error line %q; want panic, %q", engine, res.Finish, first, want)
+		line, _, _ := strings.Cut(res.SimError, "\n")
+		if res.Finish != "panic" || line != want {
+			t.Errorf("task engine %s: finish %s, first error line %q; want panic, %q", engine, res.Finish, line, want)
 		}
 		if strings.Contains(res.SimError, "blocked: b ") {
 			t.Errorf("task engine %s lists the panicked task as blocked:\n%s", engine, res.SimError)
 		}
+		if first == nil {
+			first = res
+		} else if res.SimError != first.SimError {
+			t.Errorf("failure text differs across task engines:\ngoroutine:\n%s\n%s:\n%s", first.SimError, engine, res.SimError)
+		}
 	}
+}
+
+// A periodic task whose release jitter sleeps past its deadline misses while
+// asleep. Under the abort and restart policies the miss aborts that cycle
+// only: the task keeps its release schedule and runs to the horizon on
+// either task engine, with identical reports.
+func TestJitterAbortKeepsPeriodicTaskBothEngines(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "jitter_abort.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, policy := range []string{"abort", "restart"} {
+		desc, err := scenario.Parse(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		desc.Tasks[0].OnMiss = policy
+		model, err := desc.CanonicalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var first *Result
+		for _, engine := range []string{"goroutine", "continuation"} {
+			res, err := Run(model, Options{TaskEngine: engine, Chronology: true}, "jitter-abort")
+			if err != nil {
+				t.Fatal(err)
+			}
+			report := string(res.Report)
+			if res.Finish != "limit" || res.End != 5*sim.Ms || res.SimError != "" {
+				t.Errorf("%s/%s: finished %s at %v (error %q); want limit at 5ms",
+					policy, engine, res.Finish, res.End, res.SimError)
+			}
+			if strings.Contains(report, "task terminates") || !strings.Contains(report, "aborted)") {
+				t.Errorf("%s/%s: want cycle aborts and no task termination:\n%s", policy, engine, report)
+			}
+			if res.ExitCode() != 1 {
+				t.Errorf("%s/%s: exit %d; the deadline miss must stay a violation", policy, engine, res.ExitCode())
+			}
+			if first == nil {
+				first = res
+			} else if afterLine(report) != afterLine(string(first.Report)) {
+				t.Errorf("%s: reports differ across task engines:\n%s\n---\n%s", policy, first.Report, report)
+			}
+		}
+	}
+}
+
+// afterLine drops a report's first line, which carries the kernel
+// activation count the task engines differ in by design.
+func afterLine(report string) string {
+	_, rest, _ := strings.Cut(report, "\n")
+	return rest
 }
 
 // Failed runs unwind their kernels: after a series of deadlocked and

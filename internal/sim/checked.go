@@ -131,16 +131,17 @@ func (k *Kernel) FinishReason() FinishReason { return k.finish }
 func (k *Kernel) SetDiagnostic(fn func() []string) { k.diagnostic = fn }
 
 // BlockedProcs returns every non-daemon process currently in the Waiting
-// state with the events it waits on, plus every unfinished strand (waiting on
-// its first sensitivity event), in creation order. After a run finishing with
-// FinishDeadlock this names the deadlocked processes.
+// state with the events it waits on, plus every unfinished strand not queued
+// to run (waiting on its first sensitivity event), in creation order: a
+// queued strand is runnable, like a process that is not waiting. After a run
+// finishing with FinishDeadlock this names the deadlocked processes.
 func (k *Kernel) BlockedProcs() []BlockedProc {
 	var blocked []BlockedProc
 	strands := k.strands
 	for i := 0; i <= len(k.procs); i++ {
 		// Strands created before process i come first.
 		for ; len(strands) > 0 && strands[0].procsBefore <= i; strands = strands[1:] {
-			if s := strands[0]; !s.finished {
+			if s := strands[0]; !s.finished && !s.m.queued {
 				blocked = append(blocked, BlockedProc{Name: s.name, WaitingOn: s.waitingOn, HasTimeout: s.WakePending()})
 			}
 		}

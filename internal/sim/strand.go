@@ -16,9 +16,9 @@ package sim
 // returning. Strands follow Method rules: step must run to completion and
 // must not call the blocking Wait primitives.
 //
-// Until Finish, a strand counts as blocked like a waiting Proc, waiting on
-// its first sensitivity event: a run that starves with an unfinished strand
-// is a deadlock.
+// Until Finish, a strand not queued to run counts as blocked like a waiting
+// Proc, waiting on its first sensitivity event: a run that starves with an
+// unfinished strand is a deadlock.
 type Strand struct {
 	k     *Kernel
 	name  string

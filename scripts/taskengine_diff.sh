@@ -2,11 +2,13 @@
 # taskengine_diff.sh — check that a change to the task engines or to the
 # scenario op compiler leaves every simulated outcome alone.
 #
-# Runs every non-sweep examples/scenarios/*.json four ways: the head and the
-# base checkout, each with its default task engine and with `-taskengine
-# goroutine`. Each run produces the full artifact set (report with -timeline
-# -chronology, CSV, VCD, JSON, SVG, Perfetto, metrics JSON, Prometheus text)
-# plus the trace.Signature of a sequential run. Three pairs are compared:
+# Runs every non-sweep examples/scenarios/*.json, plus the failing models
+# (a deadlock, a model panic, a periodic task missing during its release
+# jitter), four ways: the head and the base checkout, each with its default
+# task engine and with `-taskengine goroutine`. Each run produces the full
+# artifact set (report with -timeline -chronology, CSV, VCD, JSON, SVG,
+# Perfetto, metrics JSON, Prometheus text), the exit code and stderr, plus
+# the trace.Signature of a sequential run. Four pairs are compared:
 #
 #   head            vs base            same engine: every artifact identical
 #   head-goroutine  vs base-goroutine  same engine: every artifact identical
@@ -16,8 +18,12 @@
 #                                      are masked (the report's activation
 #                                      count, the sim_* counters and
 #                                      rtos_continuation_resumes_total)
+#   head            vs head-goroutine  across engines, masked: the tree under
+#                                      test agrees with itself
 #
-# Any difference fails the script (exit 1).
+# Any difference fails the script (exit 1). A change that fixes a failing
+# model's outcome on purpose shows up as DIFFER in that model's rows against
+# the base only.
 #
 # usage: scripts/taskengine_diff.sh BASE_DIR [HEAD_DIR] [OUT_DIR]
 #   BASE_DIR  a checkout of the base commit (git clone or git archive)
@@ -25,7 +31,7 @@
 #   OUT_DIR   where binaries and outputs go (default: a fresh temp dir)
 set -euo pipefail
 
-[ $# -ge 1 ] || { sed -n '2,25p' "$0" >&2; exit 2; }
+[ $# -ge 1 ] || { sed -n '2,31p' "$0" >&2; exit 2; }
 base=$(cd "$1" && pwd)
 head=$(cd "${2:-$(dirname "$0")/..}" && pwd)
 out=${3:-$(mktemp -d)}
@@ -76,17 +82,17 @@ build() { # label tree
 build base "$base"
 build head "$head"
 
-run() { # label taskengine scenario
-	local bin=$out/bin/$1 dir=$out/$3/$1${2:+-$2}
+run() { # label taskengine scenario-path
+	local bin=$out/bin/$1 dir=$out/$(basename "$3" .json)/$1${2:+-$2}
 	mkdir -p "$dir"
 	"$bin/rtossim" ${2:+-taskengine "$2"} -timeline -chronology \
 		-csv "$dir/trace.csv" -vcd "$dir/trace.vcd" -json "$dir/trace.json" \
 		-svg "$dir/timeline.svg" -perfetto "$dir/perfetto.json" \
 		-metrics "$dir/metrics.json" -prom "$dir/metrics.prom" \
-		"$head/examples/scenarios/$3.json" > "$dir/stdout.txt" 2> "$dir/stderr.txt" && rc=0 || rc=$?
+		"$3" > "$dir/stdout.txt" 2> "$dir/stderr.txt" && rc=0 || rc=$?
 	echo "$rc" > "$dir/exit"
 	grep -v '^wrote ' "$dir/stdout.txt" > "$dir/report.txt" || true
-	"$bin/sig" "$2" "$head/examples/scenarios/$3.json" > "$dir/signature"
+	"$bin/sig" "$2" "$3" > "$dir/signature"
 	sed '1s/([0-9]* kernel activations/(N kernel activations/' "$dir/report.txt" > "$dir/report.masked"
 	grep -v -E '^(# [A-Z]+ )?(sim_|rtos_continuation_resumes_total)' "$dir/metrics.prom" > "$dir/prom.masked" || true
 	python3 - "$dir/metrics.json" > "$dir/metrics.masked" <<'EOF'
@@ -101,14 +107,16 @@ EOF
 same="exit stderr.txt report.txt signature trace.csv trace.vcd trace.json timeline.svg perfetto.json metrics.json metrics.prom"
 across="exit stderr.txt report.masked signature trace.csv trace.vcd trace.json timeline.svg perfetto.json metrics.masked prom.masked"
 fail=0
-for f in "$head"/examples/scenarios/*.json; do
+for f in "$head"/examples/scenarios/*.json "$head"/internal/scenario/testdata/stuck.json \
+	"$head"/internal/runner/testdata/jitter_abort.json "$head"/internal/runner/testdata/panic_swapped.json; do
 	name=$(basename "$f" .json)
 	case "$name" in *sweep*) continue ;; esac
-	run head "" "$name"
-	run head goroutine "$name"
-	run base "" "$name"
-	run base goroutine "$name"
-	for pair in "head base $same" "head-goroutine base-goroutine $same" "head base-goroutine $across"; do
+	run head "" "$f"
+	run head goroutine "$f"
+	run base "" "$f"
+	run base goroutine "$f"
+	for pair in "head base $same" "head-goroutine base-goroutine $same" "head base-goroutine $across" \
+		"head head-goroutine $across"; do
 		set -- $pair
 		a=$1 b=$2
 		shift 2
