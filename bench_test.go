@@ -21,6 +21,7 @@ import (
 	"repro/internal/mpeg2"
 	"repro/internal/rtos"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // benchFigure6 runs one full Figure 6 clock cycle on the given engine.
@@ -138,6 +139,27 @@ func BenchmarkPerfettoExport(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(buf.Len()), "bytes/file")
+}
+
+// BenchmarkRecorderAppend measures the trace store alone: one op records
+// 4096 state changes and 4096 overhead segments into a fresh recorder
+// through interned name handles, as the RTOS model's dispatch and overhead
+// paths do. B/op and allocs/op are the store's growth cost.
+func BenchmarkRecorderAppend(b *testing.B) {
+	const n = 4096
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		var now sim.Time
+		rec := trace.NewRecorder(func() sim.Time { return now })
+		cpu := rec.Intern("cpu0")
+		tasks := [...]trace.Name{rec.Intern("t0"), rec.Intern("t1"), rec.Intern("t2"), rec.Intern("t3")}
+		for j := 0; j < n; j++ {
+			now += sim.Us
+			task := tasks[j%len(tasks)]
+			rec.RecordOverhead(cpu, task, 0, trace.OverheadContextLoad, now-sim.Us, now)
+			rec.RecordState(task, cpu, 0, trace.StateRunning)
+		}
+	}
 }
 
 // BenchmarkTimelineRender benchmarks the ASCII TimeLine renderer on the

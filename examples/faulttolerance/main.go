@@ -18,6 +18,7 @@ package main
 import (
 	"fmt"
 	"os"
+	"slices"
 
 	"repro/internal/analysis"
 	"repro/internal/rtos"
@@ -67,7 +68,7 @@ func main() {
 	}
 	fmt.Printf("finished %v at %v\n\n", rep.Reason, sys.Now())
 
-	m := analysis.ComputeFaultMetrics(sys.Rec.FaultEvents(), sys.Now())
+	m := analysis.ComputeFaultMetrics(slices.Collect(sys.Rec.FaultEvents()), sys.Now())
 	for _, t := range []*rtos.Task{ctrl, beat} {
 		m.Jobs += int(t.CompletedCycles() + t.AbortedCycles())
 		m.AbortedJobs += int(t.AbortedCycles())

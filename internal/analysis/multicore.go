@@ -78,7 +78,7 @@ func CoreLoads(rec *trace.Recorder, end sim.Time) []CoreLoad {
 		core int
 	}
 	running := map[string]open{}
-	for _, c := range rec.StateChanges() {
+	for c := range rec.StateChanges() {
 		if c.CPU == "" || strings.HasPrefix(c.Task, "isr:") {
 			continue
 		}
@@ -102,7 +102,7 @@ func CoreLoads(rec *trace.Recorder, end sim.Time) []CoreLoad {
 			get(o.cpu, o.core).Busy += end - o.at
 		}
 	}
-	for _, m := range rec.Migrations() {
+	for m := range rec.Migrations() {
 		if m.At <= end {
 			get(m.CPU, m.To).MigrationsIn++
 		}

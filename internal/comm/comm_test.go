@@ -148,7 +148,7 @@ func TestEventSignalFromKernelContext(t *testing.T) {
 	}
 	// The access trace attributes the signal to the named source.
 	found := false
-	for _, a := range sys.Rec.Accesses() {
+	for a := range sys.Rec.Accesses() {
 		if a.Actor == "rawhw" && a.Object == "ev" {
 			found = true
 		}

@@ -81,7 +81,7 @@ func TestPropertyQueueNeverOverflows(t *testing.T) {
 			}
 		})
 		sys.Run()
-		for _, d := range sys.Rec.Depths() {
+		for d := range sys.Rec.Depths() {
 			if d.Object == "q" && (d.Depth < 0 || d.Depth > capacity) {
 				return false
 			}

@@ -145,7 +145,7 @@ func RunFigure6(cfg Figure6Config) *Figure6Result {
 // firstStateAfter returns the instant of the first transition of task into
 // state within [from, to], or -1.
 func firstStateAfter(rec *trace.Recorder, task string, s trace.TaskState, from, to sim.Time) sim.Time {
-	for _, c := range rec.StateChanges() {
+	for c := range rec.StateChanges() {
 		if c.Task == task && c.State == s && c.At >= from && c.At <= to {
 			return c.At
 		}
@@ -156,7 +156,7 @@ func firstStateAfter(rec *trace.Recorder, task string, s trace.TaskState, from, 
 // firstAccess returns the instant of the first matching communication
 // access, or -1.
 func firstAccess(rec *trace.Recorder, actor, object string, kind trace.AccessKind) sim.Time {
-	for _, a := range rec.Accesses() {
+	for a := range rec.Accesses() {
 		if a.Actor == actor && a.Object == object && a.Kind == kind {
 			return a.At
 		}
@@ -167,7 +167,7 @@ func firstAccess(rec *trace.Recorder, actor, object string, kind trace.AccessKin
 // overheadBetween sums the overhead segments on cpu fully inside [from, to].
 func overheadBetween(rec *trace.Recorder, cpu string, from, to sim.Time) sim.Time {
 	var total sim.Time
-	for _, o := range rec.Overheads() {
+	for o := range rec.Overheads() {
 		if o.CPU == cpu && o.Start >= from && o.End <= to {
 			total += o.End - o.Start
 		}

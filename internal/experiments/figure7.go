@@ -149,7 +149,7 @@ func RunFigure7(engine rtos.EngineKind, mode Figure7Mode) *Figure7Result {
 // actor at or after from.
 func lockWindow(rec *trace.Recorder, actor, object string, from sim.Time) (lock, unlock sim.Time) {
 	lock, unlock = -1, -1
-	for _, a := range rec.Accesses() {
+	for a := range rec.Accesses() {
 		if a.Actor != actor || a.Object != object || a.At < from {
 			continue
 		}

@@ -136,7 +136,7 @@ func RunOverheadSweep(ov rtos.Overheads, label string, horizon sim.Time) Overhea
 	}
 	var schedTotal sim.Time
 	var schedCount int
-	for _, o := range sys.Rec.Overheads() {
+	for o := range sys.Rec.Overheads() {
 		if o.Kind == trace.OverheadScheduling {
 			schedTotal += o.End - o.Start
 			schedCount++

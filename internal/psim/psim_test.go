@@ -47,10 +47,10 @@ func parse(t *testing.T, js string) *scenario.System {
 // parallel run is observationally equivalent to the sequential one.
 func signature(rec *trace.Recorder) map[string][]string {
 	sig := map[string][]string{}
-	for _, c := range rec.StateChanges() {
+	for c := range rec.StateChanges() {
 		sig["task:"+c.Task] = append(sig["task:"+c.Task], fmt.Sprintf("%v/%d:%v", c.At, c.Core, c.State))
 	}
-	for _, a := range rec.Accesses() {
+	for a := range rec.Accesses() {
 		sig["obj:"+a.Object] = append(sig["obj:"+a.Object], fmt.Sprintf("%v:%s:%v", a.At, a.Actor, a.Kind))
 	}
 	return sig

@@ -125,7 +125,7 @@ func traceSignature(rec *trace.Recorder, end sim.Time) string {
 		b.WriteByte('\n')
 	}
 	var ov []string
-	for _, o := range rec.Overheads() {
+	for o := range rec.Overheads() {
 		if o.End == o.Start || o.Start >= end {
 			continue
 		}
@@ -136,7 +136,7 @@ func traceSignature(rec *trace.Recorder, end sim.Time) string {
 	// Fault-subsystem events, sorted: within one instant the engines may
 	// interleave same-time injections differently, but the set must match.
 	var fs []string
-	for _, f := range rec.FaultEvents() {
+	for f := range rec.FaultEvents() {
 		if f.At >= end {
 			continue
 		}

@@ -14,7 +14,7 @@ import (
 // (empty label matches any).
 func countFaults(rec *trace.Recorder, kind trace.FaultEventKind, label string) int {
 	n := 0
-	for _, f := range rec.FaultEvents() {
+	for f := range rec.FaultEvents() {
 		if f.Kind == kind && (label == "" || f.Label == label) {
 			n++
 		}
@@ -112,7 +112,7 @@ func TestCrashWhileIdleIsNoOp(t *testing.T) {
 		t.Errorf("aborted cycles %d, want 0", task.AbortedCycles())
 	}
 	found := false
-	for _, f := range sys.Rec.FaultEvents() {
+	for f := range sys.Rec.FaultEvents() {
 		if f.Label == "crash" && strings.Contains(f.Detail, "idle") {
 			found = true
 		}

@@ -91,7 +91,8 @@ type IRQ struct {
 	cost   sim.Time
 	isr    func(*ISRCtx)
 
-	taskName string // trace identity, "isr:<name>"
+	taskName string     // trace identity, "isr:<name>"
+	recName  trace.Name // taskName interned in the processor's recorder
 
 	raised   uint64
 	serviced uint64
@@ -181,6 +182,7 @@ func (ic *InterruptController) newIRQ(name string, priority int, latency sim.Tim
 		isr:      isr,
 		taskName: "isr:" + name,
 	}
+	irq.recName = ic.cpu.rec.Intern(irq.taskName)
 	ic.irqs = append(ic.irqs, irq)
 	return irq
 }
@@ -300,7 +302,7 @@ func (ic *InterruptController) beginISR(irq *IRQ) bool {
 			paused.evPreempt.Notify()
 		}
 	}
-	cpu.rec.TaskState(irq.taskName, cpu.name, trace.StateRunning)
+	cpu.rec.RecordState(irq.recName, cpu.recName, 0, trace.StateRunning)
 	if !irq.inline {
 		ic.state = icBody
 		ic.bodyPending = true
@@ -323,7 +325,7 @@ func (ic *InterruptController) beginISR(irq *IRQ) bool {
 // completeISR finishes the active service and releases the paused tasks.
 func (ic *InterruptController) completeISR(irq *IRQ) {
 	cpu := ic.cpu
-	cpu.rec.TaskState(irq.taskName, cpu.name, trace.StateWaiting)
+	cpu.rec.RecordState(irq.recName, cpu.recName, 0, trace.StateWaiting)
 	ic.active = nil
 	ic.current = nil
 	ic.state = icIdle

@@ -109,7 +109,7 @@ func TestJitterSleepAbortsOnlyTheCycle(t *testing.T) {
 			sys.RunUntil(sim.Ms)
 			defer sys.Shutdown()
 			var idle, aborted int
-			for _, f := range sys.Rec.FaultEvents() {
+			for f := range sys.Rec.FaultEvents() {
 				switch {
 				case f.Label == "crash" && f.Detail == "while idle: no job to kill":
 					idle++

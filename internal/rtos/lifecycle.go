@@ -27,6 +27,7 @@ func (cpu *Processor) newTask(name string, cfg TaskConfig) *Task {
 	}
 	t := &Task{
 		name:      name,
+		recName:   cpu.rec.Intern(name),
 		cpu:       cpu,
 		cfg:       cfg,
 		basePrio:  cfg.Priority,
@@ -190,6 +191,7 @@ type deadlineWatch struct {
 	dlEvent       *sim.Event
 	completed     int
 	armed         int
+	reported      int // latest cycle whose miss was reported
 	grace         bool
 	armedDeadline sim.Time
 }
@@ -198,7 +200,7 @@ type deadlineWatch struct {
 // elaboration: a task so starved that it never even dispatches must still
 // have its deadline miss detected.
 func newDeadlineWatch(cpu *Processor, name string, firstDeadline sim.Time) *deadlineWatch {
-	w := &deadlineWatch{cpu: cpu, name: name, completed: -1, armed: -1}
+	w := &deadlineWatch{cpu: cpu, name: name, completed: -1, armed: -1, reported: -1}
 	w.dlEvent = cpu.k.NewEvent(name + ".deadlineWatch")
 	cpu.k.NewMethod(name+".deadlineCheck", w.check, false, w.dlEvent)
 	w.armed, w.armedDeadline = 0, firstDeadline
@@ -220,19 +222,29 @@ func (w *deadlineWatch) check() {
 		return
 	}
 	w.grace = false
-	w.cpu.sys.Constraints.report(w.name, w.armedDeadline, w.cpu.k.Now())
-	w.tsk.deadlineMissed(w.armed, w.armedDeadline)
+	w.miss(w.armed, w.armedDeadline)
+}
+
+// miss reports cycle's deadline miss and hands it to the task's miss
+// policy.
+func (w *deadlineWatch) miss(cycle int, deadline sim.Time) {
+	w.reported = cycle
+	w.cpu.sys.Constraints.report(w.name, deadline, w.cpu.k.Now())
+	w.tsk.deadlineMissed(cycle, deadline)
 }
 
 // armCycle re-arms the watch for one cycle (or reports the miss immediately
-// when the task was dispatched past its deadline already).
+// when the task was dispatched past its deadline already). The first cycle
+// is armed at elaboration, so a task starved past that deadline had the
+// miss reported by check already; it is not reported again.
 func (w *deadlineWatch) armCycle(cycle int, deadline, now sim.Time) {
 	w.armed, w.armedDeadline = cycle, deadline
 	if deadline < now {
 		// Dispatched after the deadline already passed: immediate miss, no
 		// point arming the watchdog.
-		w.cpu.sys.Constraints.report(w.name, deadline, now)
-		w.tsk.deadlineMissed(cycle, deadline)
+		if cycle != w.reported {
+			w.miss(cycle, deadline)
+		}
 	} else {
 		w.dlEvent.Cancel()
 		w.dlEvent.NotifyAt(deadline)

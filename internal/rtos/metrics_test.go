@@ -3,6 +3,7 @@ package rtos_test
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 
@@ -94,7 +95,7 @@ func TestMetricsTraceParity(t *testing.T) {
 				t.Error("scenario produced no preemptions; parity test is vacuous")
 			}
 
-			migr := len(sys.Rec.Migrations())
+			migr := len(slices.Collect(sys.Rec.Migrations()))
 			if got := counterValue(snap, "rtos_migrations_total", "cpu0"); got != int64(migr) {
 				t.Errorf("migrations: metrics %d, trace %d", got, migr)
 			}
@@ -242,7 +243,7 @@ func TestOverheadCoreRecorded(t *testing.T) {
 	defer sys.Shutdown()
 	seen := map[int]bool{}
 	loads := 0
-	for _, o := range sys.Rec.Overheads() {
+	for o := range sys.Rec.Overheads() {
 		seen[o.Core] = true
 		if o.Kind == trace.OverheadContextLoad {
 			loads++

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -150,7 +151,7 @@ func smpSignature(rec *trace.Recorder, end sim.Time) string {
 	b.WriteString(traceSignature(rec, end))
 	for _, task := range rec.SortedTasks() {
 		fmt.Fprintf(&b, "\nplace %s:", task)
-		for _, c := range rec.StateChanges() {
+		for c := range rec.StateChanges() {
 			if c.Task != task || c.At >= end || c.State != trace.StateRunning {
 				continue
 			}
@@ -158,7 +159,7 @@ func smpSignature(rec *trace.Recorder, end sim.Time) string {
 		}
 	}
 	var migs []string
-	for _, m := range rec.Migrations() {
+	for m := range rec.Migrations() {
 		if m.At >= end {
 			continue
 		}
@@ -256,7 +257,7 @@ func checkCoreExclusivity(t *testing.T, rec *trace.Recorder, nCores int, end sim
 	}
 	running := map[string]open{}
 	var ivs []interval
-	for _, c := range rec.StateChanges() {
+	for c := range rec.StateChanges() {
 		if c.CPU == "" || strings.HasPrefix(c.Task, "isr:") {
 			continue // hardware tasks and ISRs are not core-bound
 		}
@@ -326,10 +327,10 @@ func TestSMPInvariants(t *testing.T) {
 					for seed := int64(0); seed < 6; seed++ {
 						_, rec := build(seed, eng, cores, domain, horizon)
 						checkCoreExclusivity(t, rec, cores, horizon)
-						if domain == rtos.DomainPartitioned && len(rec.Migrations()) > 0 {
+						if domain == rtos.DomainPartitioned && len(slices.Collect(rec.Migrations())) > 0 {
 							t.Fatalf("%v %dcore partitioned: unexpected migrations", eng, cores)
 						}
-						if domain == rtos.DomainGlobal && len(rec.Migrations()) > 0 {
+						if domain == rtos.DomainGlobal && len(slices.Collect(rec.Migrations())) > 0 {
 							migrated = true
 						}
 					}

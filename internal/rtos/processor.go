@@ -95,10 +95,11 @@ type Config struct {
 
 // Processor models a CPU running an RTOS that serializes a set of tasks.
 type Processor struct {
-	sys  *System
-	k    *sim.Kernel
-	rec  *trace.Recorder
-	name string
+	sys     *System
+	k       *sim.Kernel
+	rec     *trace.Recorder
+	name    string
+	recName trace.Name // name interned in rec
 
 	policy     Policy
 	preemptive bool
@@ -144,6 +145,7 @@ func (s *System) NewProcessor(name string, cfg Config) *Processor {
 		k:          s.K,
 		rec:        s.Rec,
 		name:       name,
+		recName:    s.Rec.Intern(name),
 		policy:     cfg.Policy,
 		preemptive: !cfg.NonPreemptive,
 		overheads:  cfg.Overheads,
@@ -378,15 +380,15 @@ func (cpu *Processor) overheadDur(kind trace.OverheadKind, octx OverheadCtx) sim
 // recordCharge books one completed overhead charge into the metrics and the
 // trace: the tail half of charge, shared with the continuation engine.
 func (cpu *Processor) recordCharge(kind trace.OverheadKind, t *Task, coreID int, start, end sim.Time) {
-	name := ""
+	var name trace.Name
 	if t != nil {
-		name = t.name
+		name = t.recName
 	}
 	cpu.met.overhead[kind].Add(uint64(end - start))
 	if kind == trace.OverheadContextLoad {
 		cpu.met.ctxSwitches.Inc()
 	}
-	cpu.rec.OverheadOn(cpu.name, name, coreID, kind, start, end)
+	cpu.rec.RecordOverhead(cpu.recName, name, coreID, kind, start, end)
 }
 
 // charge consumes one overhead duration on thread p and records it. The

@@ -139,7 +139,7 @@ func TestOverheadFormulaPerReadyTask(t *testing.T) {
 	}
 	sys.Run()
 	var schedDurations []sim.Time
-	for _, o := range sys.Rec.Overheads() {
+	for o := range sys.Rec.Overheads() {
 		if o.Kind == trace.OverheadScheduling {
 			schedDurations = append(schedDurations, o.End-o.Start)
 		}
@@ -465,4 +465,39 @@ func TestConfigValidation(t *testing.T) {
 	mustPanic("bad constraint", func() { sys.Constraints.NewLatency("x", 0) })
 	mustPanic("negative fixed overhead", func() { rtos.Fixed(-1) })
 	sys.Shutdown()
+}
+
+// A periodic task starved past its first deadline has that miss reported
+// once, at the deadline: its late first dispatch must not report cycle 0
+// again, nor consult the miss policy twice. Both task engines.
+func TestStarvedFirstCycleMissReportedOnce(t *testing.T) {
+	for _, form := range []bodyForm{bodyGoroutine, bodyContinuation} {
+		t.Run(form.String(), func(t *testing.T) {
+			sys := rtos.NewSystem()
+			cpu := sys.NewProcessor("cpu", rtos.Config{})
+			cpu.NewTask("hog", rtos.TaskConfig{Priority: 10}, func(c *rtos.TaskCtx) { c.Execute(100 * sim.Us) })
+			var policyCalls []int
+			newPeriodicForm(cpu, form, "victim", rtos.TaskConfig{
+				Priority: 1, Period: 200 * sim.Us, Deadline: 30 * sim.Us,
+				OnMissHook: func(m rtos.MissInfo) rtos.MissPolicy {
+					policyCalls = append(policyCalls, m.Cycle)
+					return rtos.MissContinue
+				},
+			}, cycleBody{{opExecute, 10 * sim.Us}})
+			sys.RunUntil(150 * sim.Us)
+			defer sys.Shutdown()
+			var misses []rtos.Violation
+			for _, v := range sys.Constraints.Violations() {
+				if v.Task == "victim" {
+					misses = append(misses, v)
+				}
+			}
+			if len(misses) != 1 || misses[0].Limit != 30*sim.Us || misses[0].At != 30*sim.Us {
+				t.Errorf("victim misses = %+v, want one for cycle 0 (deadline 30us) detected at 30us", misses)
+			}
+			if len(policyCalls) != 1 || policyCalls[0] != 0 {
+				t.Errorf("miss policy consulted for cycles %v, want [0]", policyCalls)
+			}
+		})
+	}
 }

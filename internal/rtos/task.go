@@ -91,10 +91,11 @@ type TaskConfig struct {
 // Task is a software task scheduled by a Processor's RTOS model. Create
 // tasks with Processor.NewTask before the simulation starts.
 type Task struct {
-	name string
-	cpu  *Processor
-	cfg  TaskConfig
-	fn   func(*TaskCtx)
+	name    string
+	recName trace.Name // name interned in the processor's trace recorder
+	cpu     *Processor
+	cfg     TaskConfig
+	fn      func(*TaskCtx)
 
 	basePrio int
 	boosts   []int // priority-inheritance stack (effective = max)
@@ -250,7 +251,7 @@ func (t *Task) setState(s trace.TaskState) {
 	if c < 0 {
 		c = 0
 	}
-	t.cpu.rec.TaskStateOn(t.name, t.cpu.name, c, s)
+	t.cpu.rec.RecordState(t.recName, t.cpu.recName, c, s)
 }
 
 // grant elects the task onto core coreID: pendingGrant tells its thread what

@@ -231,7 +231,7 @@ func RunPrepared(desc *scenario.System, opts Options, fallbackName string) (*Res
 		report.WriteString("\n")
 		report.WriteString(v.constraints.Report())
 	}
-	if evs := v.rec.FaultEvents(); !opts.NoFaults && len(evs) > 0 {
+	if evs := slices.Collect(v.rec.FaultEvents()); !opts.NoFaults && len(evs) > 0 {
 		m := analysis.ComputeFaultMetrics(evs, v.end)
 		m.Jobs += v.jobs
 		m.AbortedJobs += v.abortedJobs

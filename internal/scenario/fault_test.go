@@ -3,6 +3,7 @@ package scenario
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -57,7 +58,7 @@ func TestScenarioWCETOverrunWithRestartPolicy(t *testing.T) {
 		if got := b.Sys.FinishReason(); got != sim.FinishLimit {
 			t.Fatalf("%s: finish reason %v, want limit", engine, got)
 		}
-		evs := b.Sys.Rec.FaultEvents()
+		evs := slices.Collect(b.Sys.Rec.FaultEvents())
 		injected, recovered, _ := countFaultKinds(evs)
 		if injected == 0 || recovered == 0 {
 			t.Fatalf("%s: want both fault and recovery events, got %d/%d", engine, injected, recovered)
@@ -120,7 +121,7 @@ func TestScenarioWatchdogKickAndHang(t *testing.T) {
 	if wd.Kicks() < 2 {
 		t.Fatalf("kick op not reaching the watchdog: %d kicks", wd.Kicks())
 	}
-	_, _, wdFired := countFaultKinds(b.Sys.Rec.FaultEvents())
+	_, _, wdFired := countFaultKinds(slices.Collect(b.Sys.Rec.FaultEvents()))
 	if wdFired == 0 {
 		t.Fatal("watchdog firing not recorded in the trace")
 	}

@@ -153,8 +153,12 @@ func TestPerfettoStructure(t *testing.T) {
 	if slices == 0 || overheads == 0 {
 		t.Errorf("got %d slices (%d overhead), want both > 0", slices, overheads)
 	}
-	if migrations != len(built.Sys.Rec.Migrations()) {
-		t.Errorf("%d migration instants, trace records %d migrations", migrations, len(built.Sys.Rec.Migrations()))
+	n := 0
+	for range built.Sys.Rec.Migrations() {
+		n++
+	}
+	if migrations != n {
+		t.Errorf("%d migration instants, trace records %d migrations", migrations, n)
 	}
 	if migrations == 0 {
 		t.Error("no migration instants; the global-domain smp scenario must migrate")
@@ -215,8 +219,12 @@ func TestPerfettoMetricsParity(t *testing.T) {
 	if got := value("rtos_preemptions_total"); got != int64(preempt) {
 		t.Errorf("preemptions: metrics %d, trace %d", got, preempt)
 	}
-	if got := value("rtos_migrations_total"); got != int64(len(sys.Rec.Migrations())) {
-		t.Errorf("migrations: metrics %d, trace %d", got, len(sys.Rec.Migrations()))
+	n := 0
+	for range sys.Rec.Migrations() {
+		n++
+	}
+	if got := value("rtos_migrations_total"); got != int64(n) {
+		t.Errorf("migrations: metrics %d, trace %d", got, n)
 	}
 	misses := 0
 	for _, v := range sys.Constraints.Violations() {

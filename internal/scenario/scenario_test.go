@@ -102,7 +102,7 @@ func TestFigure6FromJSON(t *testing.T) {
 
 	rec := b.Sys.Rec
 	var f1Run, f2Start, f1Block sim.Time = -1, -1, -1
-	for _, c := range rec.StateChanges() {
+	for c := range rec.StateChanges() {
 		switch {
 		case c.Task == "Function_1" && c.State.String() == "running" && c.At >= 500*sim.Us && f1Run < 0:
 			f1Run = c.At

@@ -81,8 +81,9 @@ type Report struct {
 	Activations uint64
 	MethodRuns  uint64
 	// Blocked lists the processes still waiting at the end (excluding
-	// daemons); non-empty with Reason FinishDeadlock, and informational for
-	// FinishLimit/FinishStopped.
+	// daemons) when Reason is FinishDeadlock, and is empty otherwise: a
+	// panic's SimError carries its own list, and a limit or stop finish
+	// leaves waiting processes that are not stuck.
 	Blocked []BlockedProc
 }
 
@@ -141,18 +142,40 @@ func (k *Kernel) BlockedProcs() []BlockedProc {
 	for i := 0; i <= len(k.procs); i++ {
 		// Strands created before process i come first.
 		for ; len(strands) > 0 && strands[0].procsBefore <= i; strands = strands[1:] {
-			if s := strands[0]; !s.finished && !s.m.queued {
+			if s := strands[0]; s.blocked() {
 				blocked = append(blocked, BlockedProc{Name: s.name, WaitingOn: s.waitingOn, HasTimeout: s.WakePending()})
 			}
 		}
 		if i == len(k.procs) {
 			break
 		}
-		if p := k.procs[i]; !p.daemon && p.state == ProcWaiting {
+		if p := k.procs[i]; p.blocked() {
 			blocked = append(blocked, BlockedProc{Name: p.name, WaitingOn: p.WaitingOn(), HasTimeout: p.timeout != nil})
 		}
 	}
 	return blocked
+}
+
+// blocked reports whether BlockedProcs lists the strand.
+func (s *Strand) blocked() bool { return !s.finished && !s.m.queued }
+
+// blocked reports whether BlockedProcs lists the process.
+func (p *Proc) blocked() bool { return !p.daemon && p.state == ProcWaiting }
+
+// anyBlocked reports whether BlockedProcs would list anything, without
+// building the list.
+func (k *Kernel) anyBlocked() bool {
+	for _, s := range k.strands {
+		if s.blocked() {
+			return true
+		}
+	}
+	for _, p := range k.procs {
+		if p.blocked() {
+			return true
+		}
+	}
+	return false
 }
 
 func (k *Kernel) diagnose() []string {
@@ -163,14 +186,17 @@ func (k *Kernel) diagnose() []string {
 }
 
 func (k *Kernel) report() Report {
-	return Report{
+	rep := Report{
 		Reason:      k.finish,
 		End:         k.now,
 		DeltaCycles: k.deltaCount,
 		Activations: k.activations,
 		MethodRuns:  k.methodRuns,
-		Blocked:     k.BlockedProcs(),
 	}
+	if k.finish == FinishDeadlock {
+		rep.Blocked = k.BlockedProcs()
+	}
+	return rep
 }
 
 // RunChecked executes the simulation until simulated time limit (pass

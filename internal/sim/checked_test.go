@@ -124,6 +124,9 @@ func TestRunCheckedDeadlock(t *testing.T) {
 	if len(se.Blocked) != 2 {
 		t.Fatalf("blocked = %v, want the two victims (daemon excluded)", se.Blocked)
 	}
+	if len(rep.Blocked) != 2 {
+		t.Fatalf("report blocked = %v, want the two victims (daemon excluded)", rep.Blocked)
+	}
 	msg := err.Error()
 	for _, want := range []string{"deadlock", "victim", "idler", "lock.acquire"} {
 		if !strings.Contains(msg, want) {
@@ -132,6 +135,40 @@ func TestRunCheckedDeadlock(t *testing.T) {
 	}
 	if strings.Contains(msg, "daemon") {
 		t.Fatalf("error %q should not list the daemon process", msg)
+	}
+	k.Shutdown()
+}
+
+// A run that reaches its limit with processes still waiting is not stuck:
+// its report lists no blocked processes, and continuing it to starvation
+// turns the same waiters into a deadlock that lists them all.
+func TestRunCheckedLimitLeavesBlockedEmpty(t *testing.T) {
+	k := New()
+	e := k.NewEvent("never")
+	k.Spawn("waiter", func(p *Proc) { p.WaitEvent(e) })
+	k.NewStrand("parked", func(s *Strand) {}, true, e)
+	k.Spawn("ticker", func(p *Proc) {
+		for i := 0; i < 3; i++ {
+			p.Wait(Us)
+		}
+	})
+	rep, err := k.RunChecked(Us + Us/2)
+	if err != nil || rep.Reason != FinishLimit {
+		t.Fatalf("reason = %v, err = %v; want a limit finish", rep.Reason, err)
+	}
+	if rep.Blocked != nil {
+		t.Fatalf("limit finish blocked = %v, want empty", rep.Blocked)
+	}
+	rep, err = k.RunChecked(TimeMax)
+	if err == nil || rep.Reason != FinishDeadlock {
+		t.Fatalf("reason = %v, err = %v; want a deadlock", rep.Reason, err)
+	}
+	var names []string
+	for _, b := range rep.Blocked {
+		names = append(names, b.Name)
+	}
+	if strings.Join(names, ",") != "waiter,parked" {
+		t.Fatalf("deadlock blocked = %v, want waiter and parked", rep.Blocked)
 	}
 	k.Shutdown()
 }

@@ -364,7 +364,7 @@ func (k *Kernel) schedule() (dispatched bool) {
 			// Event starvation: nothing can ever happen again. Clean
 			// quiescence if no non-daemon process is left waiting, a
 			// deadlock otherwise.
-			if len(k.BlockedProcs()) > 0 {
+			if k.anyBlocked() {
 				k.finish = FinishDeadlock
 			} else {
 				k.finish = FinishQuiescent

@@ -69,10 +69,10 @@ func (r *Recorder) RenderTimeline(opts TimelineOptions) string {
 	fmt.Fprintf(&b, "%*s %s\n", nameWidth, "", string(axis))
 
 	segs := r.segmentsByTask(end)
-	overheads := groupByTask(r, r.overheads, func(o *OverheadSegment) string { return o.Task })
-	var accesses [][]*Access
+	overheads := groupByTask(r, &r.overheads, func(o *overheadRec) Name { return o.task })
+	var accesses [][]*accessRec
 	if opts.ShowAccesses {
-		accesses = groupByTask(r, r.accesses, func(a *Access) string { return a.Actor })
+		accesses = groupByTask(r, &r.accesses, func(a *accessRec) Name { return a.actor })
 	}
 	for ti, task := range r.Tasks() {
 		row := make([]byte, width)
@@ -95,11 +95,11 @@ func (r *Recorder) RenderTimeline(opts TimelineOptions) string {
 		}
 		// Overlay overhead segments attributed to the task.
 		for _, o := range overheads[ti] {
-			if o.End <= start || o.Start >= end {
+			if o.end <= start || o.start >= end {
 				continue
 			}
-			first := int((max(o.Start, start) - start) / cell)
-			last := int((min(o.End, end) - start - 1) / cell)
+			first := int((max(o.start, start) - start) / cell)
+			last := int((min(o.end, end) - start - 1) / cell)
 			for c := first; c <= last && c < width; c++ {
 				row[c] = 'o'
 			}
@@ -112,14 +112,14 @@ func (r *Recorder) RenderTimeline(opts TimelineOptions) string {
 				marks[i] = ' '
 			}
 			for _, a := range accesses[ti] {
-				if a.At < start || a.At >= end {
+				if a.at < start || a.at >= end {
 					continue
 				}
-				col := int((a.At - start) / cell)
+				col := int((a.at - start) / cell)
 				if col >= width {
 					col = width - 1
 				}
-				marks[col] = accessGlyph(a.Kind)
+				marks[col] = accessGlyph(a.kind)
 			}
 			if strings.TrimSpace(string(marks)) != "" {
 				fmt.Fprintf(&b, "%*s %s\n", nameWidth, "", string(marks))
@@ -176,8 +176,7 @@ func (r *Recorder) RenderChronology() string {
 	}
 	var lines []line
 	seq := 0
-	for i := range r.changes {
-		c := &r.changes[i]
+	for c := range r.StateChanges() {
 		cpu := c.CPU
 		if cpu == "" {
 			cpu = "hw"
@@ -185,19 +184,16 @@ func (r *Recorder) RenderChronology() string {
 		lines = append(lines, line{c.At, seq, fmt.Sprintf("%-12v %-10s %s -> %s", c.At, cpu, c.Task, c.State)})
 		seq++
 	}
-	for i := range r.overheads {
-		o := &r.overheads[i]
+	for o := range r.Overheads() {
 		lines = append(lines, line{o.Start, seq, fmt.Sprintf("%-12v %-10s rtos %s (%s) %v..%v (%v)",
 			o.Start, o.CPU, o.Kind, o.Task, o.Start, o.End, o.End-o.Start)})
 		seq++
 	}
-	for i := range r.accesses {
-		a := &r.accesses[i]
+	for a := range r.Accesses() {
 		lines = append(lines, line{a.At, seq, fmt.Sprintf("%-12v %-10s %s %s %s", a.At, "comm", a.Actor, a.Kind, a.Object)})
 		seq++
 	}
-	for i := range r.faults {
-		f := &r.faults[i]
+	for f := range r.FaultEvents() {
 		text := fmt.Sprintf("%-12v %-10s %s %s %s", f.At, "fault", f.Kind, f.Task, f.Label)
 		if f.Detail != "" {
 			text += " (" + f.Detail + ")"

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"iter"
 	"strings"
 
 	"repro/internal/sim"
@@ -55,8 +56,9 @@ func Diff(a, b *Recorder, end sim.Time, maxFindings int) string {
 		if taskSet[task] != 3 {
 			continue
 		}
-		sa := nonZero(segsA[a.taskIndex[task]])
-		sb := nonZero(segsB[b.taskIndex[task]])
+		ta, _ := a.taskPos(task)
+		tb, _ := b.taskPos(task)
+		sa, sb := nonZero(segsA[ta]), nonZero(segsB[tb])
 		n := min(len(sa), len(sb))
 		for i := 0; i < n; i++ {
 			if sa[i] != sb[i] {
@@ -102,9 +104,9 @@ func nonZero(segs []Segment) []Segment {
 	return out
 }
 
-func nonZeroOverheads(ov []OverheadSegment, end sim.Time) []OverheadSegment {
-	out := ov[:0:0]
-	for _, o := range ov {
+func nonZeroOverheads(ov iter.Seq[OverheadSegment], end sim.Time) []OverheadSegment {
+	var out []OverheadSegment
+	for o := range ov {
 		if o.End > o.Start && o.Start < end {
 			out = append(out, o)
 		}

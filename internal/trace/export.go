@@ -77,38 +77,32 @@ func (r *Recorder) WriteJSON(w io.Writer) error {
 		return nil
 	}
 	out := jsonTrace{Tasks: r.Tasks(), Objects: r.Objects()}
-	for i := range r.changes {
-		c := &r.changes[i]
+	for c := range r.StateChanges() {
 		out.States = append(out.States, jsonStateChange{
 			AtPs: c.At, Task: c.Task, CPU: c.CPU, Core: c.Core, State: c.State.String(),
 		})
 	}
-	for i := range r.overheads {
-		o := &r.overheads[i]
+	for o := range r.Overheads() {
 		out.Overheads = append(out.Overheads, jsonOverhead{
 			CPU: o.CPU, Task: o.Task, Core: o.Core, Kind: o.Kind.String(), StartPs: o.Start, EndPs: o.End,
 		})
 	}
-	for i := range r.accesses {
-		a := &r.accesses[i]
+	for a := range r.Accesses() {
 		out.Accesses = append(out.Accesses, jsonAccess{
 			AtPs: a.At, Actor: a.Actor, Object: a.Object, Kind: a.Kind.String(),
 		})
 	}
-	for i := range r.depths {
-		d := &r.depths[i]
+	for d := range r.Depths() {
 		out.Depths = append(out.Depths, jsonDepth{
 			AtPs: d.At, Object: d.Object, Depth: d.Depth, Capacity: d.Capacity,
 		})
 	}
-	for i := range r.faults {
-		f := &r.faults[i]
+	for f := range r.FaultEvents() {
 		out.Faults = append(out.Faults, jsonFault{
 			AtPs: f.At, Kind: f.Kind.String(), Task: f.Task, Label: f.Label, Detail: f.Detail,
 		})
 	}
-	for i := range r.migrations {
-		m := &r.migrations[i]
+	for m := range r.Migrations() {
 		out.Migrations = append(out.Migrations, jsonMigration{
 			AtPs: m.At, Task: m.Task, CPU: m.CPU, From: m.From, To: m.To,
 		})
@@ -131,33 +125,28 @@ func (r *Recorder) WriteCSV(w io.Writer) error {
 	if _, err := fmt.Fprintln(w, "kind,at_ps,who,what,detail,start_ps,end_ps"); err != nil {
 		return err
 	}
-	for i := range r.changes {
-		c := &r.changes[i]
+	for c := range r.StateChanges() {
 		if _, err := fmt.Fprintf(w, "state,%d,%s,%s,%s,,\n", c.At, c.Task, c.State, c.CPU); err != nil {
 			return err
 		}
 	}
-	for i := range r.overheads {
-		o := &r.overheads[i]
+	for o := range r.Overheads() {
 		if _, err := fmt.Fprintf(w, "overhead,%d,%s,%s,%s,%d,%d\n",
 			o.Start, o.CPU, o.Kind, o.Task, o.Start, o.End); err != nil {
 			return err
 		}
 	}
-	for i := range r.accesses {
-		a := &r.accesses[i]
+	for a := range r.Accesses() {
 		if _, err := fmt.Fprintf(w, "access,%d,%s,%s,%s,,\n", a.At, a.Actor, a.Kind, a.Object); err != nil {
 			return err
 		}
 	}
-	for i := range r.depths {
-		d := &r.depths[i]
+	for d := range r.Depths() {
 		if _, err := fmt.Fprintf(w, "depth,%d,%s,%d,%d,,\n", d.At, d.Object, d.Depth, d.Capacity); err != nil {
 			return err
 		}
 	}
-	for i := range r.migrations {
-		m := &r.migrations[i]
+	for m := range r.Migrations() {
 		if _, err := fmt.Fprintf(w, "migrate,%d,%s,core%d->core%d,%s,,\n",
 			m.At, m.Task, m.From, m.To, m.CPU); err != nil {
 			return err
@@ -224,12 +213,10 @@ func (r *Recorder) WriteVCD(w io.Writer) error {
 		text string
 	}
 	var changes []change
-	for i := range r.changes {
-		c := &r.changes[i]
+	for c := range r.StateChanges() {
 		changes = append(changes, change{c.At, fmt.Sprintf("b%b %s", c.State, taskCode[c.Task])})
 	}
-	for i := range r.depths {
-		d := &r.depths[i]
+	for d := range r.Depths() {
 		changes = append(changes, change{d.At, fmt.Sprintf("b%b %s", uint(d.Depth), objCode[d.Object])})
 	}
 	sort.SliceStable(changes, func(i, j int) bool { return changes[i].at < changes[j].at })

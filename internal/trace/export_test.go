@@ -162,7 +162,7 @@ func TestRecorderAccessors(t *testing.T) {
 	r.Access("a", "o", AccessRead)
 	r.Depth("o", 1, 1)
 	r.Overhead("cpu", "a", OverheadScheduling, 0, sim.Us)
-	if len(r.StateChanges()) != 2 || len(r.Accesses()) != 1 || len(r.Depths()) != 1 || len(r.Overheads()) != 1 {
+	if count(r.StateChanges()) != 2 || count(r.Accesses()) != 1 || count(r.Depths()) != 1 || count(r.Overheads()) != 1 {
 		t.Fatal("accessor lengths wrong")
 	}
 	sorted := r.SortedTasks()

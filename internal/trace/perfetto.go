@@ -58,10 +58,10 @@ type PerfettoOptions struct {
 type eventKind uint8
 
 const (
-	eventTask      eventKind = iota // Running slice opened by r.changes[rec]
-	eventOverhead                   // overhead slice r.overheads[rec]
-	eventFault                      // instant for r.faults[rec]
-	eventMigration                  // instant for r.migrations[rec]
+	eventTask      eventKind = iota // Running slice opened by r.changes.at(rec)
+	eventOverhead                   // overhead slice r.overheads.at(rec)
+	eventFault                      // instant for r.faults.at(rec)
+	eventMigration                  // instant for r.migrations.at(rec)
 	eventMiss                       // instant for opts.Misses[rec]
 )
 
@@ -81,51 +81,77 @@ type perfettoThread struct {
 	name     string
 }
 
+// perfettoEventBytes is a generous mean size of one written event: the
+// corpus files average 124 to 136 bytes per event.
+const perfettoEventBytes = 144
+
 // usec converts a simulated instant or duration to trace_event microseconds.
 func usec(t sim.Time) float64 { return float64(t) / 1e6 }
 
-// perfettoBuilder assigns stable pids/tids and accumulates events.
+// perfettoBuilder assigns stable pids/tids and accumulates events. Pids
+// and hardware tids are kept by name handle, so the per-event lookups
+// index slices.
 type perfettoBuilder struct {
-	pids     map[string]int // CPU name -> pid ("" = hardware process)
-	pidOrder []string
-	tids     map[[2]int]bool // (pid, tid) named
-	threads  []perfettoThread
-	hwTid    map[string]int // hardware task -> tid
-	events   []perfettoEvent
+	r       *Recorder
+	ids     []perfettoIDs     // by Name
+	procs   []perfettoProcess // by pid-1
+	threads []perfettoThread
+	hwTids  int32
+	events  []perfettoEvent
 }
 
-func newPerfettoBuilder() *perfettoBuilder {
-	return &perfettoBuilder{
-		pids:  map[string]int{},
-		tids:  map[[2]int]bool{},
-		hwTid: map[string]int{},
-	}
+// perfettoIDs are the ids assigned to one name: the pid of the processor
+// and the tid of the hardware task of that name, 0 until first use.
+type perfettoIDs struct{ pid, hwTid int32 }
+
+// perfettoProcess is one process: its name ("" is the hardware process)
+// and which of its threads are named, by tid.
+type perfettoProcess struct {
+	name  string
+	named []bool
 }
 
-// pid returns the process id for a CPU name, registering it on first use.
-func (b *perfettoBuilder) pid(cpu string) int {
-	if p, ok := b.pids[cpu]; ok {
-		return p
+func newPerfettoBuilder(r *Recorder) *perfettoBuilder {
+	b := &perfettoBuilder{r: r, procs: make([]perfettoProcess, 0, 8)}
+	if r != nil {
+		b.ids = make([]perfettoIDs, len(r.names))
 	}
-	p := len(b.pidOrder) + 1
-	b.pids[cpu] = p
-	b.pidOrder = append(b.pidOrder, cpu)
+	return b
+}
+
+// pid returns the process id of the processor named cpu ("" = hardware),
+// registering it on first use.
+func (b *perfettoBuilder) pid(cpu Name) int {
+	if p := b.ids[cpu].pid; p != 0 {
+		return int(p)
+	}
+	p := b.process(b.r.name(cpu))
+	b.ids[cpu].pid = int32(p)
 	return p
+}
+
+// process registers a new process and returns its id.
+func (b *perfettoBuilder) process(name string) int {
+	b.procs = append(b.procs, perfettoProcess{name: name})
+	return len(b.procs)
 }
 
 // named reports whether (pid, tid) is already named, marking it named on
 // first use; the caller then adds the name.
 func (b *perfettoBuilder) named(pid, tid int) bool {
-	k := [2]int{pid, tid}
-	if b.tids[k] {
+	p := &b.procs[pid-1]
+	if tid < len(p.named) && p.named[tid] {
 		return true
 	}
-	b.tids[k] = true
+	for len(p.named) <= tid {
+		p.named = append(p.named, false)
+	}
+	p.named[tid] = true
 	return false
 }
 
 // coreThread returns the tid for a core of a software processor.
-func (b *perfettoBuilder) coreThread(cpu string, core int) (pid, tid int) {
+func (b *perfettoBuilder) coreThread(cpu Name, core int) (pid, tid int) {
 	pid, tid = b.pid(cpu), core+1
 	if !b.named(pid, tid) {
 		b.threads = append(b.threads, perfettoThread{pid, tid, "core" + strconv.Itoa(core)})
@@ -135,17 +161,18 @@ func (b *perfettoBuilder) coreThread(cpu string, core int) (pid, tid int) {
 
 // hwThread returns the tid for a hardware task (one thread per task in the
 // shared hardware process).
-func (b *perfettoBuilder) hwThread(task string) (pid, tid int) {
-	pid = b.pid("")
-	t, ok := b.hwTid[task]
-	if !ok {
-		t = len(b.hwTid) + 1
-		b.hwTid[task] = t
+func (b *perfettoBuilder) hwThread(task Name) (pid, tid int) {
+	pid = b.pid(0)
+	t := b.ids[task].hwTid
+	if t == 0 {
+		b.hwTids++
+		t = b.hwTids
+		b.ids[task].hwTid = t
 	}
-	if !b.named(pid, t) {
-		b.threads = append(b.threads, perfettoThread{pid, t, task})
+	if !b.named(pid, int(t)) {
+		b.threads = append(b.threads, perfettoThread{pid, int(t), b.r.name(task)})
 	}
-	return pid, t
+	return pid, int(t)
 }
 
 // add appends one event of the given kind.
@@ -158,7 +185,7 @@ func (b *perfettoBuilder) add(kind eventKind, rec, pid, tid int, at, dur sim.Tim
 // WritePerfetto writes the trace in the Chrome trace_event JSON format. A nil
 // recorder writes a valid empty trace.
 func (r *Recorder) WritePerfetto(w io.Writer, opts PerfettoOptions) error {
-	b := newPerfettoBuilder()
+	b := newPerfettoBuilder(r)
 	var end sim.Time
 	var places []lastPlace // by task position
 	if r != nil {
@@ -167,7 +194,7 @@ func (r *Recorder) WritePerfetto(w io.Writer, opts PerfettoOptions) error {
 		// Every transition closes at most one Running slice, so this bounds
 		// the event count.
 		b.events = make([]perfettoEvent, 0,
-			len(r.changes)+len(r.overheads)+len(r.faults)+len(r.migrations)+len(opts.Misses))
+			r.changes.len()+r.overheads.len()+r.faults.len()+r.migrations.len()+len(opts.Misses))
 
 		// Pass 1 — Running slices, scanning state changes chronologically and
 		// closing each task's open Running interval at the next transition (or
@@ -180,17 +207,16 @@ func (r *Recorder) WritePerfetto(w io.Writer, opts PerfettoOptions) error {
 		}
 		var openOrder []int32
 		opened := make([]bool, len(r.tasks))
-		for i := range r.changes {
-			c := &r.changes[i]
-			ti := c.task
-			places[ti] = lastPlace{cpu: c.CPU, core: c.Core, seen: true}
+		for i, c := range r.changes.all {
+			ti := r.names[c.task].task
+			places[ti] = lastPlace{cpu: c.cpu, core: int(c.core), seen: true}
 			if prev := open[ti]; prev >= 0 {
-				if c.At > r.changes[prev].At {
-					b.runningSlice(r, prev, c.At)
+				if c.at > r.changes.at(prev).at {
+					b.runningSlice(prev, c.at)
 				}
 				open[ti] = -1
 			}
-			if c.State == StateRunning {
+			if c.state == StateRunning {
 				if !opened[ti] {
 					opened[ti] = true
 					openOrder = append(openOrder, ti)
@@ -199,34 +225,31 @@ func (r *Recorder) WritePerfetto(w io.Writer, opts PerfettoOptions) error {
 			}
 		}
 		for _, ti := range openOrder {
-			if prev := open[ti]; prev >= 0 && end > r.changes[prev].At {
-				b.runningSlice(r, prev, end)
+			if prev := open[ti]; prev >= 0 && end > r.changes.at(prev).at {
+				b.runningSlice(prev, end)
 			}
 		}
 
 		// Pass 2 — RTOS overhead slices.
-		for i := range r.overheads {
-			o := &r.overheads[i]
-			pid, tid := b.coreThread(o.CPU, o.Core)
-			b.add(eventOverhead, i, pid, tid, o.Start, o.End-o.Start)
+		for i, o := range r.overheads.all {
+			pid, tid := b.coreThread(o.cpu, int(o.core))
+			b.add(eventOverhead, i, pid, tid, o.start, o.end-o.start)
 		}
 
 		// Pass 3 — fault and migration instants.
-		for i := range r.faults {
-			f := &r.faults[i]
-			pid, tid := b.placeOf(r, places, f.Task)
-			b.add(eventFault, i, pid, tid, f.At, 0)
+		for i, f := range r.faults.all {
+			pid, tid := b.placeOf(places, r.name(f.task))
+			b.add(eventFault, i, pid, tid, f.at, 0)
 		}
-		for i := range r.migrations {
-			m := &r.migrations[i]
-			pid, tid := b.coreThread(m.CPU, m.To)
-			b.add(eventMigration, i, pid, tid, m.At, 0)
+		for i, m := range r.migrations.all {
+			pid, tid := b.coreThread(m.cpu, int(m.to))
+			b.add(eventMigration, i, pid, tid, m.at, 0)
 		}
 	}
 
 	// Pass 4 — deadline-miss instants from the options.
 	for i, m := range opts.Misses {
-		pid, tid := b.placeOf(r, places, m.Task)
+		pid, tid := b.placeOf(places, m.Task)
 		b.add(eventMiss, i, pid, tid, m.At, 0)
 	}
 
@@ -252,17 +275,28 @@ func (r *Recorder) WritePerfetto(w io.Writer, opts PerfettoOptions) error {
 		return int(x.i - y.i)
 	})
 
+	// A growable destination (bytes.Buffer, strings.Builder) reserves
+	// about the file's size once, instead of doubling its way there under
+	// the buffered writes, which allocated about four times the file. A
+	// file that fits the write buffer reaches it in one exact write.
+	const bufSize = 64 << 10
+	if g, ok := w.(interface{ Grow(int) }); ok {
+		if est := perfettoEventBytes*(len(b.events)+len(b.threads)+len(b.procs)) + 64; est > bufSize {
+			g.Grow(est)
+		}
+	}
+
 	// bufio.Writer errors are sticky: the first write error surfaces from
 	// Flush, so the writes below need no checks of their own.
-	p := perfettoWriter{bw: bufio.NewWriterSize(w, 64<<10)}
+	p := perfettoWriter{bw: bufio.NewWriterSize(w, bufSize)}
 	_, _ = p.bw.WriteString("{\n \"displayTimeUnit\": \"ns\",\n \"traceEvents\": [")
 	// Metadata events (process and thread names) go first.
-	for _, cpu := range b.pidOrder {
-		name := cpu
+	for i, proc := range b.procs {
+		name := proc.name
 		if name == "" {
 			name = "hardware"
 		}
-		p.open("", "M", 0, 0, b.pids[cpu], 0, "process_name")
+		p.open("", "M", 0, 0, i+1, 0, "process_name")
 		p.argString("name", name)
 		p.close()
 	}
@@ -283,42 +317,48 @@ func (r *Recorder) WritePerfetto(w io.Writer, opts PerfettoOptions) error {
 
 // lastPlace remembers where a task was last seen scheduling-wise.
 type lastPlace struct {
-	cpu  string
+	cpu  Name
 	core int
 	seen bool
 }
 
-// runningSlice emits the Running interval opened by r.changes[open].
-func (b *perfettoBuilder) runningSlice(r *Recorder, open int, until sim.Time) {
-	c := &r.changes[open]
+// runningSlice emits the Running interval opened by state change open.
+func (b *perfettoBuilder) runningSlice(open int, until sim.Time) {
+	c := b.r.changes.at(open)
 	var pid, tid int
-	if c.CPU == "" {
-		pid, tid = b.hwThread(c.Task)
+	if c.cpu == 0 {
+		pid, tid = b.hwThread(c.task)
 	} else {
-		pid, tid = b.coreThread(c.CPU, c.Core)
+		pid, tid = b.coreThread(c.cpu, int(c.core))
 	}
-	b.add(eventTask, open, pid, tid, c.At, until-c.At)
+	b.add(eventTask, open, pid, tid, c.at, until-c.at)
 }
 
 // placeOf resolves the process/thread an instant for a task is shown on: the
 // task's last known core, or the first process when the task is unknown.
-func (b *perfettoBuilder) placeOf(r *Recorder, places []lastPlace, task string) (pid, tid int) {
+func (b *perfettoBuilder) placeOf(places []lastPlace, task string) (pid, tid int) {
 	var p lastPlace
-	if r != nil {
-		if ti, ok := r.taskIndex[task]; ok {
-			p = places[ti]
+	var h Name
+	if b.r != nil {
+		if ti, ok := b.r.taskPos(task); ok {
+			h, p = b.r.nameIndex[task], places[ti]
 		}
 	}
 	if p.seen {
-		if p.cpu == "" {
-			return b.hwThread(task)
+		if p.cpu == 0 {
+			return b.hwThread(h)
 		}
 		return b.coreThread(p.cpu, p.core)
 	}
-	if len(b.pidOrder) > 0 {
-		return b.pids[b.pidOrder[0]], 1
+	if len(b.procs) > 0 {
+		return 1, 1
 	}
-	return b.pid("unknown"), 1
+	if b.r != nil {
+		if h, ok := b.r.nameIndex["unknown"]; ok {
+			return b.pid(h), 1
+		}
+	}
+	return b.process("unknown"), 1
 }
 
 // perfettoWriter formats trace events one at a time into buf and hands each
@@ -337,21 +377,21 @@ func (p *perfettoWriter) event(r *Recorder, opts PerfettoOptions, e *perfettoEve
 	pid, tid := int(e.pid), int(e.tid)
 	switch e.kind {
 	case eventTask:
-		p.open("task", "X", e.at, e.dur, pid, tid, r.changes[e.rec].Task)
+		p.open("task", "X", e.at, e.dur, pid, tid, r.name(r.changes.at(int(e.rec)).task))
 	case eventOverhead:
-		o := &r.overheads[e.rec]
-		if o.Task == "" {
-			p.open("overhead", "X", e.at, e.dur, pid, tid, o.Kind.String())
+		o := r.overheads.at(int(e.rec))
+		if o.task == 0 {
+			p.open("overhead", "X", e.at, e.dur, pid, tid, o.kind.String())
 		} else {
-			p.open("overhead", "X", e.at, e.dur, pid, tid, o.Kind.String(), " ", o.Task)
+			p.open("overhead", "X", e.at, e.dur, pid, tid, o.kind.String(), " ", r.name(o.task))
 		}
 	case eventFault:
-		f := &r.faults[e.rec]
+		f := r.faultRecord(r.faults.at(int(e.rec)))
 		p.open("fault", "i", e.at, 0, pid, tid, f.Kind.String(), " ", f.Label)
 		p.argString("detail", f.Detail)
 		p.argString("task", f.Task)
 	case eventMigration:
-		m := &r.migrations[e.rec]
+		m := r.migration(r.migrations.at(int(e.rec)))
 		p.open("migration", "i", e.at, 0, pid, tid, "migrate ", m.Task)
 		p.argInt("from", m.From)
 		p.argString("task", m.Task)

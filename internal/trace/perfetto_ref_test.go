@@ -127,8 +127,7 @@ func writePerfettoReference(r *Recorder, w io.Writer, opts PerfettoOptions) erro
 		open := map[string]*StateChange{}
 		var openOrder []string
 		opened := map[string]bool{}
-		for i := range r.changes {
-			c := &r.changes[i]
+		for c := range r.StateChanges() {
 			taskCPU[c.Task] = refPlace{cpu: c.CPU, core: c.Core}
 			if prev := open[c.Task]; prev != nil {
 				if c.At > prev.At {
@@ -141,7 +140,7 @@ func writePerfettoReference(r *Recorder, w io.Writer, opts PerfettoOptions) erro
 					opened[c.Task] = true
 					openOrder = append(openOrder, c.Task)
 				}
-				open[c.Task] = c
+				open[c.Task] = &c
 			}
 		}
 		for _, task := range openOrder {
@@ -151,8 +150,7 @@ func writePerfettoReference(r *Recorder, w io.Writer, opts PerfettoOptions) erro
 		}
 
 		// Pass 2 — RTOS overhead slices.
-		for i := range r.overheads {
-			o := &r.overheads[i]
+		for o := range r.Overheads() {
 			pid, tid := b.coreThread(o.CPU, o.Core)
 			name := o.Kind.String()
 			if o.Task != "" {
@@ -162,14 +160,12 @@ func writePerfettoReference(r *Recorder, w io.Writer, opts PerfettoOptions) erro
 		}
 
 		// Pass 3 — fault and migration instants.
-		for i := range r.faults {
-			f := &r.faults[i]
+		for f := range r.FaultEvents() {
 			pid, tid := b.placeOf(taskCPU, f.Task)
 			b.instant(f.Kind.String()+" "+f.Label, "fault", pid, tid, f.At,
 				map[string]any{"task": f.Task, "detail": f.Detail})
 		}
-		for i := range r.migrations {
-			m := &r.migrations[i]
+		for m := range r.Migrations() {
 			pid, tid := b.coreThread(m.CPU, m.To)
 			b.instant("migrate "+m.Task, "migration", pid, tid, m.At,
 				map[string]any{"task": m.Task, "from": m.From, "to": m.To})

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"iter"
 	"sort"
 
 	"repro/internal/sim"
@@ -13,7 +14,6 @@ type StateChange struct {
 	CPU   string // empty for hardware tasks
 	Core  int    // core of the task's most recent dispatch; 0 on single-core CPUs
 	State TaskState
-	task  int32 // position of Task in the recorder's Tasks()
 }
 
 // Migration is one task dispatch onto a different core than the previous
@@ -42,7 +42,6 @@ type Access struct {
 	Actor  string
 	Object string
 	Kind   AccessKind
-	object int32 // position of Object in the recorder's Objects()
 }
 
 // DepthSample is a change of a relation's occupancy (queue depth, lock
@@ -52,7 +51,6 @@ type DepthSample struct {
 	Object   string
 	Depth    int
 	Capacity int
-	object   int32 // position of Object in the recorder's Objects()
 }
 
 // FaultRecord is one fault-subsystem event: a fault injection, a recovery
@@ -71,6 +69,56 @@ type FaultRecord struct {
 	Detail string
 }
 
+// Name is a handle to a string in a Recorder's name table, issued by
+// Recorder.Intern and valid only on that recorder. The zero Name is the
+// empty string.
+type Name int32
+
+// The stored forms of the exported record types: the same fields with
+// every string replaced by its Name handle, so no record holds a pointer.
+// Cores, queue depths and capacities are held as int32.
+type (
+	stateRec struct {
+		at        sim.Time
+		task, cpu Name
+		core      int32
+		state     TaskState
+	}
+	overheadRec struct {
+		start, end sim.Time
+		cpu, task  Name
+		core       int32
+		kind       OverheadKind
+	}
+	accessRec struct {
+		at            sim.Time
+		actor, object Name
+		kind          AccessKind
+	}
+	depthRec struct {
+		at              sim.Time
+		object          Name
+		depth, capacity int32
+	}
+	faultRec struct {
+		at                  sim.Time
+		task, label, detail Name
+		kind                FaultEventKind
+	}
+	migrationRec struct {
+		at        sim.Time
+		task, cpu Name
+		from, to  int32
+	}
+)
+
+// nameEntry is one interned string with its positions in the task and
+// object first-appearance orders (-1 until it first appears as one).
+type nameEntry struct {
+	s         string
+	task, obj int32
+}
+
 // Recorder accumulates the execution trace of a simulated system. All
 // methods are safe to call on a nil Recorder (they do nothing), so model
 // code can trace unconditionally and tracing is zero-cost when disabled.
@@ -81,20 +129,20 @@ type FaultRecord struct {
 type Recorder struct {
 	now func() sim.Time
 
-	changes    []StateChange
-	overheads  []OverheadSegment
-	accesses   []Access
-	depths     []DepthSample
-	faults     []FaultRecord
-	migrations []Migration
+	changes    stream[stateRec]
+	overheads  stream[overheadRec]
+	accesses   stream[accessRec]
+	depths     stream[depthRec]
+	faults     stream[faultRec]
+	migrations stream[migrationRec]
 
-	// tasks and objects hold the names in first-appearance order; the
-	// index maps give each name's position there, so renderers can keep
-	// per-task and per-object state in slices.
+	// names is the interned name table, indexed by Name; nameIndex maps a
+	// string to its handle. tasks and objects hold the task and object
+	// names in first-appearance order.
+	names     []nameEntry
+	nameIndex map[string]Name
 	tasks     []string
-	taskIndex map[string]int
 	objects   []string
-	objIndex  map[string]int
 }
 
 // NewRecorder creates a recorder reading timestamps from now (typically
@@ -102,8 +150,8 @@ type Recorder struct {
 func NewRecorder(now func() sim.Time) *Recorder {
 	return &Recorder{
 		now:       now,
-		taskIndex: make(map[string]int),
-		objIndex:  make(map[string]int),
+		names:     []nameEntry{{task: -1, obj: -1}},
+		nameIndex: map[string]Name{"": 0},
 	}
 }
 
@@ -115,6 +163,41 @@ func (r *Recorder) Now() sim.Time {
 	return r.now()
 }
 
+// Intern returns the handle of s in the recorder's name table, adding s on
+// first sight. Hot producers intern their names once and record through
+// the handle-taking methods; a nil Recorder returns the zero Name.
+func (r *Recorder) Intern(s string) Name {
+	if r == nil {
+		return 0
+	}
+	h, ok := r.nameIndex[s]
+	if !ok {
+		h = Name(len(r.names))
+		r.names = append(r.names, nameEntry{s: s, task: -1, obj: -1})
+		r.nameIndex[s] = h
+	}
+	return h
+}
+
+// name returns the string behind h.
+func (r *Recorder) name(h Name) string { return r.names[h].s }
+
+// noteTask places task in the first-appearance order on first sight.
+func (r *Recorder) noteTask(task Name) {
+	if e := &r.names[task]; e.task < 0 {
+		e.task = int32(len(r.tasks))
+		r.tasks = append(r.tasks, e.s)
+	}
+}
+
+// noteObject places obj in the first-appearance order on first sight.
+func (r *Recorder) noteObject(obj Name) {
+	if e := &r.names[obj]; e.obj < 0 {
+		e.obj = int32(len(r.objects))
+		r.objects = append(r.objects, e.s)
+	}
+}
+
 // TaskState records that task (on cpu, empty for hardware) entered state,
 // on core 0. Multi-core callers use TaskStateOn.
 func (r *Recorder) TaskState(task, cpu string, state TaskState) {
@@ -123,11 +206,16 @@ func (r *Recorder) TaskState(task, cpu string, state TaskState) {
 
 // TaskStateOn records that task entered state on the given core of cpu.
 func (r *Recorder) TaskStateOn(task, cpu string, core int, state TaskState) {
+	r.RecordState(r.Intern(task), r.Intern(cpu), core, state)
+}
+
+// RecordState is TaskStateOn for interned task and cpu names.
+func (r *Recorder) RecordState(task, cpu Name, core int, state TaskState) {
 	if r == nil {
 		return
 	}
-	ti := r.noteTask(task)
-	r.changes = append(r.changes, StateChange{At: r.now(), Task: task, CPU: cpu, Core: core, State: state, task: int32(ti)})
+	r.noteTask(task)
+	r.changes.push(stateRec{at: r.now(), task: task, cpu: cpu, core: int32(core), state: state})
 }
 
 // Migrate records that task's dispatch moved it from one core of cpu to
@@ -136,17 +224,9 @@ func (r *Recorder) Migrate(task, cpu string, from, to int) {
 	if r == nil {
 		return
 	}
-	r.migrations = append(r.migrations, Migration{
-		At: r.now(), Task: task, CPU: cpu, From: from, To: to,
+	r.migrations.push(migrationRec{
+		at: r.now(), task: r.Intern(task), cpu: r.Intern(cpu), from: int32(from), to: int32(to),
 	})
-}
-
-// Migrations returns all recorded core migrations in chronological order.
-func (r *Recorder) Migrations() []Migration {
-	if r == nil {
-		return nil
-	}
-	return r.migrations
 }
 
 // Overhead records a completed RTOS overhead interval on core 0. Multi-core
@@ -157,12 +237,15 @@ func (r *Recorder) Overhead(cpu, task string, kind OverheadKind, start, end sim.
 
 // OverheadOn records a completed RTOS overhead interval on the given core.
 func (r *Recorder) OverheadOn(cpu, task string, core int, kind OverheadKind, start, end sim.Time) {
+	r.RecordOverhead(r.Intern(cpu), r.Intern(task), core, kind, start, end)
+}
+
+// RecordOverhead is OverheadOn for interned cpu and task names.
+func (r *Recorder) RecordOverhead(cpu, task Name, core int, kind OverheadKind, start, end sim.Time) {
 	if r == nil {
 		return
 	}
-	r.overheads = append(r.overheads, OverheadSegment{
-		CPU: cpu, Task: task, Core: core, Kind: kind, Start: start, End: end,
-	})
+	r.overheads.push(overheadRec{start: start, end: end, cpu: cpu, task: task, core: int32(core), kind: kind})
 }
 
 // Access records an interaction between actor and a communication object.
@@ -170,8 +253,9 @@ func (r *Recorder) Access(actor, object string, kind AccessKind) {
 	if r == nil {
 		return
 	}
-	oi := r.noteObject(object)
-	r.accesses = append(r.accesses, Access{At: r.now(), Actor: actor, Object: object, Kind: kind, object: int32(oi)})
+	obj := r.Intern(object)
+	r.noteObject(obj)
+	r.accesses.push(accessRec{at: r.now(), actor: r.Intern(actor), object: obj, kind: kind})
 }
 
 // Fault records a fault-subsystem event (fault injection, recovery action,
@@ -180,18 +264,9 @@ func (r *Recorder) Fault(kind FaultEventKind, task, label, detail string) {
 	if r == nil {
 		return
 	}
-	r.faults = append(r.faults, FaultRecord{
-		At: r.now(), Kind: kind, Task: task, Label: label, Detail: detail,
+	r.faults.push(faultRec{
+		at: r.now(), task: r.Intern(task), label: r.Intern(label), detail: r.Intern(detail), kind: kind,
 	})
-}
-
-// FaultEvents returns all recorded fault-subsystem events in chronological
-// order.
-func (r *Recorder) FaultEvents() []FaultRecord {
-	if r == nil {
-		return nil
-	}
-	return r.faults
 }
 
 // Depth records a change of object's occupancy.
@@ -199,32 +274,9 @@ func (r *Recorder) Depth(object string, depth, capacity int) {
 	if r == nil {
 		return
 	}
-	oi := r.noteObject(object)
-	r.depths = append(r.depths, DepthSample{At: r.now(), Object: object, Depth: depth, Capacity: capacity, object: int32(oi)})
-}
-
-// noteTask registers task on first sight and returns its position in
-// r.tasks.
-func (r *Recorder) noteTask(task string) int {
-	ti, ok := r.taskIndex[task]
-	if !ok {
-		ti = len(r.tasks)
-		r.taskIndex[task] = ti
-		r.tasks = append(r.tasks, task)
-	}
-	return ti
-}
-
-// noteObject registers obj on first sight and returns its position in
-// r.objects.
-func (r *Recorder) noteObject(obj string) int {
-	oi, ok := r.objIndex[obj]
-	if !ok {
-		oi = len(r.objects)
-		r.objIndex[obj] = oi
-		r.objects = append(r.objects, obj)
-	}
-	return oi
+	obj := r.Intern(object)
+	r.noteObject(obj)
+	r.depths.push(depthRec{at: r.now(), object: obj, depth: int32(depth), capacity: int32(capacity)})
 }
 
 // Tasks returns the names of all traced tasks in first-appearance order.
@@ -244,36 +296,100 @@ func (r *Recorder) Objects() []string {
 	return r.objects
 }
 
-// StateChanges returns all recorded state changes in chronological order.
-func (r *Recorder) StateChanges() []StateChange {
-	if r == nil {
-		return nil
-	}
-	return r.changes
+// faultRecord and migration convert a stored record to its exported form,
+// resolving its names.
+func (r *Recorder) faultRecord(f *faultRec) FaultRecord {
+	return FaultRecord{At: f.at, Kind: f.kind, Task: r.name(f.task), Label: r.name(f.label), Detail: r.name(f.detail)}
 }
 
-// Overheads returns all recorded overhead segments.
-func (r *Recorder) Overheads() []OverheadSegment {
-	if r == nil {
-		return nil
-	}
-	return r.overheads
+func (r *Recorder) migration(m *migrationRec) Migration {
+	return Migration{At: m.at, Task: r.name(m.task), CPU: r.name(m.cpu), From: int(m.from), To: int(m.to)}
 }
 
-// Accesses returns all recorded communication accesses.
-func (r *Recorder) Accesses() []Access {
-	if r == nil {
-		return nil
+// StateChanges yields all recorded state changes in chronological order.
+func (r *Recorder) StateChanges() iter.Seq[StateChange] {
+	return func(yield func(StateChange) bool) {
+		if r == nil {
+			return
+		}
+		for _, c := range r.changes.all {
+			if !yield(StateChange{At: c.at, Task: r.name(c.task), CPU: r.name(c.cpu), Core: int(c.core), State: c.state}) {
+				return
+			}
+		}
 	}
-	return r.accesses
 }
 
-// Depths returns all recorded occupancy samples.
-func (r *Recorder) Depths() []DepthSample {
-	if r == nil {
-		return nil
+// Overheads yields all recorded overhead segments.
+func (r *Recorder) Overheads() iter.Seq[OverheadSegment] {
+	return func(yield func(OverheadSegment) bool) {
+		if r == nil {
+			return
+		}
+		for _, o := range r.overheads.all {
+			if !yield(OverheadSegment{CPU: r.name(o.cpu), Task: r.name(o.task), Core: int(o.core), Kind: o.kind, Start: o.start, End: o.end}) {
+				return
+			}
+		}
 	}
-	return r.depths
+}
+
+// Accesses yields all recorded communication accesses in chronological
+// order.
+func (r *Recorder) Accesses() iter.Seq[Access] {
+	return func(yield func(Access) bool) {
+		if r == nil {
+			return
+		}
+		for _, a := range r.accesses.all {
+			if !yield(Access{At: a.at, Actor: r.name(a.actor), Object: r.name(a.object), Kind: a.kind}) {
+				return
+			}
+		}
+	}
+}
+
+// Depths yields all recorded occupancy samples in chronological order.
+func (r *Recorder) Depths() iter.Seq[DepthSample] {
+	return func(yield func(DepthSample) bool) {
+		if r == nil {
+			return
+		}
+		for _, d := range r.depths.all {
+			if !yield(DepthSample{At: d.at, Object: r.name(d.object), Depth: int(d.depth), Capacity: int(d.capacity)}) {
+				return
+			}
+		}
+	}
+}
+
+// FaultEvents yields all recorded fault-subsystem events in chronological
+// order.
+func (r *Recorder) FaultEvents() iter.Seq[FaultRecord] {
+	return func(yield func(FaultRecord) bool) {
+		if r == nil {
+			return
+		}
+		for _, rec := range r.faults.all {
+			if !yield(r.faultRecord(rec)) {
+				return
+			}
+		}
+	}
+}
+
+// Migrations yields all recorded core migrations in chronological order.
+func (r *Recorder) Migrations() iter.Seq[Migration] {
+	return func(yield func(Migration) bool) {
+		if r == nil {
+			return
+		}
+		for _, rec := range r.migrations.all {
+			if !yield(r.migration(rec)) {
+				return
+			}
+		}
+	}
 }
 
 // Segment is a maximal interval during which a task stayed in one state.
@@ -287,6 +403,16 @@ type Segment struct {
 	End   sim.Time
 }
 
+// taskPos returns the position of the named task in Tasks(), or false for a
+// name that never had a state change.
+func (r *Recorder) taskPos(task string) (int32, bool) {
+	h, ok := r.nameIndex[task]
+	if !ok || r.names[h].task < 0 {
+		return 0, false
+	}
+	return r.names[h].task, true
+}
+
 // Segments reconstructs the state intervals of one task from its recorded
 // transitions, closing the final segment at end. Transitions after end are
 // ignored; nil is returned for unknown tasks.
@@ -294,7 +420,7 @@ func (r *Recorder) Segments(task string, end sim.Time) []Segment {
 	if r == nil {
 		return nil
 	}
-	ti, ok := r.taskIndex[task]
+	ti, ok := r.taskPos(task)
 	if !ok {
 		return nil
 	}
@@ -317,9 +443,9 @@ func (r *Recorder) segmentsByTask(end sim.Time) [][]Segment {
 	// never reallocate.
 	size := make([]int, len(r.tasks))
 	total := 0
-	for i := range r.changes {
-		if r.changes[i].At <= end {
-			size[r.changes[i].task]++
+	for _, c := range r.changes.all {
+		if c.at <= end {
+			size[r.names[c.task].task]++
 			total++
 		}
 	}
@@ -328,33 +454,33 @@ func (r *Recorder) segmentsByTask(end sim.Time) [][]Segment {
 	for ti, n := range size {
 		groups[ti], all = all[:0:n], all[n:]
 	}
-	cur := make([]*StateChange, len(r.tasks)) // each task's latest transition
-	for i := range r.changes {
-		c := &r.changes[i]
-		if c.At > end {
+	cur := make([]*stateRec, len(r.tasks)) // each task's latest transition
+	for _, c := range r.changes.all {
+		if c.at > end {
 			continue
 		}
-		if prev := cur[c.task]; prev != nil && c.At > prev.At {
-			groups[c.task] = append(groups[c.task], Segment{Task: c.Task, State: prev.State, Core: prev.Core, Start: prev.At, End: c.At})
+		ti := r.names[c.task].task
+		if prev := cur[ti]; prev != nil && c.at > prev.at {
+			groups[ti] = append(groups[ti], Segment{Task: r.tasks[ti], State: prev.state, Core: int(prev.core), Start: prev.at, End: c.at})
 		}
-		cur[c.task] = c
+		cur[ti] = c
 	}
 	for ti, prev := range cur {
-		if prev != nil && prev.At < end {
-			groups[ti] = append(groups[ti], Segment{Task: prev.Task, State: prev.State, Core: prev.Core, Start: prev.At, End: end})
+		if prev != nil && prev.at < end {
+			groups[ti] = append(groups[ti], Segment{Task: r.tasks[ti], State: prev.state, Core: int(prev.core), Start: prev.at, End: end})
 		}
 	}
 	return groups
 }
 
-// groupByTask buckets items by the task each one names, keeping item order:
-// element i holds the items of r.Tasks()[i]. Items naming no traced task are
-// left out.
-func groupByTask[T any](r *Recorder, items []T, task func(*T) string) [][]*T {
+// groupByTask buckets the records of s by the task each one names, keeping
+// record order: element i holds the records of r.Tasks()[i]. Records naming
+// no traced task are left out.
+func groupByTask[T any](r *Recorder, s *stream[T], task func(*T) Name) [][]*T {
 	groups := make([][]*T, len(r.tasks))
-	for i := range items {
-		if ti, ok := r.taskIndex[task(&items[i])]; ok {
-			groups[ti] = append(groups[ti], &items[i])
+	for _, rec := range s.all {
+		if ti := r.names[task(rec)].task; ti >= 0 {
+			groups[ti] = append(groups[ti], rec)
 		}
 	}
 	return groups
@@ -367,16 +493,18 @@ func (r *Recorder) StateAt(task string, t sim.Time) (TaskState, bool) {
 	if r == nil {
 		return 0, false
 	}
+	h, ok := r.nameIndex[task]
+	if !ok {
+		return 0, false
+	}
 	state, found := TaskState(0), false
-	for i := range r.changes {
-		c := &r.changes[i]
-		if c.Task != task {
-			continue
-		}
-		if c.At > t {
+	for _, c := range r.changes.all {
+		if c.at > t {
 			break
 		}
-		state, found = c.State, true
+		if c.task == h {
+			state, found = c.state, true
+		}
 	}
 	return state, found
 }
@@ -388,25 +516,23 @@ func (r *Recorder) End() sim.Time {
 		return 0
 	}
 	var end sim.Time
-	if n := len(r.changes); n > 0 && r.changes[n-1].At > end {
-		end = r.changes[n-1].At
+	if c := r.changes.last(); c != nil {
+		end = max(end, c.at)
 	}
-	for i := range r.overheads {
-		if r.overheads[i].End > end {
-			end = r.overheads[i].End
-		}
+	for _, o := range r.overheads.all {
+		end = max(end, o.end)
 	}
-	if n := len(r.accesses); n > 0 && r.accesses[n-1].At > end {
-		end = r.accesses[n-1].At
+	if a := r.accesses.last(); a != nil {
+		end = max(end, a.at)
 	}
-	if n := len(r.depths); n > 0 && r.depths[n-1].At > end {
-		end = r.depths[n-1].At
+	if d := r.depths.last(); d != nil {
+		end = max(end, d.at)
 	}
-	if n := len(r.faults); n > 0 && r.faults[n-1].At > end {
-		end = r.faults[n-1].At
+	if f := r.faults.last(); f != nil {
+		end = max(end, f.at)
 	}
-	if n := len(r.migrations); n > 0 && r.migrations[n-1].At > end {
-		end = r.migrations[n-1].At
+	if m := r.migrations.last(); m != nil {
+		end = max(end, m.at)
 	}
 	return end
 }

@@ -21,7 +21,8 @@ func Signature(rec *Recorder, end sim.Time) string {
 	segs := rec.segmentsByTask(end)
 	for _, task := range rec.SortedTasks() {
 		fmt.Fprintf(&b, "%s:", task)
-		for _, s := range segs[rec.taskIndex[task]] {
+		ti, _ := rec.taskPos(task)
+		for _, s := range segs[ti] {
 			if s.End == s.Start {
 				continue
 			}
@@ -30,7 +31,7 @@ func Signature(rec *Recorder, end sim.Time) string {
 		b.WriteByte('\n')
 	}
 	var ov []string
-	for _, o := range rec.Overheads() {
+	for o := range rec.Overheads() {
 		if o.End == o.Start || o.Start >= end {
 			continue
 		}
@@ -39,7 +40,7 @@ func Signature(rec *Recorder, end sim.Time) string {
 	sort.Strings(ov)
 	b.WriteString(strings.Join(ov, "\n"))
 	var fs []string
-	for _, f := range rec.FaultEvents() {
+	for f := range rec.FaultEvents() {
 		if f.At >= end {
 			continue
 		}

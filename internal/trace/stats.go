@@ -131,33 +131,33 @@ func (r *Recorder) ComputeStats(end sim.Time) Stats {
 		st.Tasks = append(st.Tasks, TaskStats{Task: r.tasks[i], Window: end})
 	}
 	prev := make([]TaskState, len(r.tasks)) // StateCreated before the first transition
-	coresOf := map[string]int{}
-	for i := range r.changes {
-		c := &r.changes[i]
-		if c.CPU != "" && c.Core+1 > coresOf[c.CPU] {
-			coresOf[c.CPU] = c.Core + 1
+	coresOf := map[Name]int{}
+	for _, c := range r.changes.all {
+		if c.cpu != 0 {
+			coresOf[c.cpu] = max(coresOf[c.cpu], int(c.core)+1)
 		}
-		if c.At > end {
+		if c.at > end {
 			continue
 		}
-		ts := &st.Tasks[c.task]
-		if c.CPU != "" {
-			ts.CPU = c.CPU
+		ti := r.names[c.task].task
+		ts := &st.Tasks[ti]
+		if c.cpu != 0 {
+			ts.CPU = r.name(c.cpu)
 		}
-		if c.State == StateRunning {
+		if c.state == StateRunning {
 			ts.Activations++
 		}
-		if prev[c.task] == StateRunning && c.State == StateReady {
+		if prev[ti] == StateRunning && c.state == StateReady {
 			ts.Preemptions++
 		}
-		prev[c.task] = c.State
+		prev[ti] = c.state
 	}
 
-	cpus := map[string]*ProcessorStats{}
-	processor := func(cpu string) *ProcessorStats {
+	cpus := map[Name]*ProcessorStats{}
+	processor := func(cpu Name) *ProcessorStats {
 		cs := cpus[cpu]
 		if cs == nil {
-			cs = &ProcessorStats{CPU: cpu, Window: end}
+			cs = &ProcessorStats{CPU: r.name(cpu), Window: end}
 			cpus[cpu] = cs
 		}
 		return cs
@@ -188,29 +188,26 @@ func (r *Recorder) ComputeStats(end sim.Time) Stats {
 			ts.Inactive = end
 		}
 		if ts.CPU != "" {
-			processor(ts.CPU).Busy += ts.Running
+			processor(r.nameIndex[ts.CPU]).Busy += ts.Running
 		}
 	}
 
-	for i := range r.overheads {
-		o := &r.overheads[i]
-		if o.Start >= end {
+	for _, o := range r.overheads.all {
+		if o.start >= end {
 			continue
 		}
-		segEnd := min(o.End, end)
-		if o.Task != "" {
-			if ti, ok := r.taskIndex[o.Task]; ok {
-				st.Tasks[ti].Overhead += segEnd - o.Start
-			}
+		segEnd := min(o.end, end)
+		if ti := r.names[o.task].task; o.task != 0 && ti >= 0 {
+			st.Tasks[ti].Overhead += segEnd - o.start
 		}
-		cs := processor(o.CPU)
-		cs.Overhead += segEnd - o.Start
-		if o.Kind == OverheadContextLoad {
+		cs := processor(o.cpu)
+		cs.Overhead += segEnd - o.start
+		if o.kind == OverheadContextLoad {
 			cs.ContextSwitches++
 		}
 	}
-	for _, cs := range cpus {
-		cs.Cores = max(1, coresOf[cs.CPU])
+	for h, cs := range cpus {
+		cs.Cores = max(1, coresOf[h])
 		cs.Idle = cs.capacity() - cs.Busy - cs.Overhead
 		st.Processors = append(st.Processors, *cs)
 	}
@@ -219,7 +216,7 @@ func (r *Recorder) ComputeStats(end sim.Time) Stats {
 	// Per-object: utilization from depth samples, counts from accesses, each
 	// in one pass indexed by the object's position in r.Objects().
 	type depthAccum struct {
-		last     DepthSample
+		last     depthRec
 		weighted float64 // integral of depth/capacity dt
 		seen     bool
 	}
@@ -227,31 +224,29 @@ func (r *Recorder) ComputeStats(end sim.Time) Stats {
 	for i := range r.objects {
 		st.Objects = append(st.Objects, ObjectStats{Object: r.objects[i], Window: end})
 	}
-	for i := range r.depths {
-		d := &r.depths[i]
-		if d.At > end {
+	for _, d := range r.depths.all {
+		if d.at > end {
 			continue
 		}
-		oi := d.object
+		oi := r.names[d.object].obj
 		a := &accum[oi]
 		if a.seen {
-			dt := d.At - a.last.At
-			if a.last.Capacity > 0 {
-				a.weighted += float64(dt) * float64(a.last.Depth) / float64(a.last.Capacity)
+			dt := d.at - a.last.at
+			if a.last.capacity > 0 {
+				a.weighted += float64(dt) * float64(a.last.depth) / float64(a.last.capacity)
 			}
-			if a.last.Depth > 0 {
+			if a.last.depth > 0 {
 				st.Objects[oi].Busy += dt
 			}
 		}
 		a.last, a.seen = *d, true
 	}
-	for i := range r.accesses {
-		acc := &r.accesses[i]
-		if acc.At > end {
+	for _, acc := range r.accesses.all {
+		if acc.at > end {
 			continue
 		}
-		os := &st.Objects[acc.object]
-		switch acc.Kind {
+		os := &st.Objects[r.names[acc.object].obj]
+		switch acc.kind {
 		case AccessSignal:
 			os.Signals++
 		case AccessSend:
@@ -268,12 +263,12 @@ func (r *Recorder) ComputeStats(end sim.Time) Stats {
 	}
 	for oi := range st.Objects {
 		a, os := &accum[oi], &st.Objects[oi]
-		if a.seen && a.last.At < end {
-			dt := end - a.last.At
-			if a.last.Capacity > 0 {
-				a.weighted += float64(dt) * float64(a.last.Depth) / float64(a.last.Capacity)
+		if a.seen && a.last.at < end {
+			dt := end - a.last.at
+			if a.last.capacity > 0 {
+				a.weighted += float64(dt) * float64(a.last.depth) / float64(a.last.capacity)
 			}
-			if a.last.Depth > 0 {
+			if a.last.depth > 0 {
 				os.Busy += dt
 			}
 		}

@@ -58,8 +58,8 @@ func (r *Recorder) WriteSVG(w io.Writer, opts SVGOptions) error {
 	// Core identity only clutters single-core charts; tag Running segments
 	// once any change was recorded off core 0.
 	multiCore := false
-	for i := range r.changes {
-		if r.changes[i].Core != 0 {
+	for _, c := range r.changes.all {
+		if c.core != 0 {
 			multiCore = true
 			break
 		}
@@ -94,10 +94,10 @@ func (r *Recorder) WriteSVG(w io.Writer, opts SVGOptions) error {
 	}
 
 	segs := r.segmentsByTask(end)
-	overheads := groupByTask(r, r.overheads, func(o *OverheadSegment) string { return o.Task })
-	var accesses [][]*Access
+	overheads := groupByTask(r, &r.overheads, func(o *overheadRec) Name { return o.task })
+	var accesses [][]*accessRec
 	if opts.ShowAccesses {
-		accesses = groupByTask(r, r.accesses, func(a *Access) string { return a.Actor })
+		accesses = groupByTask(r, &r.accesses, func(a *accessRec) Name { return a.actor })
 	}
 	for i, task := range tasks {
 		y := topH + i*rowH
@@ -127,21 +127,21 @@ func (r *Recorder) WriteSVG(w io.Writer, opts SVGOptions) error {
 		}
 		// Overhead overlays attributed to the task.
 		for _, o := range overheads[i] {
-			if o.End <= start || o.Start >= end || o.End <= o.Start {
+			if o.end <= start || o.start >= end || o.end <= o.start {
 				continue
 			}
-			x0, x1 := x(max(o.Start, start)), x(min(o.End, end))
+			x0, x1 := x(max(o.start, start)), x(min(o.end, end))
 			pf(`<rect x="%.1f" y="%d" width="%.2f" height="%d" fill="%s"><title>%s %s [%s..%s]</title></rect>`+"\n",
-				x0, y+4, x1-x0, rowH-8, svgStateFill[StateOverhead], o.Kind, xmlEscape(task), o.Start, o.End)
+				x0, y+4, x1-x0, rowH-8, svgStateFill[StateOverhead], o.kind, xmlEscape(task), o.start, o.end)
 		}
 		if opts.ShowAccesses {
 			for _, a := range accesses[i] {
-				if a.At < start || a.At > end {
+				if a.at < start || a.at > end {
 					continue
 				}
-				ax := x(a.At)
+				ax := x(a.at)
 				pf(`<path d="M %.1f %d l -4 -7 l 8 0 z" fill="#1565c0"><title>%s %s %s @%s</title></path>`+"\n",
-					ax, y+rowH-2, xmlEscape(a.Actor), a.Kind, xmlEscape(a.Object), a.At)
+					ax, y+rowH-2, xmlEscape(r.name(a.actor)), a.kind, xmlEscape(r.name(a.object)), a.at)
 			}
 		}
 	}

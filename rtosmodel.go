@@ -215,7 +215,7 @@ const (
 )
 
 // ComputeFaultMetrics derives miss-rate, recovery-latency and degraded-mode
-// metrics from recorded fault events (typically sys.Rec.FaultEvents()).
+// metrics from recorded fault events (typically slices.Collect(sys.Rec.FaultEvents())).
 func ComputeFaultMetrics(events []FaultRecord, horizon Time) FaultMetrics {
 	return analysis.ComputeFaultMetrics(events, horizon)
 }
