@@ -406,9 +406,9 @@ func BenchmarkManyTasks(b *testing.B) {
 
 // BenchmarkManyTaskBodies compares the two task body forms on a dense
 // periodic population at the RTOS level: goroutine bodies pay one kernel
-// process activation (a parker round-trip) per job, continuation bodies are
+// process activation (a coroutine switch) per job, continuation bodies are
 // resumed inline by kernel methods with no process at all. Same workload,
-// same schedule — only the per-activation handoff differs, so continuation
+// same schedule — only the per-activation switch differs, so continuation
 // mode must win on ns/op.
 func BenchmarkManyTaskBodies(b *testing.B) {
 	const tasks = 1024
@@ -479,8 +479,8 @@ func BenchmarkWaitAnyFanout(b *testing.B) {
 // BenchmarkContinuationSwitch is the continuation twin of
 // BenchmarkRTOSContextSwitch: the same two-task event ping-pong with the
 // bodies expressed as yield-op programs resumed inline by the kernel. The
-// delta against the goroutine bench is the parker round-trip the
-// continuation engine removes; it must land well below that 437 ns floor.
+// delta against the goroutine bench is the process switch the continuation
+// engine removes.
 func BenchmarkContinuationSwitch(b *testing.B) {
 	for _, eng := range []rtosmodel.EngineKind{rtosmodel.EngineProcedural, rtosmodel.EngineThreaded} {
 		b.Run(eng.String(), func(b *testing.B) {

@@ -3,6 +3,7 @@ package comm
 import (
 	"fmt"
 
+	"repro/internal/fifo"
 	"repro/internal/trace"
 )
 
@@ -16,7 +17,7 @@ type Queue[T any] struct {
 	name     string
 	capacity int
 
-	buf       []T
+	buf       fifo.Queue[T]
 	producers waitQueue
 	consumers waitQueue
 
@@ -41,7 +42,7 @@ func (q *Queue[T]) Name() string { return q.name }
 func (q *Queue[T]) Cap() int { return q.capacity }
 
 // Len returns the current number of queued messages.
-func (q *Queue[T]) Len() int { return len(q.buf) }
+func (q *Queue[T]) Len() int { return q.buf.Len() }
 
 // Sends returns the total number of completed Put operations.
 func (q *Queue[T]) Sends() uint64 { return q.sends }
@@ -64,12 +65,12 @@ func (q *Queue[T]) Put(a Actor, v T) {
 // exactly as Put's retry loop treats it.
 func (q *Queue[T]) PutAttempt(a Actor, v T) bool {
 	name := a.Name()
-	if len(q.buf) >= q.capacity {
+	if q.buf.Len() >= q.capacity {
 		q.rec.Access(name, q.name, trace.AccessBlocked)
 		q.producers.push(a)
 		return false
 	}
-	q.buf = append(q.buf, v)
+	q.buf.Push(v)
 	q.sends++
 	q.rec.Access(name, q.name, trace.AccessSend)
 	q.recordDepth()
@@ -81,7 +82,7 @@ func (q *Queue[T]) PutAttempt(a Actor, v T) bool {
 
 // TryPut enqueues v without blocking; it reports whether there was room.
 func (q *Queue[T]) TryPut(a Actor, v T) bool {
-	if len(q.buf) >= q.capacity {
+	if q.buf.Len() >= q.capacity {
 		return false
 	}
 	q.Put(a, v)
@@ -104,13 +105,12 @@ func (q *Queue[T]) Get(a Actor) T {
 // consumer (ok false, re-attempt after being resumed).
 func (q *Queue[T]) GetAttempt(a Actor) (v T, ok bool) {
 	name := a.Name()
-	if len(q.buf) == 0 {
+	if q.buf.Len() == 0 {
 		q.rec.Access(name, q.name, trace.AccessBlocked)
 		q.consumers.push(a)
 		return v, false
 	}
-	v = q.buf[0]
-	q.buf = q.buf[1:]
+	v = q.buf.Pop()
 	q.receives++
 	q.rec.Access(name, q.name, trace.AccessReceive)
 	q.recordDepth()
@@ -122,12 +122,12 @@ func (q *Queue[T]) GetAttempt(a Actor) (v T, ok bool) {
 
 // TryGet dequeues without blocking; ok reports whether a message was there.
 func (q *Queue[T]) TryGet(a Actor) (v T, ok bool) {
-	if len(q.buf) == 0 {
+	if q.buf.Len() == 0 {
 		return v, false
 	}
 	return q.Get(a), true
 }
 
 func (q *Queue[T]) recordDepth() {
-	q.rec.Depth(q.name, len(q.buf), q.capacity)
+	q.rec.Depth(q.name, q.buf.Len(), q.capacity)
 }

@@ -1,6 +1,7 @@
-// Package fifo provides the one waiter-queue helper shared by every
-// blocked-task queue in the model (communication relations, aperiodic
-// servers, the threaded RTOS engine's switch-out list).
+// Package fifo provides the one FIFO helper shared by every blocked-task
+// queue in the model (communication relations, aperiodic servers, the
+// threaded RTOS engine's switch-out list), message-queue buffers and the
+// outstanding starts of latency constraints.
 //
 // All pops use a copy-down removal instead of reslicing from the front:
 // `s = s[1:]` permanently strands the buffer capacity in front of the slice

@@ -65,7 +65,7 @@ func (r *Registry) Snapshot() Snapshot {
 			ms.Value = m.gauge.Value()
 			ms.HighWater = m.gauge.HighWater()
 		case KindHistogram:
-			h := m.hist
+			h := &m.hist
 			hs := &HistogramSnapshot{
 				Count: h.Count(), Sum: h.Sum(), Min: h.Min(), Max: h.Max(), Mean: h.Mean(),
 				Overflow: h.counts[len(h.bounds)],

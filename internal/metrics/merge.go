@@ -16,39 +16,33 @@ func (r *Registry) Merge(other *Registry) {
 	for _, m := range other.metrics {
 		switch m.kind {
 		case KindCounter:
-			if m.counter != nil {
-				r.Counter(m.name, m.help, m.labels...).Add(m.counter.v)
-			}
+			r.Counter(m.name, m.help, m.labels...).Add(m.counter.v)
 		case KindGauge:
-			if m.gauge != nil {
-				g := r.Gauge(m.name, m.help, m.labels...)
-				g.v += m.gauge.v
-				if m.gauge.hw > g.hw {
-					g.hw = m.gauge.hw
-				}
-				if g.v > g.hw {
-					g.hw = g.v
-				}
+			g := r.Gauge(m.name, m.help, m.labels...)
+			g.v += m.gauge.v
+			if m.gauge.hw > g.hw {
+				g.hw = m.gauge.hw
+			}
+			if g.v > g.hw {
+				g.hw = g.v
 			}
 		case KindHistogram:
-			if m.hist != nil {
-				h := r.Histogram(m.name, m.help, m.hist.bounds, m.labels...)
-				if len(h.counts) != len(m.hist.counts) {
-					panic(fmt.Sprintf("metrics: merging histogram %q with mismatched buckets", m.name))
+			h := r.Histogram(m.name, m.help, m.hist.bounds, m.labels...)
+			if len(h.counts) != len(m.hist.counts) {
+				panic(fmt.Sprintf("metrics: merging histogram %q with mismatched buckets", m.name))
+			}
+			if m.hist.count > 0 {
+				if h.count == 0 || m.hist.min < h.min {
+					h.min = m.hist.min
 				}
-				if m.hist.count > 0 {
-					if h.count == 0 || m.hist.min < h.min {
-						h.min = m.hist.min
-					}
-					if h.count == 0 || m.hist.max > h.max {
-						h.max = m.hist.max
-					}
-					h.count += m.hist.count
-					h.sum += m.hist.sum
+				if h.count == 0 || m.hist.max > h.max {
+					h.max = m.hist.max
 				}
-				for i, c := range m.hist.counts {
-					h.counts[i] += c
-				}
+				h.count += m.hist.count
+				h.sum += m.hist.sum
+			}
+			for i, c := range m.hist.counts {
+				h.counts[i] += c
 			}
 		}
 	}

@@ -239,16 +239,17 @@ func (k Kind) String() string {
 	return "invalid"
 }
 
-// metric is one registered instrument.
+// metric is one registered instrument, held by value: the instrument of the
+// metric's kind is the one in use.
 type metric struct {
 	name   string
 	help   string
 	labels []Label
 	kind   Kind
 
-	counter *Counter
-	gauge   *Gauge
-	hist    *Histogram
+	counter Counter
+	gauge   Gauge
+	hist    Histogram
 }
 
 // Registry holds named instruments. It is not safe for concurrent use: each
@@ -259,11 +260,22 @@ type metric struct {
 type Registry struct {
 	metrics []*metric
 	index   map[string]*metric
+	// labels backs every metric's label copy, so registering a labeled
+	// metric does not cost an allocation of its own.
+	labels []Label
 }
+
+// registrySizeHint presizes a registry for the kernel's instruments plus one
+// processor's, so a small model registers them without regrowing.
+const registrySizeHint = 32
 
 // NewRegistry creates an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{index: map[string]*metric{}}
+	return &Registry{
+		metrics: make([]*metric, 0, registrySizeHint),
+		index:   make(map[string]*metric, registrySizeHint),
+		labels:  make([]Label, 0, registrySizeHint),
+	}
 }
 
 // key builds the identity of a (name, labels) pair.
@@ -271,7 +283,12 @@ func key(name string, labels []Label) string {
 	if len(labels) == 0 {
 		return name
 	}
+	n := len(name)
+	for _, l := range labels {
+		n += 2 + len(l.Name) + len(l.Value)
+	}
 	var b strings.Builder
+	b.Grow(n)
 	b.WriteString(name)
 	for _, l := range labels {
 		b.WriteByte('\x00')
@@ -294,7 +311,9 @@ func (r *Registry) lookup(name, help string, kind Kind, labels []Label) *metric 
 		}
 		return m
 	}
-	m := &metric{name: name, help: help, labels: append([]Label(nil), labels...), kind: kind}
+	r.labels = append(r.labels, labels...)
+	n := len(r.labels)
+	m := &metric{name: name, help: help, labels: r.labels[n-len(labels) : n : n], kind: kind}
 	r.metrics = append(r.metrics, m)
 	r.index[k] = m
 	return m
@@ -307,10 +326,7 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	if m == nil {
 		return nil
 	}
-	if m.counter == nil {
-		m.counter = &Counter{}
-	}
-	return m.counter
+	return &m.counter
 }
 
 // Gauge finds or registers the gauge with the given name and labels. A nil
@@ -320,10 +336,7 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 	if m == nil {
 		return nil
 	}
-	if m.gauge == nil {
-		m.gauge = &Gauge{}
-	}
-	return m.gauge
+	return &m.gauge
 }
 
 // Histogram finds or registers the histogram with the given name, bucket
@@ -334,18 +347,16 @@ func (r *Registry) Histogram(name, help string, bounds []int64, labels ...Label)
 	if m == nil {
 		return nil
 	}
-	if m.hist == nil {
+	if m.hist.counts == nil {
 		for i := 1; i < len(bounds); i++ {
 			if bounds[i] <= bounds[i-1] {
 				panic(fmt.Sprintf("metrics: histogram %q bucket bounds not ascending", name))
 			}
 		}
-		m.hist = &Histogram{
-			bounds: append([]int64(nil), bounds...),
-			counts: make([]uint64, len(bounds)+1),
-		}
+		m.hist.bounds = append([]int64(nil), bounds...)
+		m.hist.counts = make([]uint64, len(bounds)+1)
 	}
-	return m.hist
+	return &m.hist
 }
 
 // Len returns the number of registered metrics.
@@ -362,7 +373,7 @@ func (r *Registry) Len() int {
 // real-time task sets.
 func TimeBuckets() []int64 {
 	const us = int64(1_000_000) // 1 µs in ps
-	var bounds []int64
+	bounds := make([]int64, 0, 6*3+1)
 	for _, decade := range []int64{1, 10, 100, 1_000, 10_000, 100_000} {
 		for _, step := range []int64{1, 2, 5} {
 			bounds = append(bounds, step*decade*us)

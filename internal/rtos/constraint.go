@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/fifo"
 	"repro/internal/sim"
 )
 
@@ -51,7 +52,7 @@ type Constraint struct {
 	set    *ConstraintSet
 	name   string
 	limit  sim.Time
-	starts []sim.Time
+	starts fifo.Queue[sim.Time]
 
 	count      int
 	violations int
@@ -74,17 +75,16 @@ func (cs *ConstraintSet) NewLatency(name string, limit sim.Time) *Constraint {
 // Start marks the beginning of an occurrence (e.g. the external event the
 // system must react to).
 func (c *Constraint) Start() {
-	c.starts = append(c.starts, c.set.sys.Now())
+	c.starts.Push(c.set.sys.Now())
 }
 
 // Stop marks the end of the oldest outstanding occurrence and checks the
 // latency. Calling Stop with no outstanding Start panics (a model bug).
 func (c *Constraint) Stop() {
-	if len(c.starts) == 0 {
+	if c.starts.Empty() {
 		panic(fmt.Sprintf("rtos: constraint %q stopped with no outstanding start", c.name))
 	}
-	start := c.starts[0]
-	c.starts = c.starts[1:]
+	start := c.starts.Pop()
 	now := c.set.sys.Now()
 	lat := now - start
 	c.count++

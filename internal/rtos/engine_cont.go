@@ -6,7 +6,7 @@ import (
 )
 
 // This file is the continuation task engine: tasks whose bodies are
-// Continuations (yield.go) run without a goroutine, a parker round-trip or a
+// Continuations (yield.go) run without a goroutine, a coroutine switch or a
 // retained stack. Each task owns a contDriver, a state machine executed by a
 // sim.Strand — a kernel Method with a private timer — so every resume runs
 // inline in the evaluate phase on the kernel's own goroutine.

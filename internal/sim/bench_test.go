@@ -175,7 +175,7 @@ func BenchmarkTimedQueueOps(b *testing.B) {
 		name string
 		make func() timedQueue
 	}{
-		{"wheel", func() timedQueue { return newTimedWheel() }},
+		{"wheel", func() timedQueue { return &timedWheel{} }},
 		{"heap", func() timedQueue { return &timedHeap{} }},
 	}
 	for _, size := range []int{1024, 4096, 16384} {
@@ -214,7 +214,7 @@ func BenchmarkTimedQueueCancel(b *testing.B) {
 		name string
 		make func() timedQueue
 	}{
-		{"wheel", func() timedQueue { return newTimedWheel() }},
+		{"wheel", func() timedQueue { return &timedWheel{} }},
 		{"heap", func() timedQueue { return &timedHeap{} }},
 	}
 	for _, backend := range backends {

@@ -250,3 +250,37 @@ func TestRunCheckedStrands(t *testing.T) {
 	}
 	k.Shutdown()
 }
+
+// TestKernelPhasePanicLeavesParkingProcessBlocked: a method that panics in
+// the scheduling pass a process runs while it parks must be captured by the
+// pass and re-raised by the Run caller, not unwind the parking process. The
+// process stays parked (listed as blocked, its defers not yet run) until
+// Shutdown unwinds it.
+func TestKernelPhasePanicLeavesParkingProcessBlocked(t *testing.T) {
+	k := New()
+	boom := k.NewEvent("boom")
+	never := k.NewEvent("never")
+	k.NewMethod("bad", func() { panic("method boom") }, false, boom)
+	deferRan := false
+	k.Spawn("p", func(p *Proc) {
+		defer func() { deferRan = true }()
+		p.Wait(Us)
+		boom.Notify()
+		p.WaitEvent(never)
+	})
+	k.Spawn("q", func(p *Proc) { p.Wait(Ms) })
+	_, err := k.RunChecked(TimeMax)
+	const want = `sim: process "" panicked at 1us: method boom
+  blocked: p waiting on never
+  blocked: q waiting on nothing (timeout pending)`
+	if err == nil || err.Error() != want {
+		t.Fatalf("RunChecked error:\n%v\nwant:\n%s", err, want)
+	}
+	if deferRan {
+		t.Fatal("p's defer ran before Shutdown: the method's panic unwound the parking process")
+	}
+	k.Shutdown()
+	if !deferRan {
+		t.Fatal("Shutdown did not unwind p")
+	}
+}

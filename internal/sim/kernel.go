@@ -49,7 +49,7 @@ type Kernel struct {
 	// wheel is the timed-notification queue: a hierarchical timing wheel
 	// with O(1) schedule/cancel that keeps far-future entries in an
 	// overflow heap (wheel.go).
-	wheel *timedWheel
+	wheel timedWheel
 	seq   uint64
 
 	// permuter, when set, re-orders same-instant timed batches (permute.go).
@@ -61,15 +61,14 @@ type Kernel struct {
 	permOrder   []int
 	permSeen    []bool
 
+	// current is the process dispatched last: the one running, or the one
+	// the Run caller resumes next. nil while the kernel itself has control.
 	current *Proc
 
-	// mainPk parks the Run caller while a process goroutine has control; the
-	// goroutine that finishes a scheduling pass (or panics, or unwinds at
-	// shutdown) signals it. panicVal carries a panic back to the Run caller
-	// for re-raising there: a model panic when panicProc is set or a strand
-	// was stepping (wrapped in *SimError), otherwise a panic from
-	// kernel-phase code (a method body, an update callback), re-raised as-is.
-	mainPk    *parker
+	// panicVal carries a panic back to the Run caller for re-raising there:
+	// a model panic when panicProc is set or a strand was stepping (wrapped
+	// in *SimError), otherwise a panic from kernel-phase code (a method
+	// body, an update callback), re-raised as-is.
 	panicProc *Proc
 	panicVal  any
 	// stepping is the strand whose step is running; a panic leaves it set.
@@ -106,13 +105,13 @@ type runnable struct {
 
 // New creates an empty simulation kernel at time zero.
 func New() *Kernel {
-	return &Kernel{wheel: newTimedWheel(), mainPk: newParker()}
+	return &Kernel{}
 }
 
 // timedPeek returns the earliest live timed entry, or nil. It answers from
 // the wheel's cached minimum without a call when it can.
 func (k *Kernel) timedPeek() *timedEntry {
-	w := k.wheel
+	w := &k.wheel
 	if w.min != nil {
 		return w.min
 	}
@@ -150,15 +149,15 @@ func (k *Kernel) Activations() uint64 { return k.activations }
 // the zero-switch counterpart of an activation: work that would cost a full
 // process activation in a threaded formulation runs inline in the evaluate
 // loop instead. Comparing MethodRuns against Activations quantifies how much
-// infrastructure work the method-ized formulation keeps off the goroutine
-// handoff path.
+// infrastructure work the method-ized formulation keeps off the process
+// switch path.
 func (k *Kernel) MethodRuns() uint64 { return k.methodRuns }
 
 // StrandResumes returns the number of strand resumes so far: continuation
 // state-machine advances run inline as method executions. Each one stands in
 // for what would be a full process activation in the goroutine formulation,
-// so comparing StrandResumes against Activations quantifies the handoffs the
-// continuation engine keeps off the parker path.
+// so comparing StrandResumes against Activations quantifies the process
+// switches the continuation engine avoids.
 func (k *Kernel) StrandResumes() uint64 { return k.strandResumes }
 
 // Processes returns the processes spawned on this kernel, in spawn order.
@@ -173,16 +172,16 @@ func (k *Kernel) Stopped() bool { return k.stopRequested }
 
 // Run executes the simulation until no further activity is possible (or Stop
 // is called) and then shuts the kernel down, unwinding every still-parked
-// process goroutine. After Run returns the kernel cannot be restarted.
+// process. After Run returns the kernel cannot be restarted.
 func (k *Kernel) Run() {
 	k.run(TimeMax)
 	k.Shutdown()
 }
 
 // RunUntil executes the simulation until simulated time t. Pending activity
-// after t stays scheduled, and process goroutines stay parked, so the
-// simulation can be continued with further RunUntil/RunFor calls. Call
-// Shutdown when done to release the goroutines.
+// after t stays scheduled, and processes stay parked, so the simulation can
+// be continued with further RunUntil/RunFor calls. Call Shutdown when done to
+// release the processes' coroutines.
 func (k *Kernel) RunUntil(t Time) {
 	if t < k.now {
 		panic("sim: RunUntil into the past")
@@ -199,25 +198,24 @@ func (k *Kernel) RunFor(d Time) {
 	k.RunUntil(AddSat(k.now, d))
 }
 
-// Shutdown unwinds every non-terminated process goroutine. It is idempotent.
-// Events notified by terminating processes are not propagated.
+// Shutdown unwinds every non-terminated process. It is idempotent. Events
+// notified by terminating processes are not propagated.
 func (k *Kernel) Shutdown() {
 	k.shuttingDown = true
 	for _, p := range k.procs {
-		if p.started && p.state != ProcTerminated {
-			// Kill-signal the parked goroutine; its unwind handler signals
-			// mainPk back once it has terminated, serializing the teardown.
-			p.pk.signal(true)
-			k.mainPk.wait()
+		if p.stop != nil {
+			// The parked body's yield returns false and it unwinds through
+			// killToken; stopping a finished coroutine does nothing.
+			p.stop()
 		}
 	}
 }
 
-// run drives the simulation from the Run caller's goroutine. The actual
-// scheduling happens in schedule, which executes on whichever goroutine
-// currently has control: when schedule hands control to a process, the Run
-// caller parks here until some goroutine finishes a scheduling pass (hits
-// the limit, quiescence, a stop, or a panic) and signals it back awake.
+// run drives the simulation from the Run caller. The actual scheduling
+// happens in schedule, which executes on the Run caller at first and then in
+// whichever process parks or terminates: the Run caller only resumes the
+// process each pass dispatched (k.current) until a pass finishes the run
+// (hits the limit, quiescence, a stop, or a panic) and leaves none.
 func (k *Kernel) run(limit Time) {
 	if k.running {
 		panic("sim: Run called reentrantly")
@@ -230,8 +228,9 @@ func (k *Kernel) run(limit Time) {
 	k.stopRequested = false
 	k.limit = limit
 
-	if k.schedule() {
-		k.mainPk.wait()
+	k.schedule()
+	for k.current != nil {
+		k.current.resume()
 	}
 	if r := k.panicVal; r != nil {
 		p, st := k.panicProc, k.stepping
@@ -249,25 +248,23 @@ func (k *Kernel) run(limit Time) {
 }
 
 // schedule advances the simulation through the evaluate/update/delta/timed
-// phases until it either transfers control to a process goroutine (returns
-// true; the caller must then park or unwind) or the run reaches a stopping
-// point (returns false with k.finish set; the caller hands control back to
-// the Run caller). It runs on the Run caller's goroutine initially and on
-// the goroutine of whichever process parks or terminates thereafter — that
-// direct handoff is what makes a scheduling action cost one goroutine
-// switch instead of a round trip through a kernel goroutine.
+// phases until it either dispatches a process, leaving it in k.current (nil
+// on entry), or the run reaches a stopping point (k.finish set, k.current
+// still nil). A process that dispatches itself keeps running; otherwise the
+// caller hands control to the Run caller, which resumes k.current. It runs
+// on the Run caller initially and in whichever process parks or terminates
+// thereafter.
 //
 // A panic out of kernel-phase code (method bodies, update callbacks, event
 // deliveries) is captured into k.panicVal (with no panicProc) and reported
-// as "no dispatch" so the calling goroutine routes control back to the Run
-// caller, which re-raises it — the same observable behaviour as when these
-// phases ran on the Run caller's goroutine directly.
-func (k *Kernel) schedule() (dispatched bool) {
+// as "no dispatch" so the calling process hands control back to the Run
+// caller, which re-raises it. The capture keeps the panic from unwinding the
+// parking process: its body stays parked and blocked until Shutdown.
+func (k *Kernel) schedule() {
 	defer func() {
 		if r := recover(); r != nil {
 			k.panicProc, k.panicVal = nil, r
 			k.finish = FinishPanic
-			dispatched = false
 		}
 	}()
 	for {
@@ -296,24 +293,19 @@ func (k *Kernel) schedule() (dispatched bool) {
 				if p.state != ProcRunnable {
 					continue // terminated or rescheduled since queuing
 				}
-				// Dispatch: transfer control to p. The caller returns (and
-				// parks or unwinds) right after; from that point p's
-				// goroutine is the only one running simulation code.
+				// Dispatch: p runs next, as the only body running
+				// simulation code.
 				k.current = p
 				k.activations++
 				k.mActivations.Inc()
 				p.state = ProcRunning
-				if !p.started {
-					p.start()
-				}
-				p.pk.signal(false)
-				return true
+				return
 			}
 			break
 		}
 		if k.stopRequested {
 			k.finish = FinishStopped
-			return false
+			return
 		}
 
 		// Update phase: apply primitive-channel writes.
@@ -369,12 +361,12 @@ func (k *Kernel) schedule() (dispatched bool) {
 			} else {
 				k.finish = FinishQuiescent
 			}
-			return false
+			return
 		}
 		if head.at > k.limit {
 			k.now = k.limit
 			k.finish = FinishLimit
-			return false
+			return
 		}
 		k.now = head.at
 		if k.permuter != nil {

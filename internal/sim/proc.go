@@ -1,12 +1,15 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
 // ProcState is the lifecycle state of a simulation process.
 type ProcState uint8
 
 const (
-	// ProcNew means the process has been spawned but its goroutine has not
+	// ProcNew means the process has been spawned but its body has not
 	// started executing yet (lazy start on first activation).
 	ProcNew ProcState = iota
 	// ProcRunnable means the process is queued to run in the current
@@ -37,23 +40,28 @@ func (s ProcState) String() string {
 	return "invalid"
 }
 
-// killToken is panicked inside a process goroutine to unwind it at kernel
-// shutdown. The goroutine's recover distinguishes it from model panics.
+// killToken is panicked inside a process body to unwind it at kernel
+// shutdown. The body's recover distinguishes it from model panics.
 type killToken struct{}
 
 // Proc is a simulation thread, the analogue of a SystemC SC_THREAD. The
 // process function receives its own *Proc and uses the Wait family of methods
-// to advance simulated time. A Proc is backed by a goroutine, but the kernel
-// guarantees only one process goroutine runs at a time.
+// to advance simulated time. A Proc's body runs as a runtime coroutine
+// (iter.Pull): only the Run caller resumes one, so exactly one body runs at a
+// time by construction.
 type Proc struct {
 	k    *Kernel
 	name string
 	id   int
 	fn   func(*Proc)
 
-	pk      *parker // handoff primitive; signaled to resume, kill to unwind
-	state   ProcState
-	started bool
+	// next resumes the body's coroutine and stop unwinds it; both are nil
+	// until the first activation. yield hands control back to the Run caller
+	// and returns false when stop asks the body to unwind.
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+	state ProcState
 	// daemon marks infrastructure processes (RTOS scheduler threads,
 	// interrupt controllers) that legitimately wait forever; they are
 	// excluded from deadlock accounting.
@@ -86,7 +94,6 @@ func (k *Kernel) Spawn(name string, fn func(*Proc)) *Proc {
 		name:  name,
 		id:    len(k.procs),
 		fn:    fn,
-		pk:    newParker(),
 		state: ProcNew,
 	}
 	k.procs = append(k.procs, p)
@@ -135,68 +142,64 @@ func (p *Proc) Done() *Event {
 	return p.doneEvent
 }
 
-// start launches the goroutine; called by the kernel on first activation.
-func (p *Proc) start() {
-	p.started = true
-	go func() {
-		defer func() {
-			r := recover()
-			if _, killed := r.(killToken); killed {
-				r = nil
-			}
-			p.state = ProcTerminated
-			p.clearWaitState()
-			k := p.k
-			if p.doneEvent != nil && !k.shuttingDown {
-				p.doneEvent.Notify()
-			}
-			k.current = nil
-			switch {
-			case k.shuttingDown:
-				// Shutdown drives the unwind and discards panics from dying
-				// goroutines; hand control straight back to it.
-				k.mainPk.signal(false)
-			case r != nil:
-				// Model panic: carry it to the Run caller, which re-raises
-				// it as a *SimError.
-				k.panicProc, k.panicVal = p, r
-				k.mainPk.signal(false)
-			default:
-				// Normal termination: this dying goroutine runs the next
-				// scheduling pass itself and hands control directly to the
-				// next process (or back to the Run caller).
-				if !k.schedule() {
-					k.mainPk.signal(false)
-				}
-			}
-		}()
-		if !p.pk.wait() {
-			panic(killToken{})
+// resume runs p's body until it parks somewhere other than in its own
+// scheduling pass, or ends. Only the Run caller resumes processes; the
+// coroutine is created on the first activation.
+func (p *Proc) resume() {
+	if p.next == nil {
+		p.next, p.stop = iter.Pull(p.body)
+	}
+	p.next()
+}
+
+// body is the coroutine function: it runs fn and, when fn returns, runs the
+// next scheduling pass from the dying coroutine. A model panic is captured
+// for the Run caller, which re-raises it as a *SimError; a kill (stop at
+// Shutdown) unwinds through the same handler.
+func (p *Proc) body(yield func(struct{}) bool) {
+	p.yield = yield
+	defer func() {
+		r := recover()
+		if _, killed := r.(killToken); killed {
+			r = nil
 		}
-		p.fn(p)
+		p.state = ProcTerminated
+		p.clearWaitState()
+		k := p.k
+		if p.doneEvent != nil && !k.shuttingDown {
+			p.doneEvent.Notify()
+		}
+		k.current = nil
+		switch {
+		case k.shuttingDown:
+			// Shutdown drives the unwind and discards panics from dying bodies.
+		case r != nil:
+			k.panicProc, k.panicVal = p, r
+		default:
+			k.schedule()
+		}
 	}()
+	p.fn(p)
 }
 
 // park suspends the calling process until the kernel resumes it. It must only
-// be called from the process's own goroutine with wake conditions already
-// registered. The parking goroutine runs the next scheduling pass itself and
-// signals the next runner directly — one goroutine switch per scheduling
-// action, or zero when the pass re-dispatches this same process (the signal
-// is then already pending and wait returns on its first spin).
+// be called from the process's own body with wake conditions already
+// registered. The parking process runs the next scheduling pass itself: when
+// the pass re-dispatches this same process it simply keeps running, with no
+// switch at all; otherwise it yields to the Run caller, which resumes the
+// process the pass picked (k.current), or returns when the pass finished the
+// run (limit, quiescence, stop, or a captured kernel-phase panic).
 func (p *Proc) park() {
 	p.waitGen++
 	p.state = ProcWaiting
 	k := p.k
 	k.current = nil
-	if !k.schedule() {
-		// The pass finished the run (limit, quiescence, stop, or a captured
-		// kernel-phase panic): wake the Run caller.
-		k.mainPk.signal(false)
+	if k.schedule(); k.current == p {
+		return
 	}
-	if !p.pk.wait() {
+	if !p.yield(struct{}{}) {
 		panic(killToken{})
 	}
-	p.state = ProcRunning
 }
 
 // checkContext panics unless the caller is the currently executing process.

@@ -2,10 +2,10 @@ package sim
 
 // Strand is a continuation driver: a Method bundled with a private timer
 // event, the kernel-side harness for running task bodies expressed as
-// resumable state machines instead of goroutines. Where a Proc parks its
-// goroutine in Wait and pays a parker round-trip per activation, a Strand's
+// resumable state machines instead of coroutines. Where a Proc parks its
+// coroutine in Wait and pays a coroutine switch per activation, a Strand's
 // step function runs inline in the evaluate phase and simply returns after
-// advancing its state machine — control never leaves the kernel goroutine
+// advancing its state machine — control never leaves the scheduling pass
 // and no stack is retained between resumes. A triggered strand queues with
 // the runnable processes, so it resumes where a process woken by the same
 // event would run.

@@ -61,10 +61,6 @@ const (
 // wheelSlot is one doubly-linked FIFO of entries (via timedEntry.next/prev).
 type wheelSlot struct{ head, tail *timedEntry }
 
-func newTimedWheel() *timedWheel {
-	return &timedWheel{}
-}
-
 // digit extracts base-256 digit l of a timestamp.
 func digit(t Time, l int) int { return int(uint64(t)>>(uint(l)*8)) & 0xff }
 

@@ -94,7 +94,7 @@ func (r *wheelRef) check() {
 func TestWheelMatchesHeapRandomized(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		r := &wheelRef{t: t, wheel: newTimedWheel()}
+		r := &wheelRef{t: t, wheel: &timedWheel{}}
 		cur := Time(0)
 		for op := 0; op < 2000; op++ {
 			switch rng.Intn(10) {
@@ -137,7 +137,7 @@ func TestWheelMatchesHeapRandomized(t *testing.T) {
 // shared timestamp sits in a high-level slot that cascades on pop.
 func TestWheelSeqFIFOWithinTimestamp(t *testing.T) {
 	for _, at := range []Time{0, 100, 255, 256, 65536, 1 << 40} {
-		w := newTimedWheel()
+		w := &timedWheel{}
 		const n = 32
 		for i := uint64(1); i <= n; i++ {
 			w.push(w.alloc(at, i, nil, nil))
@@ -158,7 +158,7 @@ func TestWheelSeqFIFOWithinTimestamp(t *testing.T) {
 // far-future head the wheel still accepts and correctly orders entries
 // earlier than that head (but later than the last pop).
 func TestWheelPushEarlierThanPendingHead(t *testing.T) {
-	w := newTimedWheel()
+	w := &timedWheel{}
 	far := w.alloc(Time(1<<30), 1, nil, nil)
 	w.push(far)
 	if got := w.peek(); got != far {
@@ -185,7 +185,7 @@ func TestWheelPushEarlierThanPendingHead(t *testing.T) {
 // minimum, and migrate into the wheel once a pop rebases the cursor into
 // their region.
 func TestWheelOverflowSpan(t *testing.T) {
-	w := newTimedWheel()
+	w := &timedWheel{}
 	span := Time(1) << 48 // 256^6
 	inside := w.alloc(span-1, 1, nil, nil)
 	first := w.alloc(span+5, 2, nil, nil)
@@ -224,7 +224,7 @@ func TestWheelOverflowSpan(t *testing.T) {
 // killed wheel entry is recycled on the spot (not dead-marked), and killing
 // the cached minimum forces a correct recompute.
 func TestWheelKillUnlinksImmediately(t *testing.T) {
-	w := newTimedWheel()
+	w := &timedWheel{}
 	a := w.alloc(10, 1, nil, nil)
 	b := w.alloc(20, 2, nil, nil)
 	w.push(a)

@@ -112,7 +112,7 @@ type (
 	// TaskCtx is the API a task behaviour uses.
 	TaskCtx = rtos.TaskCtx
 	// Continuation is a resumable task body executed inline by the kernel:
-	// no goroutine, no parker round-trip, no retained stack. See
+	// no goroutine, no coroutine switch, no retained stack. See
 	// Processor.NewContTask / NewPeriodicContTask.
 	Continuation = rtos.Continuation
 	// Yield is one typed suspension request returned by a Continuation.
