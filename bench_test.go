@@ -348,11 +348,12 @@ func BenchmarkKernelProcessSwitch(b *testing.B) {
 
 // BenchmarkManyTasks is the timed-queue stress: thousands of processes on
 // dense periodic timers (co-prime-ish periods, so wakeups rarely coincide and
-// the queue stays deep). It is the scenario the timing wheel exists for —
-// schedule and pop are O(1). The timeout variant layers on cancellation
-// traffic (a WaitTimeout whose event always wins), where the wheel unlinks a
-// cancelled entry in O(1). The sub-benchmark names keep their backend=wheel
-// suffix so results stay comparable with earlier runs.
+// the queue stays deep): the kernel-level counterpart of the timed queue's
+// own microbenchmarks. The timeout variant layers on cancellation traffic (a
+// WaitTimeout whose event always wins), where the queue unlinks a cancelled
+// entry in O(1). The sub-benchmark names keep the backend=wheel suffix of
+// the timing wheel that preceded the radix heap, so results stay comparable
+// with earlier runs.
 func BenchmarkManyTasks(b *testing.B) {
 	b.Run("periodic/backend=wheel", func(b *testing.B) {
 		b.ReportAllocs()

@@ -207,7 +207,7 @@ func TestJournalCompaction(t *testing.T) {
 	dir := t.TempDir()
 	data := readScenario(t, "figure6.json")
 
-	s, ts := newTestServer(t, Config{Journal: dir, CompactEvery: 4})
+	s, ts := newTestServer(t, Config{Journal: dir})
 	var last string
 	for i := 0; i < 6; i++ {
 		last = waitTerminal(t, ts, postJob(t, ts, Request{Scenario: data}).ID).ID
@@ -227,6 +227,40 @@ func TestJournalCompaction(t *testing.T) {
 	_, ts2 := newTestServer(t, Config{Journal: dir})
 	if job := getJob(t, ts2, last); job.State != StateDone {
 		t.Errorf("job %s after compacted restart: %s", last, job.State)
+	}
+}
+
+// TestJournalAutoCompaction drives the automatic trigger across
+// compactEvery: dead-weight records (cancel requests for a finished job)
+// below the interval leave the journal alone, and the record that reaches
+// it rewrites the journal as a snapshot.
+func TestJournalAutoCompaction(t *testing.T) {
+	dir := t.TempDir()
+	s, ts := newTestServer(t, Config{Journal: dir})
+	id := waitTerminal(t, ts, postJob(t, ts, Request{Scenario: readScenario(t, "figure6.json")}).ID).ID
+
+	appendDead := func() {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		s.journalLocked(&journalRecord{Op: "cancel", ID: id, Time: time.Now()})
+		s.maybeCompactLocked()
+	}
+	for n := len(journalLines(t, dir)); n < compactEvery-1; n++ {
+		appendDead()
+	}
+	if n := len(journalLines(t, dir)); n != compactEvery-1 {
+		t.Fatalf("journal compacted early: %d records, want %d", n, compactEvery-1)
+	}
+	appendDead()
+	if n := len(journalLines(t, dir)); n != 2 {
+		t.Errorf("journal after crossing the interval holds %d records, want the 2-record snapshot", n)
+	}
+
+	ts.Close()
+	s.Close()
+	_, ts2 := newTestServer(t, Config{Journal: dir})
+	if job := getJob(t, ts2, id); job.State != StateDone {
+		t.Errorf("job %s after auto-compacted restart: %s", id, job.State)
 	}
 }
 

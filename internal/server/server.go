@@ -45,10 +45,6 @@ type Config struct {
 	// results restored, unfinished jobs re-enqueued. Empty disables
 	// durability.
 	Journal string
-	// CompactEvery bounds how often the journal compaction trigger is
-	// evaluated: after this many appended records the journal is rewritten
-	// as a snapshot once terminal records dominate (default 256).
-	CompactEvery int
 	// Logf receives operational log lines (journal replay decisions,
 	// append failures). Nil discards them.
 	Logf func(format string, args ...any)
@@ -66,9 +62,6 @@ func (c Config) withDefaults() Config {
 		c.CacheEntries = 128
 	case c.CacheEntries < 0:
 		c.CacheEntries = 0
-	}
-	if c.CompactEvery <= 0 {
-		c.CompactEvery = 256
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
@@ -738,12 +731,17 @@ func idSeq(id string) int {
 	return n
 }
 
+// compactEvery is how many appended journal records pass between two
+// evaluations of the compaction trigger.
+const compactEvery = 256
+
 // maybeCompactLocked rewrites the journal as a snapshot once terminal
 // records dominate live jobs and the file holds more records than the
 // snapshot would — i.e. once append history (cancel records, superseded
-// restarts, rejected records) is just dead weight. Caller holds s.mu.
+// restarts, rejected records) is just dead weight. It looks only every
+// compactEvery appended records. Caller holds s.mu.
 func (s *Server) maybeCompactLocked() {
-	if s.jnl == nil || s.replaying || s.appended < s.cfg.CompactEvery {
+	if s.jnl == nil || s.replaying || s.appended < compactEvery {
 		return
 	}
 	s.appended = 0

@@ -84,7 +84,7 @@ func TestAllocsPerDeltaCycle(t *testing.T) {
 
 func TestAllocsPerCancelledTimeout(t *testing.T) {
 	// WaitTimeout whose event always fires first: the timed entry is
-	// cancelled each round and must be recycled, not leaked into the heap.
+	// cancelled each round and must be recycled, not leaked.
 	k := newMeteredKernel()
 	e := k.NewEvent("e")
 	k.Spawn("waiter", func(p *Proc) {
@@ -102,5 +102,40 @@ func TestAllocsPerCancelledTimeout(t *testing.T) {
 	defer k.Shutdown()
 	if avg := testing.AllocsPerRun(100, func() { k.RunFor(Us) }); avg > 0 {
 		t.Errorf("cancelled-timeout cycle allocates %.2f objects, want 0", avg)
+	}
+}
+
+// TestAllocsPerWheelScheduleFireCancel extends the zero-allocation pin to the
+// timed queue across both entry fates, fired and cancelled, with timers
+// spread over several buckets: every entry is freelist-recycled.
+func TestAllocsPerWheelScheduleFireCancel(t *testing.T) {
+	k := newMeteredKernel()
+	e := k.NewEvent("e")
+	// Dense periodic timers at mixed horizons.
+	for i := 0; i < 8; i++ {
+		d := Time(1+i) * Us
+		k.Spawn("tick", func(p *Proc) {
+			for {
+				p.Wait(d)
+			}
+		})
+	}
+	// Cancellation traffic: the timeout never expires, so its entry is
+	// killed and recycled every round.
+	k.Spawn("cancel", func(p *Proc) {
+		for {
+			p.WaitTimeout(Ms, e)
+		}
+	})
+	k.Spawn("notify", func(p *Proc) {
+		for {
+			p.Wait(3 * Us)
+			e.Notify()
+		}
+	})
+	k.RunFor(200 * Us) // steady state: freelists and rings at final size
+	defer k.Shutdown()
+	if avg := testing.AllocsPerRun(100, func() { k.RunFor(10 * Us) }); avg > 0 {
+		t.Errorf("timed schedule/fire/cancel allocates %.2f objects per run, want 0", avg)
 	}
 }

@@ -153,87 +153,53 @@ func BenchmarkManyWaiters(b *testing.B) {
 	k.Shutdown()
 }
 
-// timedQueue is the operation set the timing wheel shares with its overflow
-// heap, so the microbenchmarks below drive both structures through one loop.
-type timedQueue interface {
-	alloc(at Time, seq uint64, e *Event, p *Proc) *timedEntry
-	release(e *timedEntry)
-	push(e *timedEntry)
-	pop() *timedEntry
-	peek() *timedEntry
-	kill(e *timedEntry)
-}
-
-// BenchmarkTimedQueueOps isolates the timed-queue structures from the process
+// BenchmarkTimedQueueOps isolates the timed queue from the process
 // machinery: a steady population of n timers where each operation replaces
 // the popped minimum with a new deadline (the steady state of n periodic
 // tasks). No goroutines, no events — this is the pure data-structure cost
-// that the end-to-end BenchmarkManyTasks dilutes with activation overhead,
-// and where the wheel's O(1) schedule/pop beats the heap's O(log n).
+// that the end-to-end BenchmarkManyTasks dilutes with activation overhead.
 func BenchmarkTimedQueueOps(b *testing.B) {
-	backends := []struct {
-		name string
-		make func() timedQueue
-	}{
-		{"wheel", func() timedQueue { return &timedWheel{} }},
-		{"heap", func() timedQueue { return &timedHeap{} }},
-	}
 	for _, size := range []int{1024, 4096, 16384} {
-		for _, backend := range backends {
-			b.Run(fmt.Sprintf("%s/n=%d", backend.name, size), func(b *testing.B) {
-				b.ReportAllocs()
-				q := backend.make()
-				seq := uint64(0)
-				// Pseudo-random but deterministic periods, ns scale.
-				period := func(i uint64) Time { return Time(2000+13*(i%401)) * Ns }
-				for i := 0; i < size; i++ {
-					seq++
-					q.push(q.alloc(period(seq), seq, nil, nil))
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					e := q.peek()
-					q.pop()
-					at := e.at
-					q.release(e)
-					seq++
-					q.push(q.alloc(at+period(seq), seq, nil, nil))
-				}
-				b.StopTimer()
-			})
-		}
+		b.Run(fmt.Sprintf("n=%d", size), func(b *testing.B) {
+			b.ReportAllocs()
+			var q timedHeap
+			seq := uint64(0)
+			// Pseudo-random but deterministic periods, ns scale.
+			period := func(i uint64) Time { return Time(2000+13*(i%401)) * Ns }
+			for i := 0; i < size; i++ {
+				seq++
+				q.push(q.alloc(period(seq), seq, nil, nil))
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e := q.pop()
+				at := e.at
+				q.release(e)
+				seq++
+				q.push(q.alloc(at+period(seq), seq, nil, nil))
+			}
+			b.StopTimer()
+		})
 	}
 }
 
 // BenchmarkTimedQueueCancel measures the cancellation path: schedule a
 // far-future timer and kill it immediately, against a standing population of
-// live timers. The wheel unlinks and recycles in O(1); the heap dead-marks
-// and pays periodic compaction sweeps.
+// live timers. Kill unlinks and recycles the entry in O(1).
 func BenchmarkTimedQueueCancel(b *testing.B) {
-	backends := []struct {
-		name string
-		make func() timedQueue
-	}{
-		{"wheel", func() timedQueue { return &timedWheel{} }},
-		{"heap", func() timedQueue { return &timedHeap{} }},
+	b.ReportAllocs()
+	var q timedHeap
+	seq := uint64(0)
+	for i := 0; i < 4096; i++ {
+		seq++
+		q.push(q.alloc(Time(2000+13*(seq%401))*Ns, seq, nil, nil))
 	}
-	for _, backend := range backends {
-		b.Run(backend.name, func(b *testing.B) {
-			b.ReportAllocs()
-			q := backend.make()
-			seq := uint64(0)
-			for i := 0; i < 4096; i++ {
-				seq++
-				q.push(q.alloc(Time(2000+13*(seq%401))*Ns, seq, nil, nil))
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				seq++
-				e := q.alloc(Ms, seq, nil, nil)
-				q.push(e)
-				q.kill(e)
-			}
-			b.StopTimer()
-		})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		seq++
+		e := q.alloc(Ms, seq, nil, nil)
+		q.push(e)
+		q.kill(e)
 	}
+	b.StopTimer()
 }

@@ -46,10 +46,8 @@ type Kernel struct {
 
 	updateQueue []updater
 
-	// wheel is the timed-notification queue: a hierarchical timing wheel
-	// with O(1) schedule/cancel that keeps far-future entries in an
-	// overflow heap (wheel.go).
-	wheel timedWheel
+	// timed is the timed-notification queue (timed.go).
+	timed timedHeap
 	seq   uint64
 
 	// permuter, when set, re-orders same-instant timed batches (permute.go).
@@ -108,19 +106,6 @@ func New() *Kernel {
 	return &Kernel{}
 }
 
-// timedPeek returns the earliest live timed entry, or nil. It answers from
-// the wheel's cached minimum without a call when it can.
-func (k *Kernel) timedPeek() *timedEntry {
-	w := &k.wheel
-	if w.min != nil {
-		return w.min
-	}
-	if w.count == 0 && len(w.overflow.entries) == 0 {
-		return nil
-	}
-	return w.peek()
-}
-
 // Now returns the current simulated time.
 func (k *Kernel) Now() Time { return k.now }
 
@@ -130,7 +115,7 @@ func (k *Kernel) Now() Time { return k.now }
 // multi-kernel engine uses it to tighten the conservative lookahead bound it
 // advertises to neighbouring shards.
 func (k *Kernel) NextActivity() (Time, bool) {
-	if e := k.timedPeek(); e != nil {
+	if e := k.timed.peek(); e != nil {
 		return e.at, true
 	}
 	return 0, false
@@ -351,7 +336,7 @@ func (k *Kernel) schedule() {
 		}
 
 		// Timed notification phase: advance to the earliest pending action.
-		head := k.timedPeek()
+		head := k.timed.peek()
 		if head == nil {
 			// Event starvation: nothing can ever happen again. Clean
 			// quiescence if no non-daemon process is left waiting, a
@@ -374,20 +359,20 @@ func (k *Kernel) schedule() {
 			continue
 		}
 		for h := head; ; {
-			k.wheel.pop()
+			k.timed.pop()
 			k.mTimedPops.Inc()
 			switch {
 			case h.event != nil:
 				ev := h.event
 				ev.pendingTimed = nil
-				k.wheel.release(h)
+				k.timed.release(h)
 				ev.fire()
 			case h.proc != nil:
 				pr := h.proc
-				k.wheel.release(h)
+				k.timed.release(h)
 				pr.wakeFromTimeout()
 			}
-			if h = k.timedPeek(); h == nil || h.at != k.now {
+			if h = k.timed.peek(); h == nil || h.at != k.now {
 				break
 			}
 		}
@@ -413,14 +398,14 @@ func (k *Kernel) makeRunnable(p *Proc) {
 func (k *Kernel) scheduleTimed(at Time, e *Event, p *Proc) *timedEntry {
 	k.seq++
 	k.mTimedSched.Inc()
-	entry := k.wheel.alloc(at, k.seq, e, p)
-	k.wheel.push(entry)
+	entry := k.timed.alloc(at, k.seq, e, p)
+	k.timed.push(entry)
 	return entry
 }
 
-// cancelTimed cancels a scheduled entry (and forgets it for compaction
-// accounting). Callers must drop their pointer to it.
-func (k *Kernel) cancelTimed(entry *timedEntry) { k.wheel.kill(entry) }
+// cancelTimed cancels a scheduled entry. Callers must drop their pointer to
+// it.
+func (k *Kernel) cancelTimed(entry *timedEntry) { k.timed.kill(entry) }
 
 // requestUpdate queues an updater for the update phase of the current delta
 // cycle. Deduplication is the caller's responsibility.

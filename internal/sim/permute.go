@@ -17,9 +17,9 @@ package sim
 // drained batch is static: no new same-instant entries can appear while the
 // batch fires. The only mutation a firing can cause is *cancellation* of a
 // later entry in the same batch (an event wake cancels the woken process's
-// timeout via cancelTimed); drained entries carry the levelBatch sentinel so
-// the wheel dead-marks them instead of unlinking/releasing an entry it no
-// longer owns, and the firing loop skips and recycles them.
+// timeout via cancelTimed); drained entries carry the bucketBatch sentinel
+// so the timed queue dead-marks them instead of unlinking/releasing an entry
+// it no longer owns, and the firing loop skips and recycles them.
 
 // TimedAction describes one entry of a same-instant timed batch, as shown to
 // a TimedPermuter: either a timed event notification (IsProc false, Name is
@@ -56,13 +56,13 @@ func (k *Kernel) SetTimedPermuter(p TimedPermuter) { k.permuter = p }
 func (k *Kernel) fireTimedBatch() {
 	batch := k.permBatch[:0]
 	for {
-		h := k.timedPeek() // prunes dead heads: drained entries are live
+		h := k.timed.peek()
 		if h == nil || h.at != k.now {
 			break
 		}
-		k.wheel.pop()
+		k.timed.pop()
 		k.mTimedPops.Inc()
-		h.level = levelBatch
+		h.bucket = bucketBatch
 		batch = append(batch, h)
 	}
 	k.permBatch = batch
@@ -95,18 +95,18 @@ func (k *Kernel) fireTimedBatch() {
 			// Cancelled by an earlier firing of this batch (event wake
 			// cancelling the woken process's timeout).
 			e.dead = false
-			k.wheel.release(e)
+			k.timed.release(e)
 			continue
 		}
 		switch {
 		case e.event != nil:
 			ev := e.event
 			ev.pendingTimed = nil
-			k.wheel.release(e)
+			k.timed.release(e)
 			ev.fire()
 		case e.proc != nil:
 			pr := e.proc
-			k.wheel.release(e)
+			k.timed.release(e)
 			pr.wakeFromTimeout()
 		}
 	}
