@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"container/heap"
 	"math/bits"
 	"math/rand"
 	"sort"
@@ -256,5 +257,168 @@ func TestTimedHeapRandomized(t *testing.T) {
 		}
 		for pop() {
 		}
+	}
+}
+
+// The three tests below keep the names they had when the timed queue was a
+// timing wheel with an overflow heap; they now pin the same contracts on the
+// radix heap.
+
+// refHeap is an independent (at, seq) binary heap, the reference for
+// TestWheelMatchesHeapRandomized.
+type refHeap []*timedEntry
+
+func (r refHeap) Len() int { return len(r) }
+func (r refHeap) Less(i, j int) bool {
+	return r[i].at < r[j].at || r[i].at == r[j].at && r[i].seq < r[j].seq
+}
+func (r refHeap) Swap(i, j int) { r[i], r[j] = r[j], r[i] }
+func (r *refHeap) Push(x any)   { *r = append(*r, x.(*timedEntry)) }
+func (r *refHeap) Pop() any {
+	old := *r
+	e := old[len(old)-1]
+	*r = old[:len(old)-1]
+	return e
+}
+
+// TestWheelMatchesHeapRandomized is the pop-order equivalence property
+// against a binary heap: across random interleavings of pushes (duplicate
+// timestamps, wider horizons and far outliers), pops and cancellations, the
+// timed queue pops exactly the reference's (at, seq) order. Cancelled
+// reference entries are dead-marked and skipped, as a lazy-deletion heap
+// would.
+func TestWheelMatchesHeapRandomized(t *testing.T) {
+	for seed := int64(0); seed < 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var h timedHeap
+		var ref refHeap
+		type pair struct{ q, r *timedEntry }
+		var live []pair
+		var seq uint64
+		cur := Time(0)
+		pop := func() bool {
+			for ref.Len() > 0 && ref[0].dead {
+				heap.Pop(&ref)
+			}
+			got := h.peek()
+			if (got == nil) != (ref.Len() == 0) {
+				t.Fatalf("seed %d: peek %+v, reference holds %d", seed, got, ref.Len())
+			}
+			if got == nil {
+				return false
+			}
+			want := heap.Pop(&ref).(*timedEntry)
+			if got.at != want.at || got.seq != want.seq {
+				t.Fatalf("seed %d: pop (%v, seq %d), want (%v, seq %d)", seed, got.at, got.seq, want.at, want.seq)
+			}
+			h.pop()
+			for i, p := range live {
+				if p.q == got {
+					live = append(live[:i], live[i+1:]...)
+					break
+				}
+			}
+			cur = got.at
+			h.release(got)
+			return true
+		}
+		for op := 0; op < 2000; op++ {
+			switch rng.Intn(10) {
+			case 0, 1, 2:
+				seq++
+				at := cur + Time(rng.Int63n(50))
+				q := h.alloc(at, seq, nil, nil)
+				h.push(q)
+				r := &timedEntry{at: at, seq: seq}
+				heap.Push(&ref, r)
+				live = append(live, pair{q, r})
+			case 3, 4:
+				seq++
+				at := cur + Time(rng.Int63n(int64(Us)*1000))
+				if rng.Intn(20) == 0 {
+					at = cur + Time(rng.Int63n(int64(Sec)))*300
+				}
+				q := h.alloc(at, seq, nil, nil)
+				h.push(q)
+				r := &timedEntry{at: at, seq: seq}
+				heap.Push(&ref, r)
+				live = append(live, pair{q, r})
+			case 5, 6, 7:
+				pop()
+			default:
+				if len(live) > 0 {
+					i := rng.Intn(len(live))
+					p := live[i]
+					live = append(live[:i], live[i+1:]...)
+					h.kill(p.q)
+					p.r.dead = true
+				}
+			}
+			if n := queued(t, &h); n != len(live) {
+				t.Fatalf("seed %d op %d: %d entries queued, %d live", seed, op, n, len(live))
+			}
+		}
+		for pop() {
+		}
+		if len(live) != 0 {
+			t.Fatalf("seed %d: %d live entries left after drain", seed, len(live))
+		}
+	}
+}
+
+// TestWheelSeqFIFOWithinTimestamp pins the determinism contract: entries
+// scheduled for the same instant pop in schedule order, whatever bucket the
+// shared timestamp lands in relative to the last pop.
+func TestWheelSeqFIFOWithinTimestamp(t *testing.T) {
+	for _, at := range []Time{0, 100, 255, 256, 65536, 1 << 40, TimeMax} {
+		var h timedHeap
+		const n = 32
+		for i := uint64(1); i <= n; i++ {
+			h.push(h.alloc(at, i, nil, nil))
+		}
+		for i := uint64(1); i <= n; i++ {
+			e := h.peek()
+			if e == nil || e.at != at || e.seq != i {
+				t.Fatalf("at %v: pop %d returned %+v", at, i, e)
+			}
+			h.pop()
+			h.release(e)
+		}
+		if h.peek() != nil {
+			t.Fatalf("at %v: queue not empty after drain", at)
+		}
+	}
+}
+
+// TestWheelKillUnlinksImmediately pins the O(1) cancellation contract: a
+// killed queued entry is recycled on the spot (not dead-marked), killing the
+// cached minimum forces a correct recompute, and a double kill is a no-op.
+func TestWheelKillUnlinksImmediately(t *testing.T) {
+	var h timedHeap
+	a := h.alloc(10, 1, nil, nil)
+	b := h.alloc(20, 2, nil, nil)
+	h.push(a)
+	h.push(b)
+	if h.peek() != a {
+		t.Fatal("peek != a")
+	}
+	h.kill(a) // kills the cached min
+	if h.free != a || a.dead {
+		t.Fatalf("killed entry not recycled: free %p, dead %v", h.free, a.dead)
+	}
+	if queued(t, &h) != 1 || h.peek() != b {
+		t.Fatalf("after kill: %d queued, peek %+v, want b", queued(t, &h), h.peek())
+	}
+	h.kill(b)
+	if queued(t, &h) != 0 || h.peek() != nil || h.occ != 0 {
+		t.Fatalf("after killing all: %d queued, peek %+v, occ %#x", queued(t, &h), h.peek(), h.occ)
+	}
+	if h.free != b || b.next != a {
+		t.Fatal("free list does not hold both killed entries")
+	}
+	// Double kill is a no-op (entry already released).
+	h.kill(a)
+	if h.free != b || b.next != a || a.next != nil {
+		t.Fatal("double kill touched the free list")
 	}
 }
