@@ -141,6 +141,22 @@ func BenchmarkPerfettoExport(b *testing.B) {
 	b.ReportMetric(float64(buf.Len()), "bytes/file")
 }
 
+// BenchmarkMetricsJSON renders the MPEG-2 SoC's metrics registry as the
+// metrics.json artifact rtossim -metrics and the daemon serve.
+func BenchmarkMetricsJSON(b *testing.B) {
+	sys := mpeg2Trace()
+	var buf bytes.Buffer
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf.Reset()
+		if err := sys.WriteMetricsJSON(&buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(buf.Len()), "bytes/file")
+}
+
 // BenchmarkRecorderAppend measures the trace store alone: one op records
 // 4096 state changes and 4096 overhead segments into a fresh recorder
 // through interned name handles, as the RTOS model's dispatch and overhead

@@ -1,11 +1,12 @@
 package metrics
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"strconv"
 	"strings"
+
+	"repro/internal/jsonfmt"
 )
 
 // BucketSnapshot is one histogram bucket in a snapshot: the number of
@@ -92,11 +93,111 @@ func (s Snapshot) Get(name string) (MetricSnapshot, bool) {
 	return MetricSnapshot{}, false
 }
 
-// WriteJSON writes the registry snapshot as an indented JSON document.
+// WriteJSON writes the registry snapshot as an indented JSON document: the
+// bytes json.Encoder with a two-space indent gives Snapshot, written by hand
+// straight from the instruments.
 func (r *Registry) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r.Snapshot())
+	if r == nil {
+		_, err := io.WriteString(w, "{\n  \"metrics\": null\n}\n")
+		return err
+	}
+	size := 32
+	for _, m := range r.metrics {
+		size += metricJSONBytes + len(m.name) + len(m.help)
+		if len(m.labels) > 0 {
+			size += labelsJSONBytes
+		}
+		for _, l := range m.labels {
+			size += labelJSONBytes + len(l.Name) + len(l.Value)
+		}
+		if m.kind == KindHistogram {
+			size += histogramJSONBytes + len(m.hist.bounds)*bucketJSONBytes
+		}
+	}
+	return jsonfmt.Emit(w, size, r.appendJSON)
+}
+
+// Sizes of the fixed parts of WriteJSON's layout, rounded up from the
+// bytes they take with 19-digit numbers: one metric, its labels array,
+// each label, a histogram object and each of its buckets.
+const (
+	metricJSONBytes    = 160
+	labelsJSONBytes    = 32
+	labelJSONBytes     = 64
+	histogramJSONBytes = 320
+	bucketJSONBytes    = 112
+)
+
+// appendJSON appends the document WriteJSON writes. Every member is
+// written at its depth with encoding/json's omitempty rules: help and
+// labels when non-empty, highWater when non-zero, histogram on histograms.
+func (r *Registry) appendJSON(b []byte) []byte {
+	b = append(b, "{\n  \"metrics\": ["...)
+	for i, m := range r.metrics {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = jsonfmt.AppendString(append(b, "\n    {\n      \"name\": "...), m.name)
+		b = jsonfmt.AppendString(append(b, ",\n      \"kind\": "...), m.kind.String())
+		if m.help != "" {
+			b = jsonfmt.AppendString(append(b, ",\n      \"help\": "...), m.help)
+		}
+		if len(m.labels) > 0 {
+			b = append(b, ",\n      \"labels\": ["...)
+			for j, l := range m.labels {
+				if j > 0 {
+					b = append(b, ',')
+				}
+				b = jsonfmt.AppendString(append(b, "\n        {\n          \"name\": "...), l.Name)
+				b = jsonfmt.AppendString(append(b, ",\n          \"value\": "...), l.Value)
+				b = append(b, "\n        }"...)
+			}
+			b = append(b, "\n      ]"...)
+		}
+		var value, highWater int64
+		switch m.kind {
+		case KindCounter:
+			value = int64(m.counter.Value())
+		case KindGauge:
+			value, highWater = m.gauge.Value(), m.gauge.HighWater()
+		}
+		b = strconv.AppendInt(append(b, ",\n      \"value\": "...), value, 10)
+		if highWater != 0 {
+			b = strconv.AppendInt(append(b, ",\n      \"highWater\": "...), highWater, 10)
+		}
+		if m.kind == KindHistogram {
+			b = m.hist.appendJSON(append(b, ",\n      \"histogram\": "...))
+		}
+		b = append(b, "\n    }"...)
+	}
+	if len(r.metrics) > 0 {
+		b = append(b, "\n  "...)
+	}
+	return append(b, "]\n}\n"...)
+}
+
+// appendJSON appends the histogram's HistogramSnapshot object at the depth
+// of a metric's members.
+func (h *Histogram) appendJSON(b []byte) []byte {
+	b = strconv.AppendUint(append(b, "{\n        \"count\": "...), h.Count(), 10)
+	b = strconv.AppendInt(append(b, ",\n        \"sum\": "...), h.Sum(), 10)
+	b = strconv.AppendInt(append(b, ",\n        \"min\": "...), h.Min(), 10)
+	b = strconv.AppendInt(append(b, ",\n        \"max\": "...), h.Max(), 10)
+	b = jsonfmt.AppendFloat(append(b, ",\n        \"mean\": "...), h.Mean())
+	b = append(b, ",\n        \"buckets\": ["...)
+	for i, bound := range h.bounds {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(append(b, "\n          {\n            \"le\": "...), bound, 10)
+		b = strconv.AppendUint(append(b, ",\n            \"count\": "...), h.counts[i], 10)
+		b = append(b, "\n          }"...)
+	}
+	if len(h.bounds) > 0 {
+		b = append(b, "\n        "...)
+	}
+	b = strconv.AppendUint(append(b, "],\n        \"overflow\": "...), h.counts[len(h.bounds)], 10)
+	return append(b, "\n      }"...)
 }
 
 // WritePrometheus writes the registry in the Prometheus text exposition

@@ -18,8 +18,9 @@
 //
 // Values are int64/uint64; time-valued metrics hold picoseconds (the unit of
 // sim.Time) and say so in their name (`…_ps`). The package deliberately
-// imports nothing from the rest of the repository so every layer (sim, rtos,
-// batch) can depend on it without cycles.
+// imports nothing from the rest of the repository but the leaf JSON
+// appenders of internal/jsonfmt, so every layer (sim, rtos, batch) can
+// depend on it without cycles.
 package metrics
 
 import (

@@ -16,6 +16,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/analysis"
@@ -193,15 +194,58 @@ func RunPrepared(desc *scenario.System, opts Options, fallbackName string) (*Res
 	if v.runErr != nil {
 		res.SimError = v.runErr.Error()
 	}
-	fmt.Fprintf(&report, "scenario %s simulated to %v, finished %v (%d kernel activations, %d delta cycles)\n",
+	if res.Artifacts, err = v.render(&report, name, opts); err != nil {
+		return nil, err
+	}
+	res.Report = report.Bytes()
+	res.ElapsedMS = time.Since(start).Milliseconds()
+	return res, nil
+}
+
+// render appends the report to report on the calling goroutine while every
+// artifact opts requests renders on a goroutine of its own, into its own
+// buffer, and returns once all of them have finished: the artifacts by
+// name (nil when none are requested), or the first rendering error in
+// opts.Artifacts order. The report and the renderers only read the run
+// view; none of them may write to it.
+func (v *runView) render(report *bytes.Buffer, name string, opts Options) (map[string][]byte, error) {
+	bufs := make([]bytes.Buffer, len(opts.Artifacts))
+	errs := make([]error, len(opts.Artifacts))
+	var wg sync.WaitGroup
+	for i, a := range opts.Artifacts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = v.renderArtifact(&bufs[i], a, opts)
+		}()
+	}
+	v.writeReport(report, name, opts)
+	wg.Wait()
+	if len(opts.Artifacts) == 0 {
+		return nil, nil
+	}
+	arts := make(map[string][]byte, len(opts.Artifacts))
+	for i, a := range opts.Artifacts {
+		if errs[i] != nil {
+			return nil, fmt.Errorf("rendering %s artifact: %w", a, errs[i])
+		}
+		arts[a] = bufs[i].Bytes()
+	}
+	return arts, nil
+}
+
+// writeReport appends the report sections opts selects, from the run
+// summary line on.
+func (v *runView) writeReport(report *bytes.Buffer, name string, opts Options) {
+	fmt.Fprintf(report, "scenario %s simulated to %v, finished %v (%d kernel activations, %d delta cycles)\n",
 		name, v.end, v.finish, v.activations, v.deltaCycles)
 
 	if len(v.blocked) > 0 {
-		fmt.Fprintf(&report, "warning: %d task(s) still blocked at the end:", len(v.blocked))
+		fmt.Fprintf(report, "warning: %d task(s) still blocked at the end:", len(v.blocked))
 		for _, t := range v.blocked {
-			fmt.Fprintf(&report, " %s(%v)", t.Name(), t.State())
+			fmt.Fprintf(report, " %s(%v)", t.Name(), t.State())
 		}
-		fmt.Fprintln(&report)
+		fmt.Fprintln(report)
 	}
 	if opts.Timeline {
 		width := opts.Width
@@ -243,37 +287,27 @@ func RunPrepared(desc *scenario.System, opts Options, fallbackName string) (*Res
 		report.WriteString("\n")
 		report.WriteString(m.Report())
 	}
-	res.Report = report.Bytes()
+}
 
-	if len(opts.Artifacts) > 0 {
-		res.Artifacts = make(map[string][]byte, len(opts.Artifacts))
-		for _, a := range opts.Artifacts {
-			var buf bytes.Buffer
-			var err error
-			switch a {
-			case "csv":
-				err = v.rec.WriteCSV(&buf)
-			case "vcd":
-				err = v.rec.WriteVCD(&buf)
-			case "json":
-				err = v.rec.WriteJSON(&buf)
-			case "svg":
-				err = v.rec.WriteSVG(&buf, trace.SVGOptions{ShowAccesses: opts.Accesses})
-			case "perfetto":
-				err = v.rec.WritePerfetto(&buf, trace.PerfettoOptions{Misses: v.constraints.PerfettoMisses()})
-			case "metrics":
-				err = v.reg.WriteJSON(&buf)
-			case "prom":
-				err = v.reg.WritePrometheus(&buf)
-			}
-			if err != nil {
-				return nil, fmt.Errorf("rendering %s artifact: %w", a, err)
-			}
-			res.Artifacts[a] = buf.Bytes()
-		}
+// renderArtifact writes the artifact named a to w.
+func (v *runView) renderArtifact(w io.Writer, a string, opts Options) error {
+	switch a {
+	case "csv":
+		return v.rec.WriteCSV(w)
+	case "vcd":
+		return v.rec.WriteVCD(w)
+	case "json":
+		return v.rec.WriteJSON(w)
+	case "svg":
+		return v.rec.WriteSVG(w, trace.SVGOptions{ShowAccesses: opts.Accesses})
+	case "perfetto":
+		return v.rec.WritePerfetto(w, trace.PerfettoOptions{Misses: v.constraints.PerfettoMisses()})
+	case "metrics":
+		return v.reg.WriteJSON(w)
+	case "prom":
+		return v.reg.WritePrometheus(w)
 	}
-	res.ElapsedMS = time.Since(start).Milliseconds()
-	return res, nil
+	return fmt.Errorf("unknown artifact %q", a)
 }
 
 // runView is the engine-independent material the report and every artifact

@@ -3,6 +3,7 @@ package runner
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -263,23 +264,36 @@ func TestFailedRunsLeaveNoGoroutines(t *testing.T) {
 		{"shards-panic", panics, 2, "panic"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			before := runtime.NumGoroutine()
-			for range 20 {
-				res, err := Run(c.data, Options{TaskEngine: "goroutine", Shards: c.shards}, c.name)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if res.Finish != c.finish || res.ExitCode() != 1 {
-					t.Fatalf("finish %s, exit %d; want %s, exit 1", res.Finish, res.ExitCode(), c.finish)
-				}
-			}
-			// An unwound goroutine exits just after handing control back.
-			got := runtime.NumGoroutine()
-			for end := time.Now().Add(2 * time.Second); got > before && time.Now().Before(end); got = runtime.NumGoroutine() {
-				time.Sleep(time.Millisecond)
-			}
-			if got > before {
-				t.Errorf("%d goroutines after 20 failed runs, %d before", got, before)
+			// A failed run still renders every requested artifact, each on a
+			// goroutine of its own; those must be gone too, also when a render
+			// fails (the SVG of the empty trace the sequential panic leaves).
+			for _, artifacts := range [][]string{nil, KnownArtifacts} {
+				t.Run(fmt.Sprintf("artifacts=%d", len(artifacts)), func(t *testing.T) {
+					before := runtime.NumGoroutine()
+					for range 20 {
+						res, err := Run(c.data, Options{TaskEngine: "goroutine", Shards: c.shards, Artifacts: artifacts}, c.name)
+						if err != nil && artifacts != nil && strings.HasPrefix(err.Error(), "rendering svg artifact: ") {
+							continue
+						}
+						if err != nil {
+							t.Fatal(err)
+						}
+						if res.Finish != c.finish || res.ExitCode() != 1 {
+							t.Fatalf("finish %s, exit %d; want %s, exit 1", res.Finish, res.ExitCode(), c.finish)
+						}
+						if len(res.Artifacts) != len(artifacts) {
+							t.Fatalf("%d artifacts, want %d", len(res.Artifacts), len(artifacts))
+						}
+					}
+					// An unwound goroutine exits just after handing control back.
+					got := runtime.NumGoroutine()
+					for end := time.Now().Add(2 * time.Second); got > before && time.Now().Before(end); got = runtime.NumGoroutine() {
+						time.Sleep(time.Millisecond)
+					}
+					if got > before {
+						t.Errorf("%d goroutines after 20 failed runs, %d before", got, before)
+					}
+				})
 			}
 		})
 	}

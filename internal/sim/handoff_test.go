@@ -4,9 +4,11 @@ import (
 	"testing"
 )
 
-// TestHandoffStress is the race-detector workout for the parker handoff
-// protocol: hundreds of processes ping-ponging through immediate, delta and
-// timed wakeups, with repeated bounded runs (main goroutine re-entering the
+// TestHandoffStress is the race-detector workout for the process
+// coroutines: hundreds of processes ping-ponging through immediate, delta
+// and timed wakeups, each parking process running the next scheduling pass
+// itself and yielding to the Run caller when the pass picks another, with
+// repeated bounded runs (the Run caller leaving and re-entering the
 // scheduler) and a mid-life shutdown. Run with -race in CI; the assertions
 // here only pin liveness and the single-runner invariant's observable
 // effects (exact activation accounting is covered elsewhere).
@@ -41,7 +43,8 @@ func TestHandoffStress(t *testing.T) {
 		k.Spawn("p", body)
 	}
 	// Bounded runs force the Run caller in and out of the scheduler between
-	// horizons, exercising the main parker alongside the process parkers.
+	// horizons, so it resumes coroutines parked across a horizon as well as
+	// ones parked within a run.
 	for i := 0; i < 20; i++ {
 		k.RunFor(5)
 	}
@@ -56,7 +59,8 @@ func TestHandoffStress(t *testing.T) {
 }
 
 // TestHandoffShutdownMidFlight kills a large population of parked and
-// runnable processes, which must unwind promptly without leaking goroutines
+// runnable processes: Shutdown stops each coroutine, whose parked body
+// unwinds promptly through its kill handler without leaking goroutines
 // (leak detection itself is in TestNoGoroutineLeaks; this adds scale and a
 // shutdown taken at a horizon where many timers are still in flight).
 func TestHandoffShutdownMidFlight(t *testing.T) {

@@ -1,13 +1,12 @@
 package trace
 
 import (
-	"bufio"
 	"io"
 	"math"
-	"slices"
+	"math/bits"
 	"strconv"
-	"unicode/utf8"
 
+	"repro/internal/jsonfmt"
 	"repro/internal/sim"
 )
 
@@ -31,11 +30,11 @@ import (
 // order), so identical runs produce byte-identical files — the golden test
 // pins this.
 //
-// The file is written by hand, one event at a time into a reused buffer,
-// in exactly the layout encoding/json's indented encoder gives the
-// equivalent struct: field order, one-space indent, omitted empty fields,
-// sorted args keys, its float and string escaping rules and the trailing
-// newline. writePerfettoReference (perfetto_ref_test.go) keeps the
+// The file is written by hand, appended one event at a time straight into
+// the destination (see jsonfmt.Emit), in exactly the layout
+// encoding/json's indented encoder gives the equivalent struct: field
+// order, one-space indent, omitted empty fields, sorted args keys, its
+// float and string escaping rules and the trailing newline. writePerfettoReference (perfetto_ref_test.go) keeps the
 // encoding/json version of this exporter; the differential tests in
 // perfetto_test.go and perfetto_corpus_test.go hold the two byte-identical.
 
@@ -63,7 +62,28 @@ const (
 	eventFault                      // instant for r.faults.at(rec)
 	eventMigration                  // instant for r.migrations.at(rec)
 	eventMiss                       // instant for opts.Misses[rec]
+	eventMeta                       // process or thread name (written only)
 )
+
+// eventCats and eventPhases are each kind's category and phase.
+var (
+	eventCats   = [...]string{"task", "overhead", "fault", "migration", "miss", ""}
+	eventPhases = [...]byte{'X', 'X', 'i', 'i', 'i', 'M'}
+)
+
+// eventHeads are the bytes each kind's event has between its name's
+// contents and its timestamp: the closing quote, the category unless
+// empty, and the phase.
+var eventHeads = func() (heads [len(eventCats)]string) {
+	for k, cat := range eventCats {
+		h := `"`
+		if cat != "" {
+			h += ",\n   \"cat\": \"" + cat + `"`
+		}
+		heads[k] = h + ",\n   \"ph\": \"" + string(eventPhases[k]) + "\",\n   \"ts\": "
+	}
+	return heads
+}()
 
 // perfettoEvent is one non-metadata trace event awaiting output. Its name
 // and args are formatted at write time from the record it points to, so
@@ -101,8 +121,9 @@ type perfettoBuilder struct {
 }
 
 // perfettoIDs are the ids assigned to one name: the pid of the processor
-// and the tid of the hardware task of that name, 0 until first use.
-type perfettoIDs struct{ pid, hwTid int32 }
+// and the tid of the hardware task of that name, 0 until first use, and
+// the end of the name's escaped form in the writer's slab.
+type perfettoIDs struct{ pid, hwTid, esc int32 }
 
 // perfettoProcess is one process: its name ("" is the hardware process)
 // and which of its threads are named, by tid.
@@ -187,10 +208,10 @@ func (b *perfettoBuilder) add(kind eventKind, rec, pid, tid int, at, dur sim.Tim
 func (r *Recorder) WritePerfetto(w io.Writer, opts PerfettoOptions) error {
 	b := newPerfettoBuilder(r)
 	var end sim.Time
-	var places []lastPlace // by task position
+	var tasks []perfettoTask // by task position
 	if r != nil {
 		end = r.End()
-		places = make([]lastPlace, len(r.tasks))
+		tasks = make([]perfettoTask, len(r.tasks))
 		// Every transition closes at most one Running slice, so this bounds
 		// the event count.
 		b.events = make([]perfettoEvent, 0,
@@ -198,34 +219,31 @@ func (r *Recorder) WritePerfetto(w io.Writer, opts PerfettoOptions) error {
 
 		// Pass 1 — Running slices, scanning state changes chronologically and
 		// closing each task's open Running interval at the next transition (or
-		// at the trace end). open holds the index of each task's open Running
-		// transition, -1 when none; openOrder lists tasks in order of their
-		// first Running transition.
-		open := make([]int, len(r.tasks))
-		for i := range open {
-			open[i] = -1
+		// at the trace end). openOrder lists tasks in order of their first
+		// Running transition.
+		for i := range tasks {
+			tasks[i].open = neverOpen
 		}
 		var openOrder []int32
-		opened := make([]bool, len(r.tasks))
 		for i, c := range r.changes.all {
 			ti := r.names[c.task].task
-			places[ti] = lastPlace{cpu: c.cpu, core: int(c.core), seen: true}
-			if prev := open[ti]; prev >= 0 {
+			t := &tasks[ti]
+			t.place = lastPlace{cpu: c.cpu, core: int(c.core), seen: true}
+			if prev := int(t.open); prev >= 0 {
 				if c.at > r.changes.at(prev).at {
 					b.runningSlice(prev, c.at)
 				}
-				open[ti] = -1
+				t.open = -1
 			}
 			if c.state == StateRunning {
-				if !opened[ti] {
-					opened[ti] = true
+				if t.open == neverOpen {
 					openOrder = append(openOrder, ti)
 				}
-				open[ti] = i
+				t.open = int32(i)
 			}
 		}
 		for _, ti := range openOrder {
-			if prev := open[ti]; prev >= 0 && end > r.changes.at(prev).at {
+			if prev := int(tasks[ti].open); prev >= 0 && end > r.changes.at(prev).at {
 				b.runningSlice(prev, end)
 			}
 		}
@@ -238,7 +256,7 @@ func (r *Recorder) WritePerfetto(w io.Writer, opts PerfettoOptions) error {
 
 		// Pass 3 — fault and migration instants.
 		for i, f := range r.faults.all {
-			pid, tid := b.placeOf(places, r.name(f.task))
+			pid, tid := b.placeOf(tasks, r.name(f.task))
 			b.add(eventFault, i, pid, tid, f.at, 0)
 		}
 		for i, m := range r.migrations.all {
@@ -249,71 +267,107 @@ func (r *Recorder) WritePerfetto(w io.Writer, opts PerfettoOptions) error {
 
 	// Pass 4 — deadline-miss instants from the options.
 	for i, m := range opts.Misses {
-		pid, tid := b.placeOf(places, m.Task)
+		pid, tid := b.placeOf(tasks, m.Task)
 		b.add(eventMiss, i, pid, tid, m.At, 0)
 	}
 
-	// Chronological order by the exported timestamp, ties kept in build
-	// order. Sorting 16-byte (ts, index) keys moves less memory than
-	// sorting the events, and the index tie-break makes the unstable sort
-	// give the stable order.
-	type sortKey struct {
-		ts float64
-		i  int32
-	}
-	keys := make([]sortKey, len(b.events))
-	for i := range b.events {
-		keys[i] = sortKey{usec(b.events[i].at), int32(i)}
-	}
-	slices.SortFunc(keys, func(x, y sortKey) int {
-		if x.ts != y.ts {
-			if x.ts < y.ts {
-				return -1
+	// Metadata events (process and thread names) go first, then the
+	// events in chronological order.
+	order := perfettoOrder(b.events)
+	est := perfettoEventBytes*(len(b.events)+len(b.threads)+len(b.procs)) + 64
+	return jsonfmt.Emit(w, est, func(dst []byte) []byte {
+		p := perfettoWriter{buf: dst, r: r, ids: b.ids}
+		p.escapeNames()
+		p.buf = append(p.buf, "{\n \"displayTimeUnit\": \"ns\",\n \"traceEvents\": ["...)
+		for i, proc := range b.procs {
+			name := proc.name
+			if name == "" {
+				name = "hardware"
 			}
-			return 1
+			p.meta("process_name", i+1, 0, name)
 		}
-		return int(x.i - y.i)
+		for _, t := range b.threads {
+			p.meta("thread_name", t.pid, t.tid, t.name)
+		}
+		for _, i := range order {
+			p.event(opts, &b.events[i])
+		}
+		if p.events > 0 {
+			p.buf = append(p.buf, "\n "...)
+		}
+		return append(p.buf, "]\n}\n"...)
 	})
-
-	// A growable destination (bytes.Buffer, strings.Builder) reserves
-	// about the file's size once, instead of doubling its way there under
-	// the buffered writes, which allocated about four times the file. A
-	// file that fits the write buffer reaches it in one exact write.
-	const bufSize = 64 << 10
-	if g, ok := w.(interface{ Grow(int) }); ok {
-		if est := perfettoEventBytes*(len(b.events)+len(b.threads)+len(b.procs)) + 64; est > bufSize {
-			g.Grow(est)
-		}
-	}
-
-	// bufio.Writer errors are sticky: the first write error surfaces from
-	// Flush, so the writes below need no checks of their own.
-	p := perfettoWriter{bw: bufio.NewWriterSize(w, bufSize)}
-	_, _ = p.bw.WriteString("{\n \"displayTimeUnit\": \"ns\",\n \"traceEvents\": [")
-	// Metadata events (process and thread names) go first.
-	for i, proc := range b.procs {
-		name := proc.name
-		if name == "" {
-			name = "hardware"
-		}
-		p.open("", "M", 0, 0, i+1, 0, "process_name")
-		p.argString("name", name)
-		p.close()
-	}
-	for _, t := range b.threads {
-		p.open("", "M", 0, 0, t.pid, t.tid, "thread_name")
-		p.argString("name", t.name)
-		p.close()
-	}
-	for _, k := range keys {
-		p.event(r, opts, &b.events[k.i])
-	}
-	if p.events > 0 {
-		_, _ = p.bw.WriteString("\n ")
-	}
-	_, _ = p.bw.WriteString("]\n}\n")
-	return p.bw.Flush()
 }
+
+// perfettoOrder returns the indices of events in the order they are
+// written: ascending exported timestamp usec(at), ties in build order. It
+// is a stable LSD radix sort, one pass per byte, on keys in the same order
+// as the timestamps, offset by the smallest; a byte every key shares is
+// skipped. The keys are the IEEE bits of the timestamps mapped to unsigned
+// integers in float order; the timestamps come from integers, so none is
+// NaN or -0. When every instant lies in [0, 1e15) ps, usec is strictly
+// increasing there (see appendUsec), so the picoseconds themselves are the
+// keys: the same order, in fewer significant bytes.
+func perfettoOrder(events []perfettoEvent) []int32 {
+	n := len(events)
+	idx := make([]int32, 2*n)
+	src, dst := idx[:n], idx[n:]
+	if n == 0 {
+		return src
+	}
+	lo, hi := events[0].at, events[0].at
+	for i := range events {
+		lo, hi = min(lo, events[i].at), max(hi, events[i].at)
+	}
+	exact := lo >= 0 && hi < 1e15
+	keys := make([]uint64, n)
+	low, high := ^uint64(0), uint64(0)
+	for i := range events {
+		k := uint64(events[i].at)
+		if !exact {
+			k = math.Float64bits(usec(events[i].at))
+			k ^= uint64(int64(k)>>63) | 1<<63 // negatives: flip all bits; others: the sign bit
+		}
+		keys[i] = k
+		low, high = min(low, k), max(high, k)
+	}
+	var counts [8][256]int32
+	digits := counts[:(bits.Len64(high-low)+7)/8]
+	for i := range keys {
+		keys[i] -= low
+		for d, k := 0, keys[i]; d < len(digits); d, k = d+1, k>>8 {
+			digits[d][byte(k)]++
+		}
+		src[i] = int32(i)
+	}
+	for d := range digits {
+		c, shift := &digits[d], 8*d
+		if c[byte(keys[0]>>shift)] == int32(n) {
+			continue
+		}
+		var sum int32
+		for j, cj := range c {
+			c[j], sum = sum, sum+cj
+		}
+		for _, i := range src {
+			digit := byte(keys[i] >> shift)
+			dst[c[digit]] = i
+			c[digit]++
+		}
+		src, dst = dst, src
+	}
+	return src
+}
+
+// perfettoTask is one task's state in the build passes: where it was last
+// seen scheduling-wise, and the index of its open Running transition, -1
+// when none and neverOpen before its first.
+type perfettoTask struct {
+	place lastPlace
+	open  int32
+}
+
+const neverOpen = -2
 
 // lastPlace remembers where a task was last seen scheduling-wise.
 type lastPlace struct {
@@ -336,12 +390,12 @@ func (b *perfettoBuilder) runningSlice(open int, until sim.Time) {
 
 // placeOf resolves the process/thread an instant for a task is shown on: the
 // task's last known core, or the first process when the task is unknown.
-func (b *perfettoBuilder) placeOf(places []lastPlace, task string) (pid, tid int) {
+func (b *perfettoBuilder) placeOf(tasks []perfettoTask, task string) (pid, tid int) {
 	var p lastPlace
 	var h Name
 	if b.r != nil {
 		if ti, ok := b.r.taskPos(task); ok {
-			h, p = b.r.nameIndex[task], places[ti]
+			h, p = b.r.nameIndex[task], tasks[ti].place
 		}
 	}
 	if p.seen {
@@ -361,81 +415,116 @@ func (b *perfettoBuilder) placeOf(places []lastPlace, task string) (pid, tid int
 	return b.process("unknown"), 1
 }
 
-// perfettoWriter formats trace events one at a time into buf and hands each
-// finished event to bw. The layout is encoding/json's indented one: events
-// sit at depth 2, their fields at depth 3 and args entries at depth 4, one
-// space per level.
+// perfettoWriter appends trace events to buf one at a time. The layout is
+// encoding/json's indented one: events sit at depth 2, their fields at
+// depth 3 and args entries at depth 4, one space per level. Names held by
+// the recorder are copied from slab, where each is escaped once per file.
 type perfettoWriter struct {
-	bw     *bufio.Writer
 	buf    []byte
+	r      *Recorder
+	ids    []perfettoIDs // by Name; esc locates the name in slab
+	slab   []byte
 	events int // events written so far
 	args   int // args entries in the current event
 }
 
+// escapeNames escapes every interned name into the slab.
+func (p *perfettoWriter) escapeNames() {
+	if p.r == nil {
+		return
+	}
+	size := 0
+	for _, n := range p.r.names {
+		size += len(n.s)
+	}
+	p.slab = make([]byte, 0, size)
+	for h, n := range p.r.names {
+		p.slab = jsonfmt.AppendChars(p.slab, n.s)
+		p.ids[h].esc = int32(len(p.slab))
+	}
+}
+
+// name appends the escaped name h.
+func (p *perfettoWriter) name(h Name) {
+	start := int32(0)
+	if h > 0 {
+		start = p.ids[h-1].esc
+	}
+	p.buf = append(p.buf, p.slab[start:p.ids[h].esc]...)
+}
+
 // event writes one slice or instant with the name and args of its record.
-func (p *perfettoWriter) event(r *Recorder, opts PerfettoOptions, e *perfettoEvent) {
-	pid, tid := int(e.pid), int(e.tid)
+func (p *perfettoWriter) event(opts PerfettoOptions, e *perfettoEvent) {
+	r, pid, tid := p.r, int(e.pid), int(e.tid)
+	p.begin()
 	switch e.kind {
 	case eventTask:
-		p.open("task", "X", e.at, e.dur, pid, tid, r.name(r.changes.at(int(e.rec)).task))
+		p.name(r.changes.at(int(e.rec)).task)
+		p.fields(eventTask, e.at, e.dur, pid, tid)
 	case eventOverhead:
 		o := r.overheads.at(int(e.rec))
-		if o.task == 0 {
-			p.open("overhead", "X", e.at, e.dur, pid, tid, o.kind.String())
-		} else {
-			p.open("overhead", "X", e.at, e.dur, pid, tid, o.kind.String(), " ", r.name(o.task))
+		p.buf = append(p.buf, o.kind.String()...) // kind names are plain ASCII
+		if o.task != 0 {
+			p.buf = append(p.buf, ' ')
+			p.name(o.task)
 		}
+		p.fields(eventOverhead, e.at, e.dur, pid, tid)
 	case eventFault:
-		f := r.faultRecord(r.faults.at(int(e.rec)))
-		p.open("fault", "i", e.at, 0, pid, tid, f.Kind.String(), " ", f.Label)
-		p.argString("detail", f.Detail)
-		p.argString("task", f.Task)
+		f := r.faults.at(int(e.rec))
+		p.buf = append(append(p.buf, f.kind.String()...), ' ')
+		p.name(f.label)
+		p.fields(eventFault, e.at, 0, pid, tid)
+		p.argName("detail", f.detail)
+		p.argName("task", f.task)
 	case eventMigration:
-		m := r.migration(r.migrations.at(int(e.rec)))
-		p.open("migration", "i", e.at, 0, pid, tid, "migrate ", m.Task)
-		p.argInt("from", m.From)
-		p.argString("task", m.Task)
-		p.argInt("to", m.To)
+		m := r.migrations.at(int(e.rec))
+		p.buf = append(p.buf, "migrate "...)
+		p.name(m.task)
+		p.fields(eventMigration, e.at, 0, pid, tid)
+		p.argInt("from", int(m.from))
+		p.argName("task", m.task)
+		p.argInt("to", int(m.to))
 	case eventMiss:
 		m := &opts.Misses[e.rec]
-		p.open("miss", "i", e.at, 0, pid, tid, "deadline-miss ", m.Task)
+		p.buf = jsonfmt.AppendChars(append(p.buf, "deadline-miss "...), m.Task)
+		p.fields(eventMiss, e.at, 0, pid, tid)
 		p.argString("task", m.Task)
 	}
 	p.close()
 }
 
-// open starts an event and writes every field before args: the name (the
-// concatenation of the given parts), the category unless empty, the phase,
-// the timestamp, the duration on complete slices (ph "X"), pid and tid, and
-// the process scope on instants (ph "i"). Escaping the name parts one by
-// one equals escaping their concatenation, as every part but the last is
-// ASCII.
-func (p *perfettoWriter) open(cat, ph string, at, dur sim.Time, pid, tid int, name ...string) {
-	b := p.buf[:0]
+// meta writes one metadata event (ph "M") naming a process or thread.
+func (p *perfettoWriter) meta(kind string, pid, tid int, name string) {
+	p.begin()
+	p.buf = append(p.buf, kind...)
+	p.fields(eventMeta, 0, 0, pid, tid)
+	p.argString("name", name)
+	p.close()
+}
+
+// begin starts an event up to the contents of its name string, which the
+// caller appends, escaped, before calling fields.
+func (p *perfettoWriter) begin() {
 	if p.events > 0 {
-		b = append(b, ',')
+		p.buf = append(p.buf, ',')
 	}
 	p.events++
-	b = append(b, "\n  {\n   \"name\": \""...)
-	for _, part := range name {
-		b = appendJSONChars(b, part)
-	}
-	b = append(b, '"')
-	if cat != "" {
-		b = append(b, ",\n   \"cat\": \""...)
-		b = append(b, cat...)
-		b = append(b, '"')
-	}
-	b = append(b, ",\n   \"ph\": \""...)
-	b = append(b, ph...)
-	b = append(b, "\",\n   \"ts\": "...)
-	b = appendUsec(b, at)
-	if ph == "X" {
+	p.buf = append(p.buf, "\n  {\n   \"name\": \""...)
+}
+
+// fields ends the name and writes every field of a kind's event before
+// args: the category unless empty, the phase, the timestamp, the duration
+// on complete slices (ph "X"), pid and tid, and the process scope on
+// instants (ph "i").
+func (p *perfettoWriter) fields(kind eventKind, at, dur sim.Time, pid, tid int) {
+	b := appendUsec(append(p.buf, eventHeads[kind]...), at)
+	ph := eventPhases[kind]
+	if ph == 'X' {
 		b = appendUsec(append(b, ",\n   \"dur\": "...), dur)
 	}
 	b = strconv.AppendInt(append(b, ",\n   \"pid\": "...), int64(pid), 10)
 	b = strconv.AppendInt(append(b, ",\n   \"tid\": "...), int64(tid), 10)
-	if ph == "i" {
+	if ph == 'i' {
 		b = append(b, ",\n   \"s\": \"p\""...)
 	}
 	p.buf = b
@@ -457,7 +546,14 @@ func (p *perfettoWriter) argKey(key string) {
 
 func (p *perfettoWriter) argString(key, val string) {
 	p.argKey(key)
-	p.buf = append(appendJSONChars(append(p.buf, '"'), val), '"')
+	p.buf = jsonfmt.AppendString(p.buf, val)
+}
+
+func (p *perfettoWriter) argName(key string, val Name) {
+	p.argKey(key)
+	p.buf = append(p.buf, '"')
+	p.name(val)
+	p.buf = append(p.buf, '"')
 }
 
 func (p *perfettoWriter) argInt(key string, val int) {
@@ -465,14 +561,13 @@ func (p *perfettoWriter) argInt(key string, val int) {
 	p.buf = strconv.AppendInt(p.buf, int64(val), 10)
 }
 
-// close ends the event and hands it to the buffered writer.
+// close ends the event.
 func (p *perfettoWriter) close() {
 	if p.args > 0 {
 		p.buf = append(p.buf, "\n   }"...)
 		p.args = 0
 	}
 	p.buf = append(p.buf, "\n  }"...)
-	_, _ = p.bw.Write(p.buf)
 }
 
 // appendUsec appends t in microseconds as encoding/json formats the float64
@@ -483,94 +578,28 @@ func (p *perfettoWriter) close() {
 // path.
 func appendUsec(b []byte, t sim.Time) []byte {
 	if t < 0 || t >= 1e15 {
-		return appendJSONFloat(b, usec(t))
+		return jsonfmt.AppendFloat(b, usec(t))
 	}
-	b = strconv.AppendInt(b, int64(t/1e6), 10)
-	frac := int64(t % 1e6)
-	if frac == 0 {
-		return b
+	var d [24]byte
+	i, whole, frac := len(d), uint64(t)/1e6, uint64(t)%1e6
+	if frac != 0 {
+		n := 6
+		for ; frac%10 == 0; n-- {
+			frac /= 10
+		}
+		for ; n > 0; n-- {
+			i--
+			d[i] = byte('0' + frac%10)
+			frac /= 10
+		}
+		i--
+		d[i] = '.'
 	}
-	var digits [7]byte
-	n := len(digits)
-	for i := 0; i < 6; i++ {
-		n--
-		digits[n] = byte('0' + frac%10)
-		frac /= 10
-	}
-	digits[0] = '.'
-	end := len(digits)
-	for digits[end-1] == '0' {
-		end--
-	}
-	return append(b, digits[:end]...)
-}
-
-// appendJSONFloat appends f as encoding/json formats a float64: shortest
-// 'f' notation, switching to 'e' below 1e-6 and at or above 1e21, with a
-// one-digit negative exponent written without its leading zero.
-func appendJSONFloat(b []byte, f float64) []byte {
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if format == 'e' {
-		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
+	for {
+		i--
+		d[i] = byte('0' + whole%10)
+		if whole /= 10; whole == 0 {
+			return append(b, d[i:]...)
 		}
 	}
-	return b
-}
-
-// appendJSONChars appends s escaped as encoding/json escapes string
-// contents (with HTML escaping on, its default): quote, backslash and
-// control bytes, '<', '>' and '&', U+2028 and U+2029, and each byte of
-// invalid UTF-8 as U+FFFD. The surrounding quotes are the caller's.
-func appendJSONChars(b []byte, s string) []byte {
-	const hex = "0123456789abcdef"
-	start := 0
-	for i := 0; i < len(s); {
-		if c := s[i]; c < utf8.RuneSelf {
-			if c >= ' ' && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
-				i++
-				continue
-			}
-			b = append(b, s[start:i]...)
-			switch c {
-			case '\\', '"':
-				b = append(b, '\\', c)
-			case '\b':
-				b = append(b, '\\', 'b')
-			case '\f':
-				b = append(b, '\\', 'f')
-			case '\n':
-				b = append(b, '\\', 'n')
-			case '\r':
-				b = append(b, '\\', 'r')
-			case '\t':
-				b = append(b, '\\', 't')
-			default:
-				b = append(b, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xF])
-			}
-			i++
-			start = i
-			continue
-		}
-		r, size := utf8.DecodeRuneInString(s[i:])
-		switch {
-		case r == utf8.RuneError && size == 1:
-			b = append(b, s[start:i]...)
-			b = append(b, `\ufffd`...)
-		case r == '\u2028' || r == '\u2029':
-			b = append(b, s[start:i]...)
-			b = append(b, '\\', 'u', '2', '0', '2', hex[r&0xF])
-		default:
-			i += size
-			continue
-		}
-		i += size
-		start = i
-	}
-	return append(b, s[start:]...)
 }

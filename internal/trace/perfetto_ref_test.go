@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"repro/internal/sim"
@@ -239,6 +240,34 @@ func (b *refBuilder) placeOf(taskCPU map[string]refPlace, task string) (pid, tid
 		return b.pids[b.pidOrder[0]], 1
 	}
 	return b.pid("unknown"), 1
+}
+
+// perfettoOrderReference is the comparison sort perfettoOrder replaced:
+// 16-byte (ts, build index) keys under pdqsort, the index tie-break making
+// the unstable sort give the stable order.
+func perfettoOrderReference(events []perfettoEvent) []int32 {
+	type sortKey struct {
+		ts float64
+		i  int32
+	}
+	keys := make([]sortKey, len(events))
+	for i := range events {
+		keys[i] = sortKey{usec(events[i].at), int32(i)}
+	}
+	slices.SortFunc(keys, func(x, y sortKey) int {
+		if x.ts != y.ts {
+			if x.ts < y.ts {
+				return -1
+			}
+			return 1
+		}
+		return int(x.i - y.i)
+	})
+	order := make([]int32, len(keys))
+	for i, k := range keys {
+		order[i] = k.i
+	}
+	return order
 }
 
 // WritePerfettoReference exposes the reference writer to the corpus

@@ -3,10 +3,12 @@ package trace
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 
+	"repro/internal/jsonfmt"
 	"repro/internal/sim"
 )
 
@@ -104,7 +106,7 @@ func TestPerfettoMatchesReferenceLargeInstants(t *testing.T) {
 func TestAppendUsecMatchesJSONFloat(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	check := func(v sim.Time) {
-		if got, want := string(appendUsec(nil, v)), string(appendJSONFloat(nil, usec(v))); got != want {
+		if got, want := string(appendUsec(nil, v)), string(jsonfmt.AppendFloat(nil, usec(v))); got != want {
 			t.Fatalf("appendUsec(%d) = %s, encoding/json gives %s", v, got, want)
 		}
 	}
@@ -114,6 +116,59 @@ func TestAppendUsecMatchesJSONFloat(t *testing.T) {
 	for i := 0; i < 200_000; i++ {
 		digits := 1 + rng.Intn(18)
 		check(sim.Time(rng.Int63n(pow10(digits))))
+	}
+}
+
+// TestPerfettoOrderMatchesComparisonSort holds the radix order to the
+// (ts, build index) comparison sort it replaced, on randomized event sets:
+// nearly sorted runs as the build passes produce them, many same-ts ties,
+// ts = 0, key ranges of every bit length and offset, and, in two rounds of
+// three, instants at and above 1e15 ps, where distinct picoseconds can
+// share one float64 timestamp, with negative instants in one of them. The
+// rounds with every instant in [0, 1e15) ps sort on the picoseconds.
+func TestPerfettoOrderMatchesComparisonSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	bases := []sim.Time{0, 1e15 - 500, 1e15, 9_007_199_254_740_000, 1 << 62}
+	for round := 0; round < 400; round++ {
+		n := rng.Intn(300)
+		if round%50 == 0 {
+			n = 5000 + rng.Intn(5000)
+		}
+		base := bases[round%len(bases)]
+		mode := round % 3 // 0: every instant in [0, 1e15) ps; 1: none negative
+		spread := int64(1) << rng.Intn(48)
+		first := sim.Time(0) // the restart instant; offset from 0 in a quarter of the rounds
+		if round%4 == 3 {
+			first = base + sim.Time(rng.Int63n(1<<40))
+		}
+		events := make([]perfettoEvent, n)
+		at := first
+		for i := range events {
+			switch rng.Intn(8) {
+			case 0:
+				at = first
+			case 1:
+				at = base + sim.Time(rng.Int63n(spread)) // out of order
+			case 2:
+				if mode == 2 {
+					at = -sim.Time(rng.Int63n(spread)) // before the epoch
+				}
+			case 3: // a tie with the previous event
+			default:
+				at += sim.Time(rng.Int63n(spread)) // the next in a nearly sorted run
+			}
+			events[i].at = at
+			if mode == 0 {
+				events[i].at = at % 1e15
+			}
+		}
+		got, want := perfettoOrder(events), perfettoOrderReference(events)
+		if !slices.Equal(got, want) {
+			t.Fatalf("round %d (%d events from %d): radix order differs from the comparison sort", round, n, base)
+		}
+	}
+	if got := perfettoOrder(nil); len(got) != 0 {
+		t.Fatalf("order of no events = %v", got)
 	}
 }
 

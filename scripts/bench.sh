@@ -40,7 +40,7 @@ bench() { # bench <pattern> <package>
 {
 	bench 'BenchmarkKernelProcessSwitch$|BenchmarkRTOSContextSwitch$|BenchmarkContinuationSwitch$|BenchmarkMPEG2SoC$|BenchmarkEngineProcedural$|BenchmarkEngineThreaded$|BenchmarkSMPGlobal' .
 	bench 'BenchmarkManyTasks$|BenchmarkManyTaskBodies$|BenchmarkWaitAnyFanout$' .
-	bench 'BenchmarkStatistics$|BenchmarkStatisticsSoC$|BenchmarkPerfettoExport$|BenchmarkRecorderAppend$' .
+	bench 'BenchmarkStatistics$|BenchmarkStatisticsSoC$|BenchmarkPerfettoExport$|BenchmarkMetricsJSON$|BenchmarkRecorderAppend$' .
 	bench 'BenchmarkTimedWait$|BenchmarkEventNotify$|BenchmarkDeltaCycle$|BenchmarkWaitTimeoutNoFire$' ./internal/sim/
 	bench 'BenchmarkTimedQueueOps$|BenchmarkTimedQueueCancel$' ./internal/sim/
 	bench 'BenchmarkSweep$' ./internal/batch/
