@@ -44,9 +44,8 @@ type Bus struct {
 
 	mu *comm.Mutex
 
-	transfers  uint64
-	bytesMoved uint64
-	busyTime   sim.Time
+	transfers uint64
+	busyTime  sim.Time
 }
 
 // New creates a bus. rec may be nil to disable tracing.
@@ -65,9 +64,6 @@ func (b *Bus) Name() string { return b.name }
 
 // Transfers returns the number of completed transfers.
 func (b *Bus) Transfers() uint64 { return b.transfers }
-
-// BytesMoved returns the total payload volume.
-func (b *Bus) BytesMoved() uint64 { return b.bytesMoved }
 
 // BusyTime returns the cumulative time the bus spent transferring.
 func (b *Bus) BusyTime() sim.Time { return b.busyTime }
@@ -118,7 +114,6 @@ func (b *Bus) EndTransfer(a comm.Actor, n int) {
 		b.busyTime += d
 	}
 	b.transfers++
-	b.bytesMoved += uint64(n)
 	b.rec.Access(a.Name(), b.name, trace.AccessWrite)
 	b.mu.Unlock(a)
 }

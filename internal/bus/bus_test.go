@@ -27,8 +27,8 @@ func TestTransferTiming(t *testing.T) {
 	if end != 110*sim.Us {
 		t.Fatalf("transfer ended at %v, want 110us", end)
 	}
-	if b.Transfers() != 1 || b.BytesMoved() != 100 || b.BusyTime() != 110*sim.Us {
-		t.Fatalf("stats: %d transfers, %d bytes, busy %v", b.Transfers(), b.BytesMoved(), b.BusyTime())
+	if b.Transfers() != 1 || b.BusyTime() != 110*sim.Us {
+		t.Fatalf("stats: %d transfers, busy %v", b.Transfers(), b.BusyTime())
 	}
 }
 
@@ -124,8 +124,8 @@ func TestChannelEndToEnd(t *testing.T) {
 	if recvAt[0] != 79*sim.Us {
 		t.Fatalf("first arrival at %v, want 79us", recvAt[0])
 	}
-	if b.Transfers() != 3 || b.BytesMoved() != 192 {
-		t.Fatalf("bus stats: %d/%d", b.Transfers(), b.BytesMoved())
+	if b.Transfers() != 3 || b.BusyTime() != 3*69*sim.Us {
+		t.Fatalf("bus stats: %d transfers, busy %v", b.Transfers(), b.BusyTime())
 	}
 	if ch.Queue().Cap() != 2 || ch.Name() != "link" {
 		t.Fatal("channel accessors wrong")

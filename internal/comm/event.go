@@ -146,24 +146,6 @@ func (e *Event) WaitWake(a Actor) {
 	e.rec.Access(a.Name(), e.name, trace.AccessWakeup)
 }
 
-// TryWait consumes a memorized occurrence without blocking; it reports
-// whether one was available.
-func (e *Event) TryWait(a Actor) bool {
-	if e.count > 0 {
-		e.count--
-		e.recordDepth()
-		e.rec.Access(a.Name(), e.name, trace.AccessWait)
-		return true
-	}
-	return false
-}
-
-// Reset discards memorized occurrences.
-func (e *Event) Reset() {
-	e.count = 0
-	e.recordDepth()
-}
-
 func (e *Event) recordDepth() {
 	e.rec.Depth(e.name, e.count, 1)
 }

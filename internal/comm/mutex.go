@@ -113,15 +113,6 @@ func (m *Mutex) LockAttempt(a Actor) bool {
 	return true
 }
 
-// TryLock acquires the lock without blocking; it reports success.
-func (m *Mutex) TryLock(a Actor) bool {
-	if m.owner != nil && m.owner != a {
-		return false
-	}
-	m.Lock(a)
-	return true
-}
-
 // Unlock releases the lock; a must be the owner. The highest-priority
 // waiter, if any, is woken.
 func (m *Mutex) Unlock(a Actor) {

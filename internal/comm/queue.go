@@ -120,14 +120,6 @@ func (q *Queue[T]) GetAttempt(a Actor) (v T, ok bool) {
 	return v, true
 }
 
-// TryGet dequeues without blocking; ok reports whether a message was there.
-func (q *Queue[T]) TryGet(a Actor) (v T, ok bool) {
-	if q.buf.Len() == 0 {
-		return v, false
-	}
-	return q.Get(a), true
-}
-
 func (q *Queue[T]) recordDepth() {
 	q.rec.Depth(q.name, q.buf.Len(), q.capacity)
 }

@@ -474,13 +474,6 @@ func (e *Engine) record(sum *Summary) {
 	e.Metrics.Counter("explore_violations_total", "distinct invariant violations found").Add(uint64(len(sum.Violations)))
 }
 
-// ChoicePoints, NaiveAlts, PrunedAlts, TruncatedAlts expose the aggregated
-// statistics (saturated values render as ">1.8e19" in Report).
-func (s *Summary) ChoicePoints() uint64  { return s.Stats.choicePoints }
-func (s *Summary) NaiveAlts() uint64     { return s.Stats.naiveAlts }
-func (s *Summary) PrunedAlts() uint64    { return s.Stats.dporAlts }
-func (s *Summary) TruncatedAlts() uint64 { return s.Stats.truncated }
-
 // Report renders the exploration summary for terminal output.
 func (s *Summary) Report() string {
 	var b strings.Builder

@@ -188,37 +188,6 @@ func (h *Histogram) Mean() float64 {
 	return float64(h.sum) / float64(h.count)
 }
 
-// Quantile returns an upper bound for the q-quantile (0 <= q <= 1) from the
-// bucket counts: the upper bound of the bucket containing the q-th
-// observation, Max() for the overflow bucket. It is a bucket-resolution
-// estimate, exact only at bucket boundaries.
-func (h *Histogram) Quantile(q float64) int64 {
-	if h == nil || h.count == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := uint64(q * float64(h.count))
-	if rank >= h.count {
-		rank = h.count - 1
-	}
-	var cum uint64
-	for i, c := range h.counts {
-		cum += c
-		if cum > rank {
-			if i < len(h.bounds) {
-				return h.bounds[i]
-			}
-			return h.max
-		}
-	}
-	return h.max
-}
-
 // Kind classifies a registered metric.
 type Kind uint8
 

@@ -89,12 +89,6 @@ func TestHistogram(t *testing.T) {
 	if m.Histogram.Overflow != 2 {
 		t.Errorf("overflow = %d, want 2", m.Histogram.Overflow)
 	}
-	if q := h.Quantile(0.5); q != 20 {
-		t.Errorf("p50 = %d, want bucket bound 20", q)
-	}
-	if q := h.Quantile(1); q != 60 {
-		t.Errorf("p100 = %d, want max 60", q)
-	}
 }
 
 func TestHistogramRejectsUnsortedBounds(t *testing.T) {

@@ -121,12 +121,6 @@ func (cpu *Processor) OverheadTime() sim.Time {
 	return sim.Time(total)
 }
 
-// CoreBusyTime returns the application execution time charged on one core so
-// far, from the metrics layer.
-func (cpu *Processor) CoreBusyTime(coreID int) sim.Time {
-	return sim.Time(cpu.met.coreBusy[coreID].Value())
-}
-
 // DeadlineMisses returns the number of periodic deadline misses detected on
 // this processor so far, from the metrics layer.
 func (cpu *Processor) DeadlineMisses() uint64 { return cpu.met.misses.Value() }

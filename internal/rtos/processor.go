@@ -125,6 +125,13 @@ type Processor struct {
 
 	readySeqCtr uint64
 
+	// dispatches, preemptions and migrations count across all cores. They
+	// are kept here rather than read back from met: the registry merges
+	// counters with equal labels, and two processors may share a name.
+	dispatches  uint64
+	preemptions uint64
+	migrations  uint64
+
 	quantum sim.Time
 
 	irqCtrl *InterruptController
@@ -240,12 +247,8 @@ func (cpu *Processor) SetPreemptive(on bool) {
 func (cpu *Processor) Tasks() []*Task { return cpu.tasks }
 
 // Running returns the task running on core 0 (the only core of a single-core
-// processor), nil when idle or switching. See RunningOn for other cores.
+// processor), nil when idle or switching.
 func (cpu *Processor) Running() *Task { return cpu.cores[0].running }
-
-// RunningOn returns the task running on the given core, nil when that core
-// is idle or switching.
-func (cpu *Processor) RunningOn(coreID int) *Task { return cpu.cores[coreID].running }
 
 // Cores returns the processor's core count.
 func (cpu *Processor) Cores() int { return len(cpu.cores) }
@@ -264,43 +267,15 @@ func (cpu *Processor) ReadyCount() int {
 
 // Dispatches returns the total number of task elections performed across all
 // cores.
-func (cpu *Processor) Dispatches() uint64 {
-	var n uint64
-	for i := range cpu.cores {
-		n += cpu.cores[i].dispatches
-	}
-	return n
-}
+func (cpu *Processor) Dispatches() uint64 { return cpu.dispatches }
 
 // Preemptions returns the total number of preemptions performed across all
 // cores.
-func (cpu *Processor) Preemptions() uint64 {
-	var n uint64
-	for i := range cpu.cores {
-		n += cpu.cores[i].preemptions
-	}
-	return n
-}
+func (cpu *Processor) Preemptions() uint64 { return cpu.preemptions }
 
 // Migrations returns how many dispatches moved a task to a different core
 // than its previous one (always zero under DomainPartitioned).
-func (cpu *Processor) Migrations() uint64 {
-	var n uint64
-	for i := range cpu.cores {
-		n += cpu.cores[i].migrations
-	}
-	return n
-}
-
-// CoreDispatches returns the number of task elections completed on one core.
-func (cpu *Processor) CoreDispatches(coreID int) uint64 { return cpu.cores[coreID].dispatches }
-
-// CorePreemptions returns the number of preemptions performed on one core.
-func (cpu *Processor) CorePreemptions(coreID int) uint64 { return cpu.cores[coreID].preemptions }
-
-// CoreMigrations returns the number of dispatches that migrated a task onto
-// this core from another one.
-func (cpu *Processor) CoreMigrations(coreID int) uint64 { return cpu.cores[coreID].migrations }
+func (cpu *Processor) Migrations() uint64 { return cpu.migrations }
 
 // NewTask creates a task on the processor. The behaviour function runs once;
 // write a loop inside it (or use NewPeriodicTask) for cyclic tasks.

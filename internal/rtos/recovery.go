@@ -109,15 +109,14 @@ func (t *Task) runCycle(body func(*TaskCtx, int)) (aborted bool) {
 // Watchdog is a software watchdog timer owned by a processor: task code must
 // call Kick more often than the timeout or the watchdog fires, records a
 // WatchdogFired trace event and takes its recovery action — restarting the
-// monitored task (aborting its in-flight job, waking it even out of an
-// injected hang) and/or invoking a user callback. The timer re-arms after
-// firing, so a permanently silent task is reported once per timeout.
+// monitored task, if it guards one (aborting its in-flight job, waking it even
+// out of an injected hang). The timer re-arms after firing, so a permanently
+// silent task is reported once per timeout.
 type Watchdog struct {
 	name    string
 	cpu     *Processor
 	timeout sim.Time
 	task    *Task // task restarted on expiry; nil for report-only
-	onFire  func(*Watchdog)
 
 	ev    *sim.Event
 	kicks uint64
@@ -155,10 +154,6 @@ func (w *Watchdog) Kicks() uint64 { return w.kicks }
 // Fired returns how many times the watchdog expired.
 func (w *Watchdog) Fired() uint64 { return w.fired }
 
-// OnFire registers a callback invoked (in simulation context, must not
-// block) each time the watchdog fires, after the restart action.
-func (w *Watchdog) OnFire(fn func(*Watchdog)) { w.onFire = fn }
-
 // Kick restarts the watchdog countdown. Safe from any simulation context.
 func (w *Watchdog) Kick() {
 	w.kicks++
@@ -167,7 +162,7 @@ func (w *Watchdog) Kick() {
 }
 
 // fire handles a watchdog expiry: record it, restart the guarded task if it
-// has a job in flight, notify the callback, re-arm.
+// has a job in flight, re-arm.
 func (w *Watchdog) fire() {
 	w.fired++
 	w.cpu.rec.Fault(trace.WatchdogFired, w.name, "timeout",
@@ -175,9 +170,6 @@ func (w *Watchdog) fire() {
 	if t := w.task; t != nil && t.state != trace.StateTerminated && t.inJob {
 		t.restartPending = true
 		t.requestAbort("watchdog-restart")
-	}
-	if w.onFire != nil {
-		w.onFire(w)
 	}
 	w.ev.NotifyIn(w.timeout)
 }

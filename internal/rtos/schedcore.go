@@ -37,8 +37,8 @@ func (d SchedDomain) String() string {
 	return "invalid"
 }
 
-// core is one execution unit of a Processor: its running task, its switch
-// window, and its share of the scheduling counters.
+// core is one execution unit of a Processor: its running task and its switch
+// window.
 type core struct {
 	id      int
 	running *Task
@@ -53,10 +53,6 @@ type core struct {
 	claimant *Task
 
 	quantumEvent *sim.Event
-
-	dispatches  uint64
-	preemptions uint64
-	migrations  uint64
 }
 
 // readyQueue is one ready-task queue: per core under DomainPartitioned, a
@@ -326,14 +322,14 @@ func (cpu *Processor) finishDispatch(t *Task, c *core) {
 	c.switching = false
 	if t.lastCore >= 0 && t.lastCore != c.id {
 		t.migrations++
-		c.migrations++
+		cpu.migrations++
 		cpu.met.migrations.Inc()
 		cpu.rec.Migrate(t.name, cpu.name, t.lastCore, c.id)
 	}
 	t.lastCore = c.id
 	t.setState(trace.StateRunning)
 	t.dispatches++
-	c.dispatches++
+	cpu.dispatches++
 	cpu.met.dispatches.Inc()
 	cpu.armQuantum(c)
 	if cpu.invTrack {
@@ -357,7 +353,7 @@ func (cpu *Processor) leaveRunning(t *Task, s trace.TaskState) *core {
 	if s == trace.StateReady {
 		cpu.enqueueReady(t)
 		t.preemptions++
-		c.preemptions++
+		cpu.preemptions++
 		cpu.met.preemptions.Inc()
 	} else {
 		t.setState(s)

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -420,26 +419,4 @@ func countJobs(v *runView, built *scenario.Built) {
 		v.jobs += int(t.CompletedCycles() + t.AbortedCycles())
 		v.abortedJobs += int(t.AbortedCycles())
 	}
-}
-
-// WriteArtifact streams one rendered artifact; it exists so callers that
-// write straight to files or sockets need not special-case names.
-func (r *Result) WriteArtifact(w io.Writer, name string) error {
-	data, ok := r.Artifacts[name]
-	if !ok {
-		return fmt.Errorf("runner: artifact %q was not produced (have %s)",
-			name, strings.Join(r.ArtifactNames(), ", "))
-	}
-	_, err := w.Write(data)
-	return err
-}
-
-// ArtifactNames lists the produced artifacts, sorted.
-func (r *Result) ArtifactNames() []string {
-	names := make([]string, 0, len(r.Artifacts))
-	for n := range r.Artifacts {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

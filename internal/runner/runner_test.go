@@ -265,16 +265,13 @@ func TestFailedRunsLeaveNoGoroutines(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			// A failed run still renders every requested artifact, each on a
-			// goroutine of its own; those must be gone too, also when a render
-			// fails (the SVG of the empty trace the sequential panic leaves).
+			// goroutine of its own; those must be gone too. The sequential
+			// panic leaves an empty trace, whose SVG is an empty chart.
 			for _, artifacts := range [][]string{nil, KnownArtifacts} {
 				t.Run(fmt.Sprintf("artifacts=%d", len(artifacts)), func(t *testing.T) {
 					before := runtime.NumGoroutine()
 					for range 20 {
 						res, err := Run(c.data, Options{TaskEngine: "goroutine", Shards: c.shards, Artifacts: artifacts}, c.name)
-						if err != nil && artifacts != nil && strings.HasPrefix(err.Error(), "rendering svg artifact: ") {
-							continue
-						}
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -326,19 +323,8 @@ func TestRunAllArtifacts(t *testing.T) {
 			t.Errorf("artifact %s is empty", a)
 		}
 	}
-	names := res.ArtifactNames()
-	if len(names) != len(KnownArtifacts) {
-		t.Errorf("ArtifactNames = %v", names)
-	}
-	var buf bytes.Buffer
-	if err := res.WriteArtifact(&buf, "csv"); err != nil {
-		t.Fatal(err)
-	}
-	if buf.Len() == 0 {
-		t.Error("WriteArtifact wrote nothing")
-	}
-	if err := res.WriteArtifact(&buf, "nope"); err == nil {
-		t.Error("WriteArtifact accepted an unproduced artifact")
+	if len(res.Artifacts) != len(KnownArtifacts) {
+		t.Errorf("produced %d artifacts, want %d", len(res.Artifacts), len(KnownArtifacts))
 	}
 }
 

@@ -212,7 +212,9 @@ func TestJournalCompaction(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		last = waitTerminal(t, ts, postJob(t, ts, Request{Scenario: data}).ID).ID
 	}
-	s.CompactJournal()
+	s.mu.Lock()
+	s.compactLocked()
+	s.mu.Unlock()
 	lines := journalLines(t, dir)
 	// Snapshot form: one submit plus one end record per job, nothing else.
 	s.mu.Lock()

@@ -775,14 +775,6 @@ func (s *Server) compactLocked() {
 	s.cfg.Logf("journal: compacted %d record(s) to %d", before, len(recs))
 }
 
-// CompactJournal forces a compaction pass; a no-op without a journal.
-func (s *Server) CompactJournal() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.appended = 0
-	s.compactLocked()
-}
-
 // pushEventLocked appends an event to the job log and wakes the job's
 // stream readers. Caller holds s.mu.
 func (s *Server) pushEventLocked(job *Job, ev Event) {

@@ -76,10 +76,6 @@ type Proc struct {
 
 	// doneEvent fires when the process terminates; created on demand.
 	doneEvent *Event
-
-	// sensitivity is the static sensitivity list used by WaitStatic
-	// (SystemC's argument-less wait()).
-	sensitivity []*Event
 }
 
 // Spawn creates a simulation thread named name running fn. Processes spawned
@@ -113,9 +109,6 @@ func (p *Proc) Kernel() *Kernel { return p.k }
 // SetDaemon marks the process as infrastructure: a daemon blocked forever is
 // not a deadlock (it is expected to idle when the model has no work for it).
 func (p *Proc) SetDaemon(on bool) { p.daemon = on }
-
-// Daemon reports whether the process is marked as infrastructure.
-func (p *Proc) Daemon() bool { return p.daemon }
 
 // WaitingOn returns the names of the events the process is currently
 // subscribed to; empty when the process is not waiting on events (pure
@@ -296,46 +289,6 @@ func (p *Proc) WaitAny(events ...*Event) *Event {
 	}
 	p.park()
 	return p.wokenBy
-}
-
-// SetSensitivity installs the process's static sensitivity list, the events
-// an argument-less wait resumes on (SystemC's `sensitive << e1 << e2`).
-// Callable from any context, typically at elaboration.
-func (p *Proc) SetSensitivity(events ...*Event) {
-	p.sensitivity = append(p.sensitivity[:0], events...)
-}
-
-// WaitStatic suspends the process until any event of its static sensitivity
-// list fires and returns the trigger — the analogue of SystemC's wait()
-// inside a statically sensitive thread.
-func (p *Proc) WaitStatic() *Event {
-	p.checkContext("WaitStatic")
-	if len(p.sensitivity) == 0 {
-		panic(fmt.Sprintf("sim: WaitStatic on process %q with no sensitivity list", p.name))
-	}
-	return p.WaitAny(p.sensitivity...)
-}
-
-// WaitAll suspends the process until every one of the given events has
-// fired at least once (SystemC's AND-list wait). The events are observed
-// one wake at a time: an event firing in the same delta cycle as another,
-// before the process has re-subscribed, is missed — the same behaviour as a
-// SystemC dynamic and-list.
-func (p *Proc) WaitAll(events ...*Event) {
-	p.checkContext("WaitAll")
-	if len(events) == 0 {
-		panic("sim: WaitAll with no events")
-	}
-	remaining := append([]*Event(nil), events...)
-	for len(remaining) > 0 {
-		woke := p.WaitAny(remaining...)
-		for i, e := range remaining {
-			if e == woke {
-				remaining = append(remaining[:i], remaining[i+1:]...)
-				break
-			}
-		}
-	}
 }
 
 // WaitTimeout suspends the process until one of the events fires or duration

@@ -7,92 +7,6 @@ import (
 	"testing/quick"
 )
 
-func TestWaitAll(t *testing.T) {
-	k := New()
-	a, b, c := k.NewEvent("a"), k.NewEvent("b"), k.NewEvent("c")
-	var doneAt Time = -1
-	k.Spawn("waiter", func(p *Proc) {
-		p.WaitAll(a, b, c)
-		doneAt = p.Now()
-	})
-	a.NotifyIn(10 * Us)
-	c.NotifyIn(5 * Us)
-	b.NotifyIn(30 * Us) // the last one gates completion
-	k.Run()
-	if doneAt != 30*Us {
-		t.Fatalf("WaitAll completed at %v, want 30us", doneAt)
-	}
-}
-
-func TestWaitAllDuplicateNotifications(t *testing.T) {
-	// An event firing repeatedly only satisfies its own slot.
-	k := New()
-	a, b := k.NewEvent("a"), k.NewEvent("b")
-	var doneAt Time = -1
-	k.Spawn("waiter", func(p *Proc) {
-		p.WaitAll(a, b)
-		doneAt = p.Now()
-	})
-	k.Spawn("driver", func(p *Proc) {
-		for i := 0; i < 5; i++ {
-			p.Wait(10 * Us)
-			a.Notify()
-		}
-		p.Wait(10 * Us)
-		b.Notify()
-	})
-	k.Run()
-	if doneAt != 60*Us {
-		t.Fatalf("WaitAll completed at %v, want 60us", doneAt)
-	}
-}
-
-func TestStaticSensitivity(t *testing.T) {
-	k := New()
-	a, b := k.NewEvent("a"), k.NewEvent("b")
-	var triggers []string
-	p := k.Spawn("p", func(p *Proc) {
-		for i := 0; i < 3; i++ {
-			e := p.WaitStatic()
-			triggers = append(triggers, fmt.Sprintf("%s@%v", e.Name(), p.Now()))
-		}
-	})
-	p.SetSensitivity(a, b)
-	a.NotifyIn(10 * Us)
-	b.NotifyIn(20 * Us)
-	k.Spawn("late", func(q *Proc) {
-		q.Wait(30 * Us)
-		a.Notify()
-	})
-	k.Run()
-	want := "a@10us b@20us a@30us"
-	if got := fmt.Sprint(triggers); got != fmt.Sprintf("[%s]", want) {
-		t.Fatalf("triggers = %v, want %s", triggers, want)
-	}
-}
-
-func TestWaitStaticWithoutSensitivityPanics(t *testing.T) {
-	k := New()
-	k.Spawn("p", func(p *Proc) { p.WaitStatic() })
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	k.Run()
-}
-
-func TestWaitAllEmptyPanics(t *testing.T) {
-	k := New()
-	k.Spawn("p", func(p *Proc) { p.WaitAll() })
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	k.Run()
-}
-
 // TestPropertyTimeMonotonic: a process observes non-decreasing time across
 // arbitrary sequences of waits (quick-generated durations).
 func TestPropertyTimeMonotonic(t *testing.T) {

@@ -486,29 +486,6 @@ func groupByTask[T any](r *Recorder, s *stream[T], task func(*T) Name) [][]*T {
 	return groups
 }
 
-// StateAt returns the state task was in at instant t (the state set by the
-// latest transition at or before t), and false if the task had no transition
-// yet at t.
-func (r *Recorder) StateAt(task string, t sim.Time) (TaskState, bool) {
-	if r == nil {
-		return 0, false
-	}
-	h, ok := r.nameIndex[task]
-	if !ok {
-		return 0, false
-	}
-	state, found := TaskState(0), false
-	for _, c := range r.changes.all {
-		if c.at > t {
-			break
-		}
-		if c.task == h {
-			state, found = c.state, true
-		}
-	}
-	return state, found
-}
-
 // End returns the timestamp of the last recorded item, i.e. the natural end
 // of the observation window.
 func (r *Recorder) End() sim.Time {

@@ -9,7 +9,8 @@ import (
 
 // SVGOptions configures the SVG TimeLine renderer.
 type SVGOptions struct {
-	// Start and End bound the rendered window; End zero means the trace end.
+	// Start and End bound the rendered window; End zero means the trace end,
+	// and a trace that ends at or before Start then renders an empty chart.
 	Start, End sim.Time
 	// Width is the chart width in pixels (default 1000).
 	Width int
@@ -33,19 +34,18 @@ var svgStateFill = map[TaskState]string{
 // WriteSVG renders the recorded trace as an SVG TimeLine chart — the
 // graphical analogue of the paper's Figures 6 and 7: one row per task,
 // coloured state segments, violet RTOS-overhead overlays, and optional
-// access markers.
+// access markers. An explicit window with End <= Start is an error.
 func (r *Recorder) WriteSVG(w io.Writer, opts SVGOptions) error {
 	if r == nil {
 		return nil
 	}
-	end := opts.End
+	start, end := opts.Start, opts.End
 	if end == 0 {
-		end = r.End()
-	}
-	start := opts.Start
-	if end <= start {
+		end = max(r.End(), start)
+	} else if end <= start {
 		return fmt.Errorf("trace: empty SVG window [%v, %v]", start, end)
 	}
+	empty := end == start
 	width := opts.Width
 	if width <= 0 {
 		width = 1000
@@ -85,7 +85,7 @@ func (r *Recorder) WriteSVG(w io.Writer, opts SVGOptions) error {
 	pf(`<text x="%d" y="18" font-size="13">TimeLine %s .. %s</text>`+"\n", labelW, start, end)
 
 	// Time grid: ~10 ticks.
-	for i := 0; i <= 10; i++ {
+	for i := 0; i <= 10 && !empty; i++ {
 		t := start + sim.Time(float64(end-start)*float64(i)/10)
 		gx := x(t)
 		pf(`<line x1="%.1f" y1="%d" x2="%.1f" y2="%d" stroke="#ddd"/>`+"\n", gx, topH, gx, topH+rowH*len(tasks))
@@ -103,6 +103,9 @@ func (r *Recorder) WriteSVG(w io.Writer, opts SVGOptions) error {
 		y := topH + i*rowH
 		pf(`<text x="4" y="%d">%s</text>`+"\n", y+rowH/2+4, xmlEscape(task))
 		pf(`<line x1="%d" y1="%d" x2="%d" y2="%d" stroke="#ccc"/>`+"\n", labelW, y+rowH, width, y+rowH)
+		if empty {
+			continue
+		}
 		for _, seg := range segs[i] {
 			if seg.End <= start || seg.Start >= end || seg.End <= seg.Start {
 				continue

@@ -53,9 +53,36 @@ func TestWriteSVG(t *testing.T) {
 
 func TestWriteSVGEmptyWindowErrors(t *testing.T) {
 	r := NewRecorder(func() sim.Time { return 0 })
+	r.TaskState("t", "cpu", StateRunning)
+	for _, opts := range []SVGOptions{
+		{Start: 10 * sim.Us, End: 10 * sim.Us},
+		{Start: 10 * sim.Us, End: 5 * sim.Us},
+	} {
+		var b strings.Builder
+		if err := r.WriteSVG(&b, opts); err == nil {
+			t.Errorf("window [%v, %v]: expected error", opts.Start, opts.End)
+		}
+	}
+}
+
+// A trace that ends at t=0 (a run that failed before time advanced) renders
+// an empty chart: header, task rows and legend, no grid and no segments.
+func TestWriteSVGEmptyTrace(t *testing.T) {
+	r := NewRecorder(func() sim.Time { return 0 })
+	r.TaskState("t", "cpu", StateRunning)
+	r.Access("t", "ev", AccessSignal)
 	var b strings.Builder
-	if err := r.WriteSVG(&b, SVGOptions{}); err == nil {
-		t.Fatal("expected error for empty window")
+	if err := r.WriteSVG(&b, SVGOptions{ShowAccesses: true}); err != nil {
+		t.Fatal(err)
+	}
+	out := b.String()
+	for _, want := range []string{"TimeLine 0s .. 0s", ">t</text>", "running</text>", "</svg>"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("svg missing %q", want)
+		}
+	}
+	if strings.Contains(out, "NaN") || strings.Contains(out, "<title>") {
+		t.Errorf("empty chart drew content:\n%s", out)
 	}
 }
 

@@ -85,25 +85,6 @@ func TestSegmentsWindowClamp(t *testing.T) {
 	}
 }
 
-func TestStateAt(t *testing.T) {
-	clk := &fakeClock{}
-	r := NewRecorder(clk.Now)
-	clk.now = 10 * sim.Us
-	r.TaskState("t", "cpu", StateRunning)
-	clk.now = 20 * sim.Us
-	r.TaskState("t", "cpu", StateWaiting)
-
-	if _, ok := r.StateAt("t", 5*sim.Us); ok {
-		t.Fatal("state before first transition")
-	}
-	if s, ok := r.StateAt("t", 15*sim.Us); !ok || s != StateRunning {
-		t.Fatalf("state at 15us = %v,%v", s, ok)
-	}
-	if s, _ := r.StateAt("t", 20*sim.Us); s != StateWaiting {
-		t.Fatalf("state at 20us = %v", s)
-	}
-}
-
 func TestStatsRatios(t *testing.T) {
 	clk := &fakeClock{}
 	r := NewRecorder(clk.Now)
